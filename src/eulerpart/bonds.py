@@ -20,7 +20,7 @@ from eulerpart.heaps import (
     orientation_to_pyramid,
     pyramid_to_orientation,
 )
-from eulerpart.partition import SetPartition
+from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset
 
@@ -54,28 +54,13 @@ def connected_partitions(g):
         for r in range(len(pool) + 1):
             for extra in combinations(pool, r):
                 block = frozenset((pivot, *extra))
-                if _induces_connected(g, block):
+                if g.induces_connected(block):
                     blocks.append(block)
                     rec(remaining - block, blocks)
                     blocks.pop()
 
     rec(frozenset(verts), [])
     return out
-
-
-def _induces_connected(g, block):
-    if len(block) == 1:
-        return True
-    start = min(block)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for _, v in g.incident(u):
-            if v in block and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen == block
 
 
 class BondLattice:
@@ -130,10 +115,6 @@ class BondLattice:
         )
 
 
-def build_bond_lattice(g):
-    return BondLattice(g)
-
-
 def check_edge_order(g, order):
     order = tuple(order)
     if sorted(order) != sorted(g.edges()):
@@ -179,21 +160,10 @@ def broken_circuits(g, order):
 
 
 def _is_forest(g, edge_subset):
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_subset:
-        u, v = sorted(g.pairs[e])
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """Acyclic exactly when each edge joins two classes: edges + classes
+    == touched vertices."""
+    classes = components(g.pairs[e] for e in edge_subset)
+    return len(edge_subset) + len(classes) == sum(map(len, classes))
 
 
 def spanning_trees(g):
@@ -242,21 +212,8 @@ def nbc_bases(g, order):
 def edge_set_join(g, edge_subset):
     """The bond-lattice element spanned by an edge subset: components of the
     spanning subgraph, as a vertex partition."""
-    parent = {v: v for v in range(g.n)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_subset:
-        u, v = sorted(g.pairs[e])
-        parent[find(u)] = find(v)
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), set()).add(v)
-    return SetPartition(groups.values())
+    singletons = [{v} for v in g.vertices()]
+    return SetPartition(components(singletons + [g.pairs[e] for e in edge_subset]))
 
 
 def nbc_sets_by_element(g, order):
@@ -381,9 +338,8 @@ def unique_sink_orientations(g, x):
 
 def _check_nbc_base(g, t, order):
     t = frozenset(t)
-    if len(t) != g.n - 1 or not _is_forest(g, t):
-        raise ValueError("not a spanning tree")
-    if edge_set_join(g, t) != SetPartition.indiscrete(range(g.n)):
+    # n - 1 edges connecting all n vertices form a spanning tree
+    if len(t) != g.n - 1 or len(edge_set_join(g, t)) != 1:
         raise ValueError("not a spanning tree")
     if any(b <= t for b in broken_circuits(g, order)):
         raise ValueError("spanning tree contains a broken circuit")
@@ -487,7 +443,7 @@ def _base_pyramid(g, ps, t, vertex_set, x, rank):
     assert e_top is not None, "connected induced subgraph with >= 2 vertices has an edge"
     assert e_top in t, "an NBC base always contains the largest induced edge"
     remaining = t - {e_top}
-    side = _component_of(g, remaining, x, vertex_set)
+    side = next(c for c in components([{x}, *(g.pairs[e] for e in remaining)]) if x in c)
     other = vertex_set - side
     u = next(iter(g.pairs[e_top] & other))
     p1 = _base_pyramid(g, ps, remaining & _edges_within(g, other), other, u, rank)
@@ -497,23 +453,6 @@ def _base_pyramid(g, ps, t, vertex_set, x, rank):
 
 def _edges_within(g, vertex_set):
     return frozenset(e for e in g.edges() if g.pairs[e] <= vertex_set)
-
-
-def _component_of(g, edge_subset, x, vertex_set):
-    seen = {x}
-    stack = [x]
-    incident = {v: [] for v in vertex_set}
-    for e in edge_subset:
-        u, v = sorted(g.pairs[e])
-        incident[u].append(v)
-        incident[v].append(u)
-    while stack:
-        u = stack.pop()
-        for w in incident[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
 
 
 def base_to_orientation_recursive(t, g, x, order):
@@ -555,6 +494,60 @@ def orientation_to_base(o, g, x, order):
         )
 
     return rec(pyramid, frozenset(range(g.n)), x)
+
+
+def edge_orders(g, count, rng):
+    """The identity edge order, then count - 1 successive shuffles of it."""
+    base = list(g.edges())
+    out = [tuple(base)]
+    for _ in range(count - 1):
+        rng.shuffle(base)
+        out.append(tuple(base))
+    return out
+
+
+def check_nbc_dictionaries(g, orders):
+    """Both NBC-base dictionaries against the acyclic unique-sink
+    orientations of g, at every sink and under every edge order.
+
+    Returns (failures, checked, base_count): one message per failed
+    comparison, the number of (order, sink, base) triples pushed through
+    both dictionaries, and the NBC-base count under the last order.
+    """
+    by_sink = {}
+    for o in acyclic_orientations(g):
+        s = sinks(o)
+        if len(s) == 1:
+            by_sink.setdefault(s[0], []).append(o)
+    failures = []
+    checked = 0
+    base_counts = set()
+    for order in orders:
+        bases = nbc_bases(g, order)
+        base_counts.add(len(bases))
+        for x in range(g.n):
+            usos = by_sink.get(x, [])
+            if len(usos) != len(bases):
+                failures.append(f"count mismatch at sink {g.vertex_labels[x]}")
+            images = set()
+            for t in bases:
+                mu_o = base_to_orientation_direct(t, g, x, order)
+                phi_o = base_to_orientation_recursive(t, g, x, order)
+                checked += 1
+                if mu_o.arcs != phi_o.arcs:
+                    failures.append("explicit and recursive maps disagree")
+                images.add(phi_o.arcs)
+                if orientation_to_base(phi_o, g, x, order) != t:
+                    failures.append("inverse map failed on a base")
+            if images != {o.arcs for o in usos}:
+                failures.append(f"images differ from the orientations at sink {g.vertex_labels[x]}")
+            for o in usos:
+                t = orientation_to_base(o, g, x, order)
+                if base_to_orientation_recursive(t, g, x, order).arcs != o.arcs:
+                    failures.append("inverse map failed on an orientation")
+    if len(base_counts) != 1:
+        failures.append("NBC base count depends on the edge order")
+    return failures, checked, len(bases)
 
 
 @dataclass(frozen=True)

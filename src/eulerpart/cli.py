@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from eulerpart import bonds, heaps, lattice, trails, veblen
 from eulerpart.errors import (
@@ -25,22 +24,6 @@ from eulerpart.graphs import parse_graph_file
 from eulerpart.verify import VerifyConfig, run_verification_suite
 
 SCHEMA = 1
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand plus the shared flags."""
-
-    command: str
-    path: str | None
-    output_format: str
-    seed: int
-    max_edges: int
-    max_vertices: int
-
-    def __post_init__(self):
-        if self.max_edges <= 0 or self.max_vertices <= 0:
-            raise ValueError("size caps must be positive")
 
 
 def _poly(p):
@@ -183,38 +166,8 @@ def cmd_nbc(args, g):
 
 def cmd_bijection_check(args, g):
     _require_simple(g)
-    rng = random.Random(args.seed)
-    orders = [tuple(g.edges())]
-    base = list(g.edges())
-    for _ in range(2):
-        rng.shuffle(base)
-        orders.append(tuple(base))
-    acyclic = bonds.acyclic_orientations(g)
-    by_sink = {}
-    for o in acyclic:
-        s = bonds.sinks(o)
-        if len(s) == 1:
-            by_sink.setdefault(s[0], []).append(o)
-    failures = []
-    n_bases = None
-    for order in orders:
-        bases = bonds.nbc_bases(g, order)
-        n_bases = len(bases)
-        for x in range(g.n):
-            usos = by_sink.get(x, [])
-            if len(usos) != len(bases):
-                failures.append(f"count mismatch at sink {g.vertex_labels[x]}")
-            for t in bases:
-                mu_o = bonds.base_to_orientation_direct(t, g, x, order)
-                phi_o = bonds.base_to_orientation_recursive(t, g, x, order)
-                if mu_o.arcs != phi_o.arcs:
-                    failures.append("explicit and recursive maps disagree")
-                if bonds.orientation_to_base(phi_o, g, x, order) != t:
-                    failures.append("inverse map failed on a base")
-            for o in usos:
-                t = bonds.orientation_to_base(o, g, x, order)
-                if bonds.base_to_orientation_recursive(t, g, x, order).arcs != o.arcs:
-                    failures.append("inverse map failed on an orientation")
+    orders = bonds.edge_orders(g, 3, random.Random(args.seed))
+    failures, _, n_bases = bonds.check_nbc_dictionaries(g, orders)
     return {
         "seed": args.seed,
         "orders": len(orders),
@@ -295,6 +248,8 @@ def cmd_weight(args, g):
 
 
 def cmd_verify(args, _g=None):
+    if args.max_edges <= 0 or args.max_vertices <= 0:
+        raise ValueError("size caps must be positive")
     config = VerifyConfig(
         max_edges=args.max_edges,
         max_vertices=args.max_vertices,
@@ -348,8 +303,9 @@ def build_parser():
             p.add_argument("file", help="graph file (text format)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-edges", type=int, default=8)
-        p.add_argument("--max-vertices", type=int, default=6)
+        if name == "verify":
+            p.add_argument("--max-edges", type=int, default=8)
+            p.add_argument("--max-vertices", type=int, default=6)
         if name == "nbc":
             p.add_argument("--order", help="comma-separated edge labels")
             p.add_argument("--sink", help="vertex label")
@@ -369,14 +325,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler, needs_file = COMMANDS[args.command]
     try:
-        RunConfig(
-            command=args.command,
-            path=getattr(args, "file", None),
-            output_format=args.format,
-            seed=args.seed,
-            max_edges=args.max_edges,
-            max_vertices=args.max_vertices,
-        )
         if needs_file:
             graph = parse_graph_file(args.file)
             payload = handler(args, graph)
@@ -392,6 +340,10 @@ def main(argv=None):
         OSError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # trail and cycle enumeration recurse once per arc
+        print("error: input too deep: the recursion limit was exceeded", file=sys.stderr)
         return 2
     envelope = {"schema": SCHEMA, "command": args.command, "seed": args.seed}
     if needs_file:

@@ -8,9 +8,12 @@ construction time.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from eulerpart.errors import GraphParseError
+from eulerpart.partition import components
 
 
 class Multigraph:
@@ -75,9 +78,6 @@ class Multigraph:
         pair = frozenset((u, v))
         return sum(1 for p in self.pairs if p == pair)
 
-    def multiplicity_of_edge(self, e):
-        return sum(1 for p in self.pairs if p == self.pairs[e])
-
     def is_simple(self):
         return len(set(self.pairs)) == len(self.pairs)
 
@@ -94,24 +94,15 @@ class Multigraph:
     def edge_support_connected(self, edge_subset=None):
         """Connectivity of the sub(multi)graph on the given edges, ignoring
         isolated vertices; the empty edge set is not connected."""
-        edges = set(self.edges() if edge_subset is None else edge_subset)
-        if not edges:
-            return False
-        by_vertex = {}
-        for e in edges:
-            for v in self.pairs[e]:
-                by_vertex.setdefault(v, []).append(e)
-        start = next(iter(by_vertex))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for e in by_vertex[u]:
-                for v in self.pairs[e]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-        return seen == set(by_vertex)
+        edges = self.edges() if edge_subset is None else edge_subset
+        return len(components(self.pairs[e] for e in edges)) == 1
+
+    def induces_connected(self, vertex_set):
+        """Connectivity of the subgraph induced on a vertex set; a single
+        vertex is connected, the empty set is not."""
+        vertex_set = frozenset(vertex_set)
+        inside = [p for p in self.pairs if p <= vertex_set]
+        return len(components([{v} for v in vertex_set] + inside)) == 1
 
     def restrict(self, edge_subset):
         """Sub-multigraph on an edge subset; vertex ids are preserved."""
@@ -122,24 +113,6 @@ class Multigraph:
             self.vertex_labels,
             [self.edge_labels[e] for e in edge_subset],
         )
-
-    def components(self):
-        """Vertex sets of connected components of the edge support."""
-        remaining = set(self.support_vertices())
-        out = []
-        while remaining:
-            start = min(remaining)
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for _, v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            out.append(frozenset(seen))
-            remaining -= seen
-        return out
 
     def _check_vertex(self, u):
         if not (0 <= u < self.n):
@@ -227,8 +200,10 @@ class Digraph:
         return out
 
     def edge_support_connected(self, edge_subset=None):
-        """Weak connectivity of the sub-digraph on the given arcs."""
-        return self.underlying_multigraph().edge_support_connected(edge_subset)
+        """Weak connectivity of the sub-digraph on the given arcs, ignoring
+        isolated vertices; the empty arc set is not connected."""
+        edges = self.edges() if edge_subset is None else edge_subset
+        return len(components(self.arcs[e] for e in edges)) == 1
 
     def underlying_multigraph(self):
         return Multigraph(self.n, self.arcs, self.vertex_labels, self.edge_labels)
@@ -259,10 +234,6 @@ class Digraph:
     def __repr__(self):
         inner = ", ".join("(%d,%d)" % a for a in self.arcs)
         return f"Digraph(n={self.n}, [{inner}])"
-
-
-def out_degree(d, u):
-    return d.out_degree(u)
 
 
 def is_eulerian(d, edge_subset=None):
@@ -352,52 +323,23 @@ def approx_class_size(o, host):
         u, v = sorted(pair)
         total = host.multiplicity(u, v)
         forward = sum(1 for a in o.arcs if a == (u, v))
-        size *= _binomial(total, forward)
+        size *= math.comb(total, forward)
     return size
-
-
-def _binomial(n, k):
-    if k < 0 or k > n:
-        return 0
-    k = min(k, n - k)
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def parallel_factorial_product(g):
     """M_X: product of factorials of edge multiplicities over parallelism classes."""
-    out = 1
-    for pair in set(g.pairs):
-        out *= _factorial(g.multiplicity(*sorted(pair)))
-    return out
+    return math.prod(map(math.factorial, Counter(g.pairs).values()))
 
 
 def arc_factorial_product(d):
     """K_D: product over ordered pairs of m(u, v)! for a digraph."""
-    counts = {}
-    for a in d.arcs:
-        counts[a] = counts.get(a, 0) + 1
-    out = 1
-    for c in counts.values():
-        out *= _factorial(c)
-    return out
+    return math.prod(map(math.factorial, Counter(d.arcs).values()))
 
 
 def out_degree_factorial_product(d):
     """N_D: product over vertices of out-degree factorials."""
-    out = 1
-    for v in range(d.n):
-        out *= _factorial(d.out_degree(v))
-    return out
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+    return math.prod(math.factorial(d.out_degree(v)) for v in range(d.n))
 
 
 # ---------------------------------------------------------------------------

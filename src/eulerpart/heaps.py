@@ -58,19 +58,8 @@ class PieceSystem:
         return sorted(self._adjacent[a])
 
     def connected(self, subset=None):
-        subset = set(self.pieces()) if subset is None else set(subset)
-        if not subset:
-            return False
-        start = min(subset)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in self._adjacent[u]:
-                if v in subset and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen == subset
+        pieces = self.pieces() if subset is None else subset
+        return self.graph.induces_connected(pieces)
 
     def __repr__(self):
         return f"PieceSystem(k={self.k}, pairs={sorted(tuple(sorted(p)) for p in self.graph.pairs)})"
@@ -166,26 +155,6 @@ class Heap:
             taken.add(choice)
             remaining.discard(choice)
         return tuple(out)
-
-    def linear_extensions(self):
-        out = []
-        order = []
-        remaining = set(self.elements)
-
-        def rec():
-            if not remaining:
-                out.append(tuple(order))
-                return
-            for x in sorted(remaining):
-                if self.below[x] <= set(order):
-                    order.append(x)
-                    remaining.discard(x)
-                    rec()
-                    remaining.add(x)
-                    order.pop()
-
-        rec()
-        return out
 
     def relation(self):
         return frozenset((x, y) for y in self.elements for x in self.below[y])
@@ -466,16 +435,10 @@ def pyramid_to_trail(d, a, pyramid, e):
     trail = _cycle_trail_ending_at(d, blocks[pyramid.labels[apex]], e)
     for x in reversed(order[:-1]):
         block = blocks[pyramid.labels[x]]
-        base = next(v for v in trail.vertices if v in _block_vertices(d, block))
+        touched = d.support_vertices(block)
+        base = next(v for v in trail.vertices if v in touched)
         trail = insert_trail(_cycle_trail_from(d, block, base), trail)
     return trail
-
-
-def _block_vertices(d, block):
-    out = set()
-    for e in block:
-        out |= set(d.arcs[e])
-    return out
 
 
 def _successors(d, block):
@@ -505,8 +468,3 @@ def _cycle_trail_ending_at(d, block, e):
     """The unique traversal of a directed-cycle block whose last arc is e."""
     head = d.arcs[e][1]
     return _cycle_trail_from(d, block, head)
-
-
-def trail_pyramid_round_trip(d, w, e):
-    a, _, pyramid = trail_to_pyramid(d, w)
-    return pyramid_to_trail(d, a, pyramid, e)

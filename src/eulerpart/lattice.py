@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from eulerpart.bonds import build_bond_lattice, connected_partitions
+from eulerpart.bonds import BondLattice, connected_partitions
 from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
@@ -116,10 +116,6 @@ def build_eulerian_semilattice(d):
     return EulerianSemilattice(d, poset, products, minimal, top)
 
 
-def downset_sum(lattice, b):
-    return lattice.downset_sum(b)
-
-
 def circuit_partition_counts(d):
     """f_k for k = 1..max: partitions into k circuits assembling into an
     Eulerian circuit, summed from the semilattice."""
@@ -210,7 +206,7 @@ def martin_chromatic_identity(d):
     chi_list = []
     for a in cycle_partitions(d):
         graph = intersection_graph(d, a)
-        chi = build_bond_lattice(graph).characteristic_polynomial()
+        chi = BondLattice(graph).characteristic_polynomial()
         chi_list.append((a, chi))
         sign = (-1) ** len(a)
         rhs = rhs - sign * chi

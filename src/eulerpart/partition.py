@@ -67,12 +67,6 @@ class SetPartition:
         )
         return f"SetPartition({inner})"
 
-    def block_of(self, x):
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
-
     def refines(self, other):
         """True when every block of self is contained in a block of other."""
         if self.ground != other.ground:
@@ -84,32 +78,10 @@ class SetPartition:
         return all(b <= lookup[min(b)] for b in self.blocks)
 
     def join(self, other):
-        """Least common coarsening: union-find over overlapping blocks."""
+        """Least common coarsening: the components of both block families."""
         if self.ground != other.ground:
             raise ValueError("join requires partitions of the same ground set")
-        parent = {x: x for x in self.ground}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for part in (self.blocks, other.blocks):
-            for b in part:
-                it = iter(b)
-                first = next(it)
-                for x in it:
-                    union(first, x)
-        groups = {}
-        for x in self.ground:
-            groups.setdefault(find(x), set()).add(x)
-        return SetPartition(groups.values())
+        return SetPartition(components(self.blocks + other.blocks))
 
     def meet(self, other):
         """Greatest common refinement: pairwise block intersections."""
@@ -126,6 +98,39 @@ class SetPartition:
     def restrict(self, subset):
         subset = frozenset(subset)
         return SetPartition([b & subset for b in self.blocks if b & subset])
+
+
+def components(groups):
+    """The classes of the finest partition that keeps each group inside one
+    class, by union-find: the join of the groups in the partition lattice.
+
+    With the edges of a graph as groups (their endpoint pairs) these are
+    the connected components of the edge support, so an edge set is
+    connected exactly when it yields one class, and it is a forest exactly
+    when edges + classes == touched vertices.  Items in no group are left
+    out; no groups give no classes.
+    """
+    parent = {}
+
+    def find(x):
+        root = parent.setdefault(x, x)
+        while root != x:
+            parent[x] = parent[root]
+            x, root = root, parent[root]
+        return root
+
+    for group in groups:
+        root = None
+        for x in group:
+            r = find(x)
+            if root is None:
+                root = r
+            elif r != root:
+                parent[r] = root
+    classes = {}
+    for x in parent:
+        classes.setdefault(find(x), set()).add(x)
+    return list(classes.values())
 
 
 def all_set_partitions(ground):

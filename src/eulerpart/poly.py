@@ -52,10 +52,6 @@ class IntPoly:
         return IntPoly((0, 1))
 
     @staticmethod
-    def constant(c):
-        return IntPoly((c,))
-
-    @staticmethod
     def monomial(degree, coeff=1):
         return IntPoly((0,) * degree + (coeff,))
 

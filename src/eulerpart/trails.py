@@ -8,8 +8,10 @@ arborescence-count formula evaluated with exact integer arithmetic.
 
 from __future__ import annotations
 
+import math
+
 from eulerpart.errors import InsertionError, NotEulerianError
-from eulerpart.graphs import Digraph, Multigraph, is_eulerian
+from eulerpart.graphs import Multigraph, is_eulerian
 from eulerpart.partition import SetPartition
 
 
@@ -125,11 +127,6 @@ class Circuit:
     def edge_set(self):
         return frozenset(self.trail.edges)
 
-    def is_cycle(self):
-        """No repeated internal vertices."""
-        vs = self.trail.vertices[:-1]
-        return len(set(vs)) == len(vs)
-
     def __eq__(self, other):
         return isinstance(other, Circuit) and self.trail == other.trail
 
@@ -224,7 +221,7 @@ def count_eulerian_circuits(g):
     if g.m == 0 or not is_eulerian(g):
         return 0
     if g.directed:
-        return _circuit_count_balanced(g)
+        return _best_from_arcs(g.arcs)
     return _count_circuits_all_orientations(g)
 
 
@@ -233,16 +230,11 @@ def _count_circuits_all_orientations(x):
     bitmask loop.  Reversing every arc is a count-preserving involution
     without fixed points, so the first edge is pinned and the total doubled."""
     pairs = [tuple(sorted(p)) for p in x.pairs]
-    support = sorted(x.support_vertices())
-    idx = {v: i for i, v in enumerate(support)}
-    k = len(support)
-    m = x.m
-    dense = [(idx[u], idx[v]) for u, v in pairs]
     total = 0
-    for mask in range(1 << (m - 1)):
-        net = [0] * k
+    for mask in range(1 << (x.m - 1)):
+        net = [0] * x.n
         arcs = []
-        for e, (u, v) in enumerate(dense):
+        for e, (u, v) in enumerate(pairs):
             if e and (mask >> (e - 1)) & 1:
                 u, v = v, u
             net[u] += 1
@@ -250,25 +242,27 @@ def _count_circuits_all_orientations(x):
             arcs.append((u, v))
         if any(net):
             continue
-        total += _best_from_arcs(k, arcs)
+        total += _best_from_arcs(arcs)
     return 2 * total
 
 
-def _best_from_arcs(k, arcs):
-    """Circuit count of a balanced weakly-connected arc list on 0..k-1."""
-    if k == 1:
+def _best_from_arcs(arcs):
+    """Circuit count of a balanced weakly-connected arc list (BEST theorem):
+    in-trees to the least touched vertex, as an exact Laplacian-minor
+    determinant, times prod over touched vertices of (outdeg - 1)!."""
+    index = {v: i for i, v in enumerate(sorted({v for arc in arcs for v in arc}))}
+    k = len(index)
+    if k <= 1:
         return 0
     lap = [[0] * k for _ in range(k)]
     outdeg = [0] * k
     for u, v in arcs:
+        u, v = index[u], index[v]
         lap[u][u] += 1
         lap[u][v] -= 1
         outdeg[u] += 1
     minor = [row[1:] for row in lap[1:]]
-    out = det_bareiss(minor)
-    for dv in outdeg:
-        out *= _fact(dv - 1)
-    return out
+    return det_bareiss(minor) * math.prod(math.factorial(dv - 1) for dv in outdeg)
 
 
 def count_circuits_best(d):
@@ -281,32 +275,7 @@ def count_circuits_best(d):
         raise ValueError("count_circuits_best expects a digraph")
     if not is_eulerian(d):
         raise NotEulerianError("circuit counting formula needs an Eulerian digraph")
-    return _circuit_count_balanced(d)
-
-
-def _circuit_count_balanced(d):
-    support = sorted(d.support_vertices())
-    if not support:
-        return 0
-    idx = {v: i for i, v in enumerate(support)}
-    k = len(support)
-    if k == 1:
-        return 0
-    root = support[0]
-    lap = [[0] * k for _ in range(k)]
-    for (u, v) in d.arcs:
-        lap[idx[u]][idx[u]] += 1
-        lap[idx[u]][idx[v]] -= 1
-    minor = [
-        [lap[i][j] for j in range(k) if support[j] != root]
-        for i in range(k)
-        if support[i] != root
-    ]
-    trees = det_bareiss(minor)
-    out = trees
-    for v in support:
-        out *= _fact(d.out_degree(v) - 1)
-    return out
+    return _best_from_arcs(d.arcs)
 
 
 def det_bareiss(matrix):
@@ -333,13 +302,6 @@ def det_bareiss(matrix):
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

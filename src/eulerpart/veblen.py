@@ -9,6 +9,8 @@ subgraphs, determinant via interpolation) that must agree.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from eulerpart.graphs import (
     parallel_factorial_product,
 )
 from eulerpart.poly import IntPoly, interpolate_int_poly
-from eulerpart.partition import SetPartition
+from eulerpart.partition import SetPartition, components
 from eulerpart.trails import count_eulerian_circuits, det_bareiss
 
 INFRAGRAPH_EDGE_CAP = 12
@@ -62,13 +64,8 @@ class VeblenMultigraph(Multigraph):
         """M_X over parallelism classes."""
         return parallel_factorial_product(self)
 
-    def flattening(self):
-        """Simple graph with one edge per parallelism class."""
-        keys = sorted(self.parallel_classes())
-        return Multigraph(self.n, keys, self.vertex_labels, [f"f{i}" for i in range(len(keys))])
-
     def component_count(self):
-        return len(self.components())
+        return len(components(self.pairs))
 
 
 def is_veblen(x):
@@ -161,33 +158,14 @@ def _parity_table(x):
     return table
 
 
-def _mask_connected(x, mask):
-    edges = [e for e in range(x.m) if mask >> e & 1]
-    parent = {}
-
-    def find(a):
-        while parent.setdefault(a, a) != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    roots = set()
-    for e in edges:
-        u, v = sorted(x.pairs[e])
-        parent[find(u)] = find(v)
-    for e in edges:
-        u, _ = sorted(x.pairs[e])
-        roots.add(find(u))
-    return len(roots) == 1
-
-
 def connected_veblen_subset_masks(x):
     """Bitmasks of edge subsets inducing connected even-degree subgraphs."""
     parity = _parity_table(x)
     return [
         mask
         for mask in range(3, 1 << x.m)
-        if parity[mask] == 0 and _mask_connected(x, mask)
+        if parity[mask] == 0
+        and x.edge_support_connected([e for e in range(x.m) if mask >> e & 1])
     ]
 
 
@@ -218,14 +196,7 @@ class Decomposition:
     @property
     def symmetry_factor(self):
         """alpha: product of factorials of same-shape block-group sizes."""
-        groups = {}
-        for s in self.shapes:
-            groups[s] = groups.get(s, 0) + 1
-        out = 1
-        for size in groups.values():
-            for i in range(2, size + 1):
-                out *= i
-        return out
+        return math.prod(map(math.factorial, Counter(self.shapes).values()))
 
 
 @dataclass(frozen=True)
@@ -276,13 +247,9 @@ def _decomposition(x, blocks, class_of_edge):
     shapes = []
     m_product = 1
     for block in blocks:
-        counts = {}
-        for e in block:
-            counts[class_of_edge[e]] = counts.get(class_of_edge[e], 0) + 1
+        counts = Counter(class_of_edge[e] for e in block)
         shapes.append(tuple(sorted(counts.items())))
-        for c in counts.values():
-            for i in range(2, c + 1):
-                m_product *= i
+        m_product *= math.prod(map(math.factorial, counts.values()))
     order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
     part = SetPartition([blocks[i] for i in order])
     # align shapes with the canonical block order of the SetPartition

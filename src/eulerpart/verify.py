@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 from eulerpart import bonds, corpus, heaps, lattice, trails, veblen
 from eulerpart.errors import CapExceededError
 from eulerpart.graphs import (
+    Multigraph,
     approx_class,
     approx_class_size,
     is_eulerian,
     orientations,
+    out_degree_factorial_product,
 )
 from eulerpart.heaps import Heap, PieceSystem
 from eulerpart.partition import all_set_partitions
@@ -66,15 +68,6 @@ def _graphs(config):
 
 def _veblens(config):
     return corpus.veblen_corpus(config.veblen_edges, config.host_vertices)
-
-
-def _orders(config, g, rng):
-    base = list(g.edges())
-    out = [tuple(base)]
-    for _ in range(config.orders_per_graph - 1):
-        rng.shuffle(base)
-        out.append(tuple(base))
-    return out
 
 
 # -- graph-core -------------------------------------------------------------
@@ -229,11 +222,11 @@ def check_martin_evaluations(config):
     for d in _digraphs(config):
         polys = lattice.martin_polynomial(d)
         checked += 1
-        prod = 1
-        for v in range(d.n):
-            for i in range(2, d.out_degree(v) + 1):
-                prod *= i
-        if polys.r(0) != 0 or polys.s(2) != prod or polys.s(1) != polys.f[0]:
+        if (
+            polys.r(0) != 0
+            or polys.s(2) != out_degree_factorial_product(d)
+            or polys.s(1) != polys.f[0]
+        ):
             failures += 1
         delta = max(d.out_degree(v) for v in range(d.n))
         if delta >= 2 and not lattice.martin_divisibility(d).divisible:
@@ -281,38 +274,10 @@ def check_bijection_suite(config):
     graphs = [g for g in _graphs(config) if g.n >= 2]
     checked = 0
     for g in graphs:
-        acyclic = bonds.acyclic_orientations(g)
-        by_sink = {}
-        for o in acyclic:
-            s = bonds.sinks(o)
-            if len(s) == 1:
-                by_sink.setdefault(s[0], []).append(o)
-        base_counts = set()
-        for order in _orders(config, g, rng):
-            bases = bonds.nbc_bases(g, order)
-            base_counts.add(len(bases))
-            for x in range(g.n):
-                usos = by_sink.get(x, [])
-                if len(usos) != len(bases):
-                    failures += 1
-                images = set()
-                for base in bases:
-                    mu_o = bonds.base_to_orientation_direct(base, g, x, order)
-                    phi_o = bonds.base_to_orientation_recursive(base, g, x, order)
-                    checked += 1
-                    if mu_o.arcs != phi_o.arcs:
-                        failures += 1
-                    images.add(phi_o.arcs)
-                    if bonds.orientation_to_base(phi_o, g, x, order) != base:
-                        failures += 1
-                if images != {o.arcs for o in usos}:
-                    failures += 1
-                for o in usos:
-                    base = bonds.orientation_to_base(o, g, x, order)
-                    if bonds.base_to_orientation_recursive(base, g, x, order).arcs != o.arcs:
-                        failures += 1
-        if len(base_counts) != 1:
-            failures += 1
+        orders = bonds.edge_orders(g, config.orders_per_graph, rng)
+        found, count, _ = bonds.check_nbc_dictionaries(g, orders)
+        failures += len(found)
+        checked += count
     return CheckResult("nbc-bijection-suite", failures == 0, checked, {"graphs": len(graphs)})
 
 
@@ -321,8 +286,8 @@ def check_rota(config):
     failures = 0
     checked = 0
     for g in _graphs(config):
-        lat = bonds.build_bond_lattice(g)
-        for order in _orders(config, g, rng):
+        lat = bonds.BondLattice(g)
+        for order in bonds.edge_orders(g, config.orders_per_graph, rng):
             report = bonds.rota_check(lat, order)
             checked += report.checked
             if not report.ok:
@@ -337,11 +302,11 @@ def check_chromatic_routes(config):
     checked = 0
     for g in _graphs(config):
         chrom = bonds.chromatic_polynomial(g)
-        order = _orders(config, g, rng)[-1]
+        order = bonds.edge_orders(g, config.orders_per_graph, rng)[-1]
         checked += 1
         if chrom != bonds.chromatic_polynomial_whitney(g, order):
             failures += 1
-        lat = bonds.build_bond_lattice(g)
+        lat = bonds.BondLattice(g)
         if t * lat.characteristic_polynomial() != chrom:
             failures += 1
     return CheckResult("chromatic-two-routes", failures == 0, checked, {})
@@ -365,13 +330,13 @@ def check_downset_product_law(config):
     for g in _graphs(config):
         if g.n > 5:
             continue
-        lat = bonds.build_bond_lattice(g)
+        lat = bonds.BondLattice(g)
         bottom = lat.bottom()
         for b in lat.elements:
             product = 1
             for block in b.blocks:
                 sub = _induced_subgraph(g, block)
-                sub_lat = bonds.build_bond_lattice(sub)
+                sub_lat = bonds.BondLattice(sub)
                 product *= sub_lat.mobius(sub_lat.bottom(), sub_lat.top())
             checked += 1
             if lat.mobius(bottom, b) != product:
@@ -380,8 +345,6 @@ def check_downset_product_law(config):
 
 
 def _induced_subgraph(g, block):
-    from eulerpart.graphs import Multigraph
-
     block = sorted(block)
     index = {v: i for i, v in enumerate(block)}
     pairs = [
@@ -459,7 +422,7 @@ def check_pyramid_balance_and_mobius(config):
         total = sum(counts)
         if total != ps.k * counts[0]:
             failures += 1
-        lat = bonds.build_bond_lattice(ps.graph)
+        lat = bonds.BondLattice(ps.graph)
         mu = lat.mobius(lat.bottom(), lat.top())
         if mu != (-1) ** (1 - ps.k) * counts[0]:
             failures += 1

@@ -6,8 +6,8 @@ from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Multigraph
 from eulerpart.bonds import (
     acyclic_orientations,
+    BondLattice,
     broken_circuits,
-    build_bond_lattice,
     chromatic_polynomial,
     chromatic_polynomial_whitney,
     connected_partitions,
@@ -49,27 +49,27 @@ def star(n):
 
 
 def test_bond_lattice_k3():
-    lat = build_bond_lattice(k3())
+    lat = BondLattice(k3())
     assert len(lat) == 5  # every partition of 3 vertices is connected here
     assert lat.mobius(lat.bottom(), lat.top()) == 2
     assert lat.rank() == 2
 
 
 def test_bond_lattice_path():
-    lat = build_bond_lattice(p3())
+    lat = BondLattice(p3())
     assert len(lat) == 4  # {0|1|2}, {01|2}, {0|12}, {012}; {02|1} excluded
     assert SetPartition([{0, 2}, {1}]) not in lat
 
 
 def test_bond_lattice_edgeless():
-    lat = build_bond_lattice(Multigraph(2, []))
+    lat = BondLattice(Multigraph(2, []))
     assert len(lat) == 1
 
 
 def test_closure_map_isomorphism_spot_check():
     """Connected-partition elements agree with the closed-edge-set picture:
     meets/joins of closures match closures of meets/joins."""
-    lat = build_bond_lattice(k4())
+    lat = BondLattice(k4())
     for x in lat.elements:
         closed = lat.closed_edge_set(x)
         assert edge_set_join(lat.graph, closed) == x
@@ -113,7 +113,7 @@ def test_nbc_base_count_order_invariant():
 
 def test_nbc_count_equals_mobius():
     for g in (k3(), k4(), p3(), star(5)):
-        lat = build_bond_lattice(g)
+        lat = BondLattice(g)
         mu = lat.mobius(lat.bottom(), lat.top())
         assert abs(mu) == len(nbc_bases(g, tuple(g.edges())))
 
@@ -124,7 +124,7 @@ def test_rota_theorem_every_element():
         order = list(g.edges())
         for _ in range(3):
             rng.shuffle(order)
-            report = rota_check(build_bond_lattice(g), tuple(order))
+            report = rota_check(BondLattice(g), tuple(order))
             assert report.ok
 
 
@@ -154,7 +154,7 @@ def test_chromatic_whitney_agreement():
 def test_chromatic_vs_lattice_characteristic():
     t = IntPoly.t()
     for g in (k3(), k4(), p3()):
-        lat = build_bond_lattice(g)
+        lat = BondLattice(g)
         assert t * lat.characteristic_polynomial() == chromatic_polynomial(g)
 
 

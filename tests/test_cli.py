@@ -101,6 +101,12 @@ def test_error_paths(tmp_path, capsys):
     empty.write_text("")
     status, _, err = run_cli(["circuits", str(empty)], capsys)
     assert status == 2 and "empty" in err
+    # a 1500-arc directed cycle is deeper than the recursion limit
+    deep = tmp_path / "deep.txt"
+    deep.write_text("digraph 1500\n" + "".join(f"a{i} {i} {(i + 1) % 1500}\n" for i in range(1500)))
+    for command in ("circuits", "martin", "cancellation"):
+        status, out, err = run_cli([command, str(deep)], capsys)
+        assert status == 2 and out == "" and "recursion limit" in err
 
 
 def test_byte_identical_reruns():

@@ -1,0 +1,84 @@
+"""Golden CLI outputs: every file subcommand on every sample graph.
+
+Each case records the exit code, the stdout bytes and the stderr text of one
+in-process invocation, run from the repository root with a relative path so
+that the envelope's ``"input"`` field compares byte for byte.  The golden file
+is written by running this module as a script:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from eulerpart.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+GRAPHS = sorted(p.name for p in (REPO / "graphs").glob("*.txt"))
+FILE_COMMANDS = [
+    "circuits",
+    "martin",
+    "cancellation",
+    "identity",
+    "lattice-dump",
+    "nbc",
+    "bijection-check",
+    "chromatic",
+    "pyramids",
+    "charpoly",
+    "weight",
+]
+
+CASES = [
+    [command, f"graphs/{graph}", "--format", "json"]
+    for command in FILE_COMMANDS
+    for graph in GRAPHS
+] + [
+    ["verify", "--max-edges", "0", "--format", "json"],
+    ["verify", "--max-vertices", "0", "--format", "json"],
+]
+
+
+def _case_id(argv):
+    return " ".join(argv[:-2] if argv[-2:] == ["--format", "json"] else argv)
+
+
+def _load_golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_case():
+    assert len(CASES) == 57
+    assert sorted(_load_golden()) == sorted(_case_id(a) for a in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=_case_id)
+def test_cli_matches_golden(argv, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    status = main(list(argv))
+    captured = capsys.readouterr()
+    got = {"status": status, "stdout": captured.out, "stderr": captured.err}
+    assert got == _load_golden()[_case_id(argv)]
+
+
+if __name__ == "__main__":
+    os.chdir(REPO)
+    golden = {}
+    for argv in CASES:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(list(argv))
+        golden[_case_id(argv)] = {
+            "status": status,
+            "stdout": out.getvalue(),
+            "stderr": err.getvalue(),
+        }
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(golden)} cases to {GOLDEN.relative_to(REPO)}")

@@ -9,7 +9,6 @@ from eulerpart.graphs import (
     format_graph,
     is_eulerian,
     orientations,
-    out_degree,
     parse_graph,
     parallel_factorial_product,
 )
@@ -24,15 +23,15 @@ def test_no_loops():
 
 def test_out_degree_example(example_digraph):
     # vertex "3" is dense id 2; arcs f2, g1, h2 leave it
-    assert out_degree(example_digraph, 2) == 3
+    assert example_digraph.out_degree(2) == 3
     assert example_digraph.in_degree(2) == 3
     with pytest.raises(ValueError):
-        out_degree(example_digraph, 9)
+        example_digraph.out_degree(9)
 
 
 def test_out_degree_trivial(two_cycle):
-    assert out_degree(two_cycle, 0) == 1
-    assert out_degree(Digraph(1, []), 0) == 0
+    assert two_cycle.out_degree(0) == 1
+    assert Digraph(1, []).out_degree(0) == 0
 
 
 def test_is_eulerian(example_digraph, two_cycle):

@@ -4,7 +4,6 @@ from eulerpart.errors import NotEulerianError
 from eulerpart.graphs import Digraph, is_eulerian
 from eulerpart.lattice import (
     signed_circuit_product,
-    downset_sum,
     build_eulerian_semilattice,
     circuit_partition_counts,
     martin_chromatic_identity,
@@ -88,14 +87,14 @@ def test_join_closure(example_digraph):
 
 def test_G_values(example_digraph):
     lattice = build_eulerian_semilattice(example_digraph)
-    assert downset_sum(lattice, lattice.top) == 0
+    assert lattice.downset_sum(lattice.top) == 0
     for a in lattice.minimal:
-        assert downset_sum(lattice, a) == (-1) ** len(a)
+        assert lattice.downset_sum(a) == (-1) ** len(a)
     for b in lattice.elements:
         if b not in lattice.minimal and b != lattice.top:
-            assert downset_sum(lattice, b) == 0
+            assert lattice.downset_sum(b) == 0
     with pytest.raises(ValueError):
-        downset_sum(lattice, SetPartition([{0, 1, 6, 7}, {2, 3, 4, 5}]))
+        lattice.downset_sum(SetPartition([{0, 1, 6, 7}, {2, 3, 4, 5}]))
 
 
 def test_mobius_inversion(example_digraph):

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerpart.partition import SetPartition, all_set_partitions
+from eulerpart.bonds import _is_forest
+from eulerpart.graphs import Digraph, Multigraph
+from eulerpart.partition import SetPartition, all_set_partitions, components
 from eulerpart.poset import FinitePoset, partition_lattice, subposet
 
 
@@ -68,6 +70,88 @@ def _join_by_closure(a, b):
                 out.append(blk)
         merged = out
     return SetPartition(merged)
+
+
+def _bfs_components(pairs):
+    """Independent oracle: breadth-first search over an endpoint-pair list."""
+    adjacent = {}
+    for u, v in pairs:
+        adjacent.setdefault(u, set()).add(v)
+        adjacent.setdefault(v, set()).add(u)
+    out, seen = set(), set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            frontier = [w for u in frontier for w in adjacent[u] if w not in comp]
+            comp.update(frontier)
+        seen |= comp
+        out.add(frozenset(comp))
+    return out
+
+
+# small multigraphs with parallel edges and isolated vertices, plus a mask
+# choosing an edge (or arc) subset and one choosing a vertex subset
+multigraphs = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            max_size=9,
+        ),
+        st.integers(min_value=0, max_value=(1 << 9) - 1),
+        st.integers(min_value=0, max_value=(1 << n) - 1),
+    )
+)
+
+
+@given(multigraphs)
+def test_components_match_bfs(case):
+    n, pairs, edge_mask, vertex_mask = case
+    subset = [e for e in range(len(pairs)) if edge_mask >> e & 1]
+    chosen = [pairs[e] for e in subset]
+    assert {frozenset(c) for c in components(chosen)} == _bfs_components(chosen)
+    expected = len(_bfs_components(chosen)) == 1
+    assert Multigraph(n, pairs).edge_support_connected(subset) == expected
+    assert Digraph(n, pairs).edge_support_connected(subset) == expected
+    vertices = {v for v in range(n) if vertex_mask >> v & 1}
+    inside = [(u, v) for u, v in pairs if u in vertices and v in vertices]
+    isolated = {frozenset({v}) for v in vertices if not any(v in p for p in inside)}
+    induced = _bfs_components(inside) | isolated
+    assert Multigraph(n, pairs).induces_connected(vertices) == (len(induced) == 1)
+
+
+@given(multigraphs)
+def test_forest_test_matches_bridges(case):
+    """A forest is an edge set in which every edge is a bridge."""
+    n, pairs, edge_mask, _ = case
+    g = Multigraph(n, pairs)
+    subset = [e for e in range(len(pairs)) if edge_mask >> e & 1]
+
+    def bridge(e):
+        rest = [pairs[f] for f in subset if f != e]
+        return not any(set(pairs[e]) <= c for c in _bfs_components(rest))
+
+    assert _is_forest(g, subset) == all(bridge(e) for e in subset)
+
+
+def test_connectivity_edge_cases():
+    assert components([]) == []
+    assert components([{4}]) == [{4}]
+    assert not Multigraph(3, []).edge_support_connected()
+    assert not Digraph(3, [(0, 1)]).edge_support_connected([])
+    # isolated vertices are ignored by edge-support connectivity
+    assert Multigraph(3, [(0, 1)]).edge_support_connected()
+    assert Digraph(4, [(0, 1), (1, 0)]).edge_support_connected()
+    # parallel edges
+    assert Multigraph(2, [(0, 1), (0, 1)]).edge_support_connected()
+    assert not _is_forest(Multigraph(2, [(0, 1), (0, 1)]), [0, 1])
+    assert _is_forest(Multigraph(1, []), [])
+    # vertex-induced connectivity: one vertex is connected, none is not
+    assert Multigraph(1, []).induces_connected({0})
+    assert not Multigraph(1, []).induces_connected(set())
+    assert not Multigraph(3, [(0, 1)]).induces_connected({0, 1, 2})
 
 
 @given(partitions_of_6, partitions_of_6)
