@@ -42,6 +42,13 @@ CASES = [
 ] + [
     ["verify", "--max-edges", "0", "--format", "json"],
     ["verify", "--max-vertices", "0", "--format", "json"],
+] + [
+    # heap output: every apex piece of the two undirected samples
+    ["pyramids", f"graphs/{graph}", "--piece", str(v), "--format", "json"]
+    for graph, n in (("triangle.txt", 3), ("k4.txt", 4))
+    for v in range(1, n + 1)
+] + [
+    ["bijection-check", "graphs/k4.txt", "--seed", "7", "--format", "json"],
 ]
 
 
@@ -54,7 +61,7 @@ def _load_golden():
 
 
 def test_golden_covers_every_case():
-    assert len(CASES) == 57
+    assert len(CASES) == 65
     assert sorted(_load_golden()) == sorted(_case_id(a) for a in CASES)
 
 
