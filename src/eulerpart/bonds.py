@@ -22,7 +22,7 @@ from eulerpart.heaps import (
 )
 from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset
+from eulerpart.poset import FinitePoset, refinement_order
 
 CYCLE_ENUM_VERTEX_CAP = 8
 CYCLE_ENUM_EDGE_CAP = 16
@@ -63,7 +63,7 @@ def connected_partitions(g):
     return out
 
 
-class BondLattice:
+class BondLattice(FinitePoset):
     """Connected-block vertex partitions of a simple graph under refinement.
 
     Rank of a partition is n minus its block count; for connected graphs the
@@ -72,39 +72,9 @@ class BondLattice:
 
     def __init__(self, graph):
         require_simple(graph)
+        order = refinement_order(SetPartition(b) for b in connected_partitions(graph))
+        super().__init__(order.elements, order.down)
         self.graph = graph
-        elements = sorted(
-            (SetPartition(blocks) for blocks in connected_partitions(graph)),
-            key=lambda p: (-len(p), tuple(tuple(sorted(b)) for b in p.blocks)),
-        )
-        self.poset = FinitePoset.from_leq(elements, lambda a, b: a.refines(b))
-
-    @property
-    def elements(self):
-        return self.poset.elements
-
-    def __len__(self):
-        return len(self.poset)
-
-    def __contains__(self, x):
-        return x in self.poset
-
-    def bottom(self):
-        return self.poset.bottom()
-
-    def top(self):
-        return self.poset.top()
-
-    def mobius(self, a, b):
-        return self.poset.mobius(a, b)
-
-    def rank(self, x=None):
-        if x is None:
-            return self.poset.rank()
-        return self.poset.rank_function()[x]
-
-    def characteristic_polynomial(self):
-        return self.poset.characteristic_polynomial()
 
     def closed_edge_set(self, x):
         """The closure-map image of an element: all edges inside its blocks."""
@@ -240,7 +210,7 @@ def rota_check(lattice, order):
     g = lattice.graph
     grouped = nbc_sets_by_element(g, order)
     bottom = lattice.bottom()
-    ranks = lattice.poset.rank_function()
+    ranks = lattice.rank_function()
     failures = []
     for x in lattice.elements:
         mu = lattice.mobius(bottom, x)
@@ -478,22 +448,19 @@ def orientation_to_base(o, g, x, order):
     pyramid = orientation_to_pyramid(ps, o)
     rank = {e: i for i, e in enumerate(order)}
 
-    def rec(pyr, vertex_set, root):
-        if len(vertex_set) == 1:
+    def rec(pyr):
+        if len(pyr) == 1:
             return frozenset()
-        e_top = _max_edge_of_induced(g, vertex_set, rank)
+        e_top = _max_edge_of_induced(g, frozenset(pyr.elements), rank)
         p, q = sorted(g.pairs[e_top])
-        y = p if pyr.less(p, q) else q
-        down = pyr.down_set(y)
-        p1 = pyr.restrict(down)
-        p2 = pyr.restrict(set(pyr.elements) - down)
+        down = pyr.down_set(p if pyr.less(p, q) else q)
         return (
             frozenset({e_top})
-            | rec(p1, frozenset(p1.elements), y)
-            | rec(p2, frozenset(p2.elements), root)
+            | rec(pyr.restrict(down))
+            | rec(pyr.restrict(set(pyr.elements) - down))
         )
 
-    return rec(pyramid, frozenset(range(g.n)), x)
+    return rec(pyramid)
 
 
 def edge_orders(g, count, rng):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -20,10 +21,14 @@ from eulerpart.errors import (
     InsertionError,
     NotEulerianError,
 )
-from eulerpart.graphs import parse_graph_file
+from eulerpart.graphs import is_eulerian, parse_graph_file
 from eulerpart.verify import VerifyConfig, run_verification_suite
 
 SCHEMA = 1
+# `circuits` counts before it enumerates and refuses above this many circuits
+CIRCUITS_CAP = 10**5
+# the undirected count sums 2^(m-1) orientations, so it is capped by edges
+CIRCUITS_COUNT_EDGE_CAP = 16
 
 
 def _poly(p):
@@ -75,6 +80,19 @@ def _resolve_order(g, listing):
 
 
 def cmd_circuits(args, g):
+    if g.m and is_eulerian(g):
+        if not g.directed and g.m > CIRCUITS_COUNT_EDGE_CAP:
+            raise CapExceededError(f"multigraph circuits are capped at {CIRCUITS_COUNT_EDGE_CAP} edges")
+        # each in-tree picks one out-arc per vertex, so prod outdeg! bounds the
+        # BEST count of a digraph; the determinant runs only above the cap
+        if g.directed:
+            count = math.prod(math.factorial(g.out_degree(v)) for v in g.vertices())
+            if count > CIRCUITS_CAP:
+                count = trails.count_circuits_best(g)
+        else:
+            count = trails.count_eulerian_circuits(g)
+        if count > CIRCUITS_CAP:
+            raise CapExceededError(f"{count} Eulerian circuits; the cap is {CIRCUITS_CAP}")
     circuits = trails.eulerian_circuits(g)
     return {
         "count": len(circuits),

@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from eulerpart.graphs import Digraph
+from eulerpart.poset import bits, cover_pairs, maximal_keys
 from eulerpart.trails import (
     Trail,
     cycle_partitions,
@@ -28,6 +29,7 @@ class PieceSystem:
     Stored as a simple graph: vertices are pieces 0..k-1, edges are the
     distinct concurrent pairs.  ``payload`` optionally attaches meaning to
     pieces (for cycle partitions: the arc set of each cycle).
+    ``concurrence[a]`` is the mask of the pieces concurrent with a, a included.
     """
 
     def __init__(self, graph, payload=None):
@@ -36,11 +38,10 @@ class PieceSystem:
         self.graph = graph
         self.k = graph.n
         self.payload = tuple(payload) if payload is not None else None
-        self._adjacent = [set() for _ in range(self.k)]
-        for pair in graph.pairs:
-            u, v = sorted(pair)
-            self._adjacent[u].add(v)
-            self._adjacent[v].add(u)
+        self.concurrence = [1 << a for a in range(self.k)]
+        for u, v in graph.pairs:
+            self.concurrence[u] |= 1 << v
+            self.concurrence[v] |= 1 << u
 
     @classmethod
     def from_cycle_partition(cls, d, a):
@@ -52,10 +53,10 @@ class PieceSystem:
         return range(self.k)
 
     def concurrent(self, a, b):
-        return a == b or b in self._adjacent[a]
+        return bool(self.concurrence[a] >> b & 1)
 
     def neighbors(self, a):
-        return sorted(self._adjacent[a])
+        return self.graph.neighbors(a)
 
     def connected(self, subset=None):
         pieces = self.pieces() if subset is None else subset
@@ -66,26 +67,51 @@ class PieceSystem:
 
 
 class Heap:
-    """A finite poset with piece labels, stored by its full strict order.
+    """A finite poset with piece labels, stored by its down-set masks.
 
-    ``below[x]`` is the frozenset of elements strictly below x (transitively
-    closed); labels map elements to pieces and default to the identity.
+    Elements are distinct non-negative ints; ``down[x]`` is the int mask of
+    the elements <= x (x's own bit included), keyed by element value.  Labels
+    map elements to pieces and default to the identity.
     """
 
-    __slots__ = ("elements", "below", "labels")
+    __slots__ = ("elements", "down", "labels")
 
     def __init__(self, elements, less_pairs, labels=None):
+        elements = tuple(elements)
+        if not all(isinstance(x, int) and x >= 0 for x in elements):
+            raise ValueError("heap elements must be non-negative ints")
+        if len(set(elements)) != len(elements):
+            raise ValueError("heap elements must be distinct")
         elements = tuple(sorted(elements))
         labels = dict(labels) if labels is not None else {x: x for x in elements}
         if set(labels) != set(elements):
             raise ValueError("labels must cover exactly the heap elements")
-        below = _transitive_closure(elements, less_pairs)
-        for x, bel in below.items():
-            if x in bel:
-                raise ValueError("order relation contains a cycle")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "below", below)
+        strict = dict.fromkeys(elements, 0)
+        for a, b in less_pairs:
+            if a not in strict or b not in strict:
+                raise ValueError("order pair outside the element set")
+            strict[b] |= 1 << a
+        # Warshall with the pivot outermost: one pass closes the relation
+        for k in elements:
+            bit, below_k = 1 << k, strict[k]
+            for y in elements:
+                if strict[y] & bit:
+                    strict[y] |= below_k
+        if any(strict[x] >> x & 1 for x in elements):
+            raise ValueError("order relation contains a cycle")
+        self._fill({x: strict[x] | 1 << x for x in elements}, labels)
+
+    def _fill(self, down, labels):
+        object.__setattr__(self, "elements", tuple(sorted(down)))
+        object.__setattr__(self, "down", down)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _closed(cls, down, labels):
+        """A heap from down-set masks that are already transitively closed."""
+        heap = object.__new__(cls)
+        heap._fill(down, labels)
+        return heap
 
     def __setattr__(self, name, value):
         raise AttributeError("Heap is immutable")
@@ -102,19 +128,16 @@ class Heap:
         return len(self.elements)
 
     def less(self, a, b):
-        return a in self.below[b]
+        return a != b and bool(self.down[b] >> a & 1)
 
     def comparable(self, a, b):
-        return a == b or self.less(a, b) or self.less(b, a)
+        return bool((self.down[b] >> a | self.down[a] >> b) & 1)
 
     def down_set(self, x):
-        return self.below[x] | {x}
+        return frozenset(bits(self.down[x]))
 
     def maximal(self):
-        not_max = set()
-        for x in self.elements:
-            not_max |= self.below[x]
-        return [x for x in self.elements if x not in not_max]
+        return maximal_keys(self.down, self.elements)
 
     def is_pyramid(self):
         return len(self.maximal()) == 1
@@ -126,78 +149,40 @@ class Heap:
         return tops[0]
 
     def covers(self):
-        """Pairs (x, y) with y covering x."""
-        out = []
-        for y in self.elements:
-            for x in self.below[y]:
-                if not any(x in self.below[z] for z in self.below[y] if z != x):
-                    out.append((x, y))
-        return sorted(out)
+        """Pairs (x, y) with y covering x, sorted."""
+        return sorted(cover_pairs(self.down, self.elements))
 
     def restrict(self, subset):
-        subset = frozenset(subset)
-        pairs = [
-            (x, y)
-            for y in subset
-            for x in self.below[y]
-            if x in subset
-        ]
-        return Heap(subset, pairs, {x: self.labels[x] for x in subset})
+        keep = sum(1 << x for x in set(subset))
+        down = {x: self.down[x] & keep for x in bits(keep)}
+        return Heap._closed(down, {x: self.labels[x] for x in down})
 
     def canonical_linear_extension(self):
         """Smallest-available-element linear extension; deterministic."""
-        taken = set()
+        taken = 0
         out = []
-        remaining = set(self.elements)
+        remaining = list(self.elements)
         while remaining:
-            choice = min(x for x in remaining if self.below[x] <= taken)
+            choice = next(x for x in remaining if (self.down[x] & ~taken) == 1 << x)
             out.append(choice)
-            taken.add(choice)
-            remaining.discard(choice)
+            taken |= 1 << choice
+            remaining.remove(choice)
         return tuple(out)
 
     def relation(self):
-        return frozenset((x, y) for y in self.elements for x in self.below[y])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Heap)
-            and self.elements == other.elements
-            and self.labels == other.labels
-            and self.relation() == other.relation()
+        return frozenset(
+            (x, y) for y in self.elements for x in bits(self.down[y]) if x != y
         )
 
+    def __eq__(self, other):
+        return isinstance(other, Heap) and self.down == other.down and self.labels == other.labels
+
     def __hash__(self):
-        return hash((self.elements, self.relation(), tuple(sorted(self.labels.items()))))
+        return hash((frozenset(self.down.items()), frozenset(self.labels.items())))
 
     def __repr__(self):
         rel = sorted(self.relation())
         return f"Heap(elements={self.elements}, less={rel})"
-
-
-def _transitive_closure(elements, pairs):
-    below = {x: set() for x in elements}
-    for a, b in pairs:
-        if a not in below or b not in below:
-            raise ValueError("order pair outside the element set")
-        below[b].add(a)
-    for k in elements:
-        for y in elements:
-            if k in below[y]:
-                below[y] |= below[k]
-    # Warshall needs a second sweep only if the element order fought the
-    # topological order; iterate to a fixed point to stay safe.
-    changed = True
-    while changed:
-        changed = False
-        for y in elements:
-            extra = set()
-            for x in below[y]:
-                extra |= below[x]
-            if not extra <= below[y]:
-                below[y] |= extra
-                changed = True
-    return {x: frozenset(s) for x, s in below.items()}
 
 
 def is_heap(ps, heap):
@@ -240,18 +225,30 @@ def is_full(ps, heap):
 
 def compose(ps, h1, h2):
     """Drop h2 on top of h1: cross pairs with concurrent labels force
-    h1-element < h2-element; the result is transitively closed."""
-    if set(h1.elements) & set(h2.elements):
+    h1-element < h2-element.
+
+    The result comes out closed: below y in h2 sit the h1 down-sets of the
+    h1 elements whose labels are concurrent with some z <= y.
+    """
+    if not h1.down.keys().isdisjoint(h2.down):
         raise ValueError("heap composition needs disjoint element sets")
-    pairs = [(x, y) for y in h1.elements for x in h1.below[y]]
-    pairs += [(x, y) for y in h2.elements for x in h2.below[y]]
-    for x in h1.elements:
-        for y in h2.elements:
-            if ps.concurrent(h1.labels[x], h2.labels[y]):
-                pairs.append((x, y))
+    lift = {}
+    for z in h2.elements:
+        concurrent = ps.concurrence[h2.labels[z]]
+        mask = 0
+        for x in h1.elements:
+            if concurrent >> h1.labels[x] & 1:
+                mask |= h1.down[x]
+        lift[z] = mask
+    down = dict(h1.down)
+    for y in h2.elements:
+        mask = h2.down[y]
+        for z in bits(h2.down[y]):
+            mask |= lift[z]
+        down[y] = mask
     labels = dict(h1.labels)
     labels.update(h2.labels)
-    return Heap(h1.elements + h2.elements, pairs, labels)
+    return Heap._closed(down, labels)
 
 
 def push_down(heap, w):

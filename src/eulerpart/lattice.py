@@ -16,7 +16,7 @@ from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset
+from eulerpart.poset import refinement_order
 from eulerpart.trails import (
     count_eulerian_circuits,
     cycle_partitions,
@@ -105,13 +105,9 @@ def build_eulerian_semilattice(d):
         raise CapExceededError(
             f"semilattice has {len(seen)} elements; cap is {SEMILATTICE_CAP}"
         )
-    elements = sorted(
-        seen,
-        key=lambda p: (-len(p), tuple(tuple(sorted(blk)) for blk in p.blocks)),
-    )
-    poset = FinitePoset.from_leq(elements, lambda x, y: x.refines(y))
-    products = {b: signed_circuit_product(d, b) for b in elements}
-    assert all(products[b] != 0 for b in elements)
+    poset = refinement_order(seen)
+    products = {b: signed_circuit_product(d, b) for b in poset.elements}
+    assert all(products[b] != 0 for b in poset.elements)
     top = SetPartition.indiscrete(frozenset(d.edges()))
     return EulerianSemilattice(d, poset, products, minimal, top)
 

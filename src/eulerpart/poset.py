@@ -2,12 +2,14 @@
 
 The order relation is materialised as per-element bitmasks, which keeps
 down-set scans cheap for the lattice sizes this package works at (a few
-thousand elements at most).
+thousand elements at most).  The covers and maximal-element routines read
+such masks whether they are kept by position or by value, so heaps of pieces
+share them.
 """
 
 from __future__ import annotations
 
-from eulerpart.partition import all_set_partitions
+from eulerpart.partition import SetPartition, all_set_partitions
 from eulerpart.poly import IntPoly
 
 
@@ -55,7 +57,7 @@ class FinitePoset:
     def down_set(self, b):
         """Elements <= b, in index order."""
         mask = self.down[self.index[b]]
-        return [self.elements[j] for j in _bits(mask)]
+        return [self.elements[j] for j in bits(mask)]
 
     def up_set(self, a):
         i = self.index[a]
@@ -65,12 +67,7 @@ class FinitePoset:
         return [x for i, x in enumerate(self.elements) if self.down[i] == 1 << i]
 
     def maximal_elements(self):
-        n = len(self.elements)
-        above = [0] * n
-        for j in range(n):
-            for i in _bits(self.down[j]):
-                above[i] |= 1 << j
-        return [x for i, x in enumerate(self.elements) if above[i] == 1 << i]
+        return [self.elements[i] for i in maximal_keys(self.down, range(len(self.elements)))]
 
     def bottom(self):
         mins = self.minimal_elements()
@@ -87,18 +84,8 @@ class FinitePoset:
     def covers(self):
         """List of (x, y) with y covering x."""
         if self._covers is None:
-            out = []
-            n = len(self.elements)
-            for j in range(n):
-                strictly_below = self.down[j] & ~(1 << j)
-                for i in _bits(strictly_below):
-                    between = self.down[j] & ~self.down[i] & ~(1 << j)
-                    # i < j is a cover iff nothing sits strictly between
-                    if not any(
-                        self.down[k] >> i & 1 for k in _bits(between) if k != j
-                    ):
-                        out.append((self.elements[i], self.elements[j]))
-            self._covers = out
+            el = self.elements
+            self._covers = [(el[i], el[j]) for i, j in cover_pairs(self.down, range(len(el)))]
         return self._covers
 
     def mobius(self, a, b):
@@ -118,7 +105,7 @@ class FinitePoset:
         else:
             interval = self.down[j] & ~(1 << j)
             value = 0
-            for k in _bits(interval):
+            for k in bits(interval):
                 if self.down[k] >> i & 1:
                     value -= self._mobius_idx(i, k)
         self._mu[key] = value
@@ -164,17 +151,55 @@ class FinitePoset:
         return IntPoly(coeffs)
 
 
-def _bits(mask):
+def bits(mask):
+    """The positions of the set bits of mask, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
+# The two routines below read an order stored as down-set masks: down[k] is
+# the mask of the keys <= k, k's own bit included.  A FinitePoset keys them
+# by position (a list), a Heap by element value (a dict).
+
+
+def maximal_keys(down, keys):
+    """The keys that lie strictly below no key, in the order given."""
+    below = 0
+    for k in keys:
+        below |= down[k] & ~(1 << k)
+    return [k for k in keys if not below >> k & 1]
+
+
+def cover_pairs(down, keys):
+    """Pairs (i, k) with k covering i: k in the order given, then i ascending.
+
+    i < k is a cover iff i lies strictly below no j < k, so the covers of k
+    are its strict down-set minus the strict down-sets of everything in it.
+    """
+    strict = {k: down[k] & ~(1 << k) for k in keys}
+    out = []
+    for k in keys:
+        reach = 0
+        for j in bits(strict[k]):
+            reach |= strict[j]
+        out.extend((i, k) for i in bits(strict[k] & ~reach))
+    return out
+
+
+def refinement_order(partitions):
+    """Set partitions under refinement, finest first: more blocks, then the
+    sorted blocks, so that the element order does not depend on the input's."""
+    elements = sorted(
+        partitions, key=lambda p: (-len(p), tuple(tuple(sorted(b)) for b in p.blocks))
+    )
+    return FinitePoset.from_leq(elements, SetPartition.refines)
+
+
 def partition_lattice(ground):
     """The full partition lattice Pi(ground) as a FinitePoset (refinement order)."""
-    elements = list(all_set_partitions(ground))
-    return FinitePoset.from_leq(elements, lambda a, b: a.refines(b))
+    return refinement_order(all_set_partitions(ground))
 
 
 def subposet(poset, elements):

@@ -107,6 +107,17 @@ def test_error_paths(tmp_path, capsys):
     for command in ("circuits", "martin", "cancellation"):
         status, out, err = run_cli([command, str(deep)], capsys)
         assert status == 2 and out == "" and "recursion limit" in err
+    # the complete digraph on 5 vertices has 972000 circuits: counted, refused
+    k5 = tmp_path / "k5.txt"
+    arcs = [(u, v) for u in range(5) for v in range(5) if u != v]
+    k5.write_text("digraph 5\n" + "".join(f"a{u}{v} {u + 1} {v + 1}\n" for u, v in arcs))
+    status, out, err = run_cli(["circuits", str(k5)], capsys)
+    assert status == 2 and out == "" and "972000" in err and "cap" in err
+    # the undirected count sums 2^(m-1) orientations: refused by edge count
+    bundle = tmp_path / "bundle.txt"
+    bundle.write_text("multigraph 2\n" + "".join(f"e{i} 1 2\n" for i in range(18)))
+    status, out, err = run_cli(["circuits", str(bundle)], capsys)
+    assert status == 2 and out == "" and "capped" in err
 
 
 def test_byte_identical_reruns():

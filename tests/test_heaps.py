@@ -290,3 +290,112 @@ def test_trail_pyramid_bijection_example(example_digraph):
             assert key not in seen
             seen.add(key)
             assert pyramid_to_trail(example_digraph, a, pyramid, e) == w
+
+
+def test_heap_rejects_duplicate_and_non_int_elements():
+    with pytest.raises(ValueError, match="distinct"):
+        Heap((0, 0), [])
+    with pytest.raises(ValueError, match="distinct"):
+        Heap((3, 1, 3), [(1, 3)])
+    for bad in ((-1,), ("a",), (0, 1.0)):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            Heap(bad, [])
+
+
+# -- the order routines against a dict-of-sets closure written here ----------
+
+
+def _closure(elements, pairs):
+    """Strict down-sets, closed by iterating to a fixed point; None on a cycle."""
+    below = {x: set() for x in elements}
+    for a, b in pairs:
+        below[b].add(a)
+    changed = True
+    while changed:
+        changed = False
+        for y in elements:
+            extra = set().union(*(below[x] for x in below[y])) - below[y]
+            if extra:
+                below[y] |= extra
+                changed = True
+    if any(x in below[x] for x in elements):
+        return None
+    return below
+
+
+def _relation(below):
+    return {(x, y) for y in below for x in below[y]}
+
+
+@st.composite
+def relations(draw, max_elements=7):
+    """Element sets with gaps, and arbitrary pairs over them (cycles included)."""
+    elements = draw(st.lists(st.integers(0, 15), min_size=1, max_size=max_elements, unique=True))
+    pair = st.tuples(st.sampled_from(elements), st.sampled_from(elements))
+    return elements, draw(st.lists(pair, max_size=10))
+
+
+@given(relations(), st.data())
+@settings(max_examples=200)
+def test_heap_order_matches_closure_oracle(case, data):
+    elements, pairs = case
+    below = _closure(elements, pairs)
+    if below is None:
+        with pytest.raises(ValueError, match="cycle"):
+            Heap(elements, pairs)
+        return
+    heap = Heap(elements, pairs)
+    assert heap.elements == tuple(sorted(elements))
+    for a in elements:
+        assert heap.down_set(a) == below[a] | {a}
+        for b in elements:
+            assert heap.less(a, b) == (a in below[b])
+            assert heap.comparable(a, b) == (a == b or a in below[b] or b in below[a])
+    assert heap.relation() == _relation(below)
+    assert heap.covers() == sorted(
+        (x, y)
+        for y in elements
+        for x in below[y]
+        if not any(x in below[z] for z in below[y])
+    )
+    assert heap.maximal() == [x for x in sorted(elements) if not any(x in below[y] for y in elements)]
+    order = heap.canonical_linear_extension()
+    taken = []
+    for x in order:
+        assert x == min(y for y in elements if y not in taken and below[y] <= set(taken))
+        taken.append(x)
+    assert sorted(order) == sorted(elements)
+    subset = data.draw(st.sets(st.sampled_from(elements)))
+    part = heap.restrict(subset)
+    assert part.elements == tuple(sorted(subset))
+    assert part.relation() == {(x, y) for x, y in _relation(below) if x in subset and y in subset}
+    assert part == Heap(subset, part.relation())
+
+
+@given(
+    st.lists(st.integers(0, 15), min_size=0, max_size=8, unique=True),
+    st.integers(0, 8),
+    st.data(),
+)
+@settings(max_examples=200)
+def test_compose_matches_closure_oracle(values, cut, data):
+    k = data.draw(st.integers(1, 5))
+    possible = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    ps = PieceSystem(Multigraph(k, data.draw(st.sets(st.sampled_from(possible))) if possible else []))
+    first, second = values[:cut], values[cut:]
+    piece = st.integers(0, k - 1)
+
+    def random_heap(elements):
+        pairs = [(a, b) for a in elements for b in elements if a < b and data.draw(st.booleans())]
+        labels = {x: data.draw(piece) for x in elements}
+        return Heap(elements, pairs, labels)
+
+    h1, h2 = random_heap(first), random_heap(second)
+    both = compose(ps, h1, h2)
+    cross = [(x, y) for x in first for y in second if ps.concurrent(h1.labels[x], h2.labels[y])]
+    below = _closure(values, list(h1.relation()) + list(h2.relation()) + cross)
+    assert both.elements == tuple(sorted(values))
+    assert both.relation() == _relation(below)
+    assert both.labels == {**h1.labels, **h2.labels}
+    assert both == Heap(values, both.relation(), both.labels)
+    assert hash(both) == hash(Heap(values, both.relation(), both.labels))

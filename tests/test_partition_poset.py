@@ -221,3 +221,49 @@ def test_unranked_poset_raises():
     poset = FinitePoset.from_leq(elements, leq)
     with pytest.raises(ValueError):
         poset.rank_function()
+
+
+def _brute_covers(poset):
+    """(x, y) with y covering x, by the definition, y in element order and
+    then x in element order."""
+    el, leq = poset.elements, poset.leq
+    return [
+        (x, y)
+        for y in el
+        for x in el
+        if x != y
+        and leq(x, y)
+        and not any(z not in (x, y) and leq(x, z) and leq(z, y) for z in el)
+    ]
+
+
+def _brute_maximal(poset):
+    el = poset.elements
+    return [x for x in el if not any(y != x and poset.leq(x, y) for y in el)]
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=14),
+)
+def test_covers_and_maximal_match_definitions(values, raw_pairs):
+    # a random order: pairs point from the smaller position to the larger,
+    # positions are not values, and the closure is taken by brute force
+    n = len(values)
+    less = {(a % n, b % n) for a, b in raw_pairs if a % n < b % n}
+    changed = True
+    while changed:
+        extra = {(a, d) for a, b in less for c, d in less if b == c} - less
+        less |= extra
+        changed = bool(extra)
+    pos = {x: i for i, x in enumerate(values)}
+    poset = FinitePoset.from_leq(values, lambda x, y: x == y or (pos[x], pos[y]) in less)
+    assert poset.covers() == _brute_covers(poset)
+    assert poset.maximal_elements() == _brute_maximal(poset)
+
+
+def test_covers_and_maximal_of_pi4():
+    lat = partition_lattice([1, 2, 3, 4])
+    assert lat.covers() == _brute_covers(lat)
+    assert len(lat.covers()) == 6 + 6 * 3 + 7  # bottom->atoms, atoms->rank 2, rank 2->top
+    assert lat.maximal_elements() == _brute_maximal(lat) == [lat.top()]
