@@ -72,6 +72,9 @@ class BondLattice(FinitePoset):
 
     def __init__(self, graph):
         require_simple(graph)
+        # adopt the elements and masks of the refinement order that the Eulerian
+        # semilattice also builds; the discarded poset's index dict is O(n)
+        # beside the n^2 `refines` calls that built the masks
         order = refinement_order(SetPartition(b) for b in connected_partitions(graph))
         super().__init__(order.elements, order.down)
         self.graph = graph

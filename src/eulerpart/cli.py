@@ -21,13 +21,13 @@ from eulerpart.errors import (
     InsertionError,
     NotEulerianError,
 )
-from eulerpart.graphs import is_eulerian, parse_graph_file
+from eulerpart.graphs import is_eulerian, out_degree_factorial_product, parse_graph_file
 from eulerpart.verify import VerifyConfig, run_verification_suite
 
 SCHEMA = 1
 # `circuits` counts before it enumerates and refuses above this many circuits
 CIRCUITS_CAP = 10**5
-# the undirected count sums 2^(m-1) orientations, so it is capped by edges
+# past its cheap bound, the undirected count sums 2^(m-1) orientations
 CIRCUITS_COUNT_EDGE_CAP = 16
 
 
@@ -81,18 +81,21 @@ def _resolve_order(g, listing):
 
 def cmd_circuits(args, g):
     if g.m and is_eulerian(g):
-        if not g.directed and g.m > CIRCUITS_COUNT_EDGE_CAP:
-            raise CapExceededError(f"multigraph circuits are capped at {CIRCUITS_COUNT_EDGE_CAP} edges")
-        # each in-tree picks one out-arc per vertex, so prod outdeg! bounds the
-        # BEST count of a digraph; the determinant runs only above the cap
+        # cheap bounds first: a digraph circuit picks an out-arc order at each
+        # vertex (prod outdeg!); an undirected one pairs the edge ends at each
+        # vertex and picks a direction (2 prod (deg-1)!!)
         if g.directed:
-            count = math.prod(math.factorial(g.out_degree(v)) for v in g.vertices())
-            if count > CIRCUITS_CAP:
-                count = trails.count_circuits_best(g)
+            bound = out_degree_factorial_product(g)
         else:
+            bound = 2 * math.prod(math.prod(range(g.degree(v) - 1, 0, -2)) for v in g.vertices())
+        if bound > CIRCUITS_CAP:
+            if not g.directed and g.m > CIRCUITS_COUNT_EDGE_CAP:
+                raise CapExceededError(
+                    f"multigraph circuits are counted up to {CIRCUITS_COUNT_EDGE_CAP} edges"
+                )
             count = trails.count_eulerian_circuits(g)
-        if count > CIRCUITS_CAP:
-            raise CapExceededError(f"{count} Eulerian circuits; the cap is {CIRCUITS_CAP}")
+            if count > CIRCUITS_CAP:
+                raise CapExceededError(f"{count} Eulerian circuits; the cap is {CIRCUITS_CAP}")
     circuits = trails.eulerian_circuits(g)
     return {
         "count": len(circuits),

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import eulerpart.cli as cli_module
 import eulerpart.lattice as lattice_module
 from eulerpart.cli import main
 from eulerpart.verify import VerifyConfig, check_cancellation
@@ -113,11 +114,38 @@ def test_error_paths(tmp_path, capsys):
     k5.write_text("digraph 5\n" + "".join(f"a{u}{v} {u + 1} {v + 1}\n" for u, v in arcs))
     status, out, err = run_cli(["circuits", str(k5)], capsys)
     assert status == 2 and out == "" and "972000" in err and "cap" in err
-    # the undirected count sums 2^(m-1) orientations: refused by edge count
+    # past its bound the undirected count sums 2^(m-1) orientations: refused by edge count
     bundle = tmp_path / "bundle.txt"
     bundle.write_text("multigraph 2\n" + "".join(f"e{i} 1 2\n" for i in range(18)))
     status, out, err = run_cli(["circuits", str(bundle)], capsys)
-    assert status == 2 and out == "" and "capped" in err
+    assert status == 2 and out == "" and "16 edges" in err
+
+
+def test_circuits_cap_counts_only_past_the_bound(tmp_path, monkeypatch, capsys):
+    # a 17-edge cycle is over the edge cap, but its bound 2 needs no count
+    cycle = tmp_path / "cycle.txt"
+    cycle.write_text(
+        "multigraph 17\n" + "".join(f"e{i} {i + 1} {(i + 1) % 17 + 1}\n" for i in range(17))
+    )
+    status, out, _ = run_cli(["circuits", str(cycle), "--format", "json"], capsys)
+    assert status == 0 and json.loads(out)["result"]["count"] == 2
+    # bidirected triangle: bound 2!^3 = 8, BEST count 3; bowtie: bound 2 * 3!! = 6, count 4
+    bidirected = tmp_path / "bidirected.txt"
+    bidirected.write_text("digraph 3\n" + "".join(
+        f"a{u}{v} {u} {v}\n" for u in (1, 2, 3) for v in (1, 2, 3) if u != v
+    ))
+    bowtie = tmp_path / "bowtie.txt"
+    bowtie.write_text("multigraph 5\na 1 2\nb 2 3\nc 3 1\nd 1 4\ne 4 5\nf 5 1\n")
+    for path, count in ((bidirected, 3), (bowtie, 4)):
+        status, full, _ = run_cli(["circuits", str(path), "--format", "json"], capsys)
+        assert status == 0 and json.loads(full)["result"]["count"] == count
+        monkeypatch.setattr(cli_module, "CIRCUITS_CAP", 5)
+        status, out, _ = run_cli(["circuits", str(path), "--format", "json"], capsys)
+        assert status == 0 and out == full
+        monkeypatch.setattr(cli_module, "CIRCUITS_CAP", count - 1)
+        status, out, err = run_cli(["circuits", str(path)], capsys)
+        assert status == 2 and out == "" and f"{count} Eulerian circuits" in err
+        monkeypatch.undo()
 
 
 def test_byte_identical_reruns():
