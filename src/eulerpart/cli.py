@@ -156,8 +156,8 @@ def cmd_lattice_dump(args, g):
     return {
         "size": len(lat),
         "elements": elements,
-        "minimal": [lat.elements.index(a) for a in lat.minimal],
-        "top": lat.elements.index(lat.top),
+        "minimal": [lat.index[a] for a in lat.minimal],
+        "top": lat.index[lat.top()],
     }
 
 

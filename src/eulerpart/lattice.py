@@ -2,9 +2,12 @@
 Eulerian parts, and the circuit-partition / Martin polynomial machinery
 built on it.
 
-The semilattice is generated from the cycle partitions upward (each up-set
+The element set is generated from the cycle partitions upward (each up-set
 is a copy of the bond lattice of the corresponding intersection graph),
-never by filtering all Bell(m) set partitions.
+never by filtering all Bell(m) set partitions.  The circuit-partition counts,
+and so the Martin polynomials, read only that element set; the refinement
+order is built only by ``build_eulerian_semilattice``, for the down-set
+sums and the Möbius inversion.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
-from eulerpart.poset import refinement_order
+from eulerpart.poset import FinitePoset, refinement_order
 from eulerpart.trails import (
     count_eulerian_circuits,
     cycle_partitions,
@@ -42,89 +45,77 @@ def signed_circuit_product(d, b):
     return value
 
 
-class EulerianSemilattice:
+class EulerianSemilattice(FinitePoset):
     """All partitions of an arc set into connected Eulerian parts, under
     refinement, with each element's signed circuit product and the running
     down-set sums of those products."""
 
-    def __init__(self, digraph, poset, products, minimal, top):
+    def __init__(self, digraph, minimal, parts):
+        order = refinement_order(parts)
+        super().__init__(order.elements, order.down)
         self.digraph = digraph
-        self.poset = poset
-        self.products = products  # dict SetPartition -> int
         self.minimal = minimal  # the cycle partitions, canonical order
-        self.top = top
+        self.products = {b: signed_circuit_product(digraph, b) for b in self.elements}
+        assert all(self.products.values())
         self._sums = {}
-
-    @property
-    def elements(self):
-        return self.poset.elements
-
-    def __len__(self):
-        return len(self.poset)
-
-    def __contains__(self, b):
-        return b in self.poset
 
     def signed_product(self, b):
         return self.products[b]
 
     def downset_sum(self, b):
         """Sum of signed circuit products over the down-set of b."""
-        if b not in self.poset:
+        if b not in self:
             raise ValueError("element does not belong to the semilattice")
         if b not in self._sums:
-            self._sums[b] = sum(self.products[a] for a in self.poset.down_set(b))
+            self._sums[b] = sum(self.products[a] for a in self.down_set(b))
         return self._sums[b]
 
-    def mobius(self, a, b):
-        return self.poset.mobius(a, b)
 
+def eulerian_parts(d, minimal):
+    """The partitions of d's arc set into connected Eulerian parts, each once.
 
-def build_eulerian_semilattice(d):
-    """Construct the semilattice for an Eulerian digraph.
-
-    Every element lies above some cycle partition a, and the up-set of a is
-    isomorphic to the bond lattice of the intersection graph of a; so the
-    element set is the union over a of coarsenings of a along connected
-    piece partitions.
+    Every such partition lies above some cycle partition a in ``minimal``,
+    and the up-set of a is isomorphic to the bond lattice of the
+    intersection graph of a; so the set is the union over a of coarsenings
+    of a along connected piece partitions.  Refuses as soon as the set
+    passes SEMILATTICE_CAP.
     """
-    if not is_eulerian(d):
-        raise NotEulerianError("the Eulerian-part semilattice needs an Eulerian digraph")
-    minimal = cycle_partitions(d)
     seen = {}
     for a in minimal:
         blocks = a.blocks
-        graph = intersection_graph(d, a)
-        for piece_partition in connected_partitions(graph):
+        for piece_partition in connected_partitions(intersection_graph(d, a)):
             merged = SetPartition(
                 [frozenset().union(*(blocks[i] for i in group)) for group in piece_partition]
             )
             if merged not in seen:
                 seen[merged] = None
-    if len(seen) > SEMILATTICE_CAP:
-        raise CapExceededError(
-            f"semilattice has {len(seen)} elements; cap is {SEMILATTICE_CAP}"
-        )
-    poset = refinement_order(seen)
-    products = {b: signed_circuit_product(d, b) for b in poset.elements}
-    assert all(products[b] != 0 for b in poset.elements)
-    top = SetPartition.indiscrete(frozenset(d.edges()))
-    return EulerianSemilattice(d, poset, products, minimal, top)
+                if len(seen) > SEMILATTICE_CAP:
+                    raise CapExceededError(
+                        f"semilattice has more than {SEMILATTICE_CAP} elements"
+                    )
+    return list(seen)
+
+
+def _cycle_partitions_of_eulerian(d):
+    if not is_eulerian(d):
+        raise NotEulerianError("the Eulerian-part semilattice needs an Eulerian digraph")
+    return cycle_partitions(d)
+
+
+def build_eulerian_semilattice(d):
+    """The semilattice of an Eulerian digraph, refinement order included."""
+    minimal = _cycle_partitions_of_eulerian(d)
+    return EulerianSemilattice(d, minimal, eulerian_parts(d, minimal))
 
 
 def circuit_partition_counts(d):
     """f_k for k = 1..max: partitions into k circuits assembling into an
-    Eulerian circuit, summed from the semilattice."""
-    lattice = build_eulerian_semilattice(d)
-    return counts_from_lattice(lattice)
-
-
-def counts_from_lattice(lattice):
-    top_k = max(len(b) for b in lattice.elements)
-    out = [0] * top_k
-    for b in lattice.elements:
-        k = len(b)
-        out[k - 1] += (-1) ** k * lattice.signed_product(b)
+    Eulerian circuit, (-1)^k times the signed circuit products of the
+    partitions into k Eulerian parts, summed.  Builds no order."""
+    parts = eulerian_parts(d, _cycle_partitions_of_eulerian(d))
+    out = [0] * max(len(b) for b in parts)
+    for b in parts:
+        out[len(b) - 1] += (-1) ** len(b) * signed_circuit_product(d, b)
     return tuple(out)
 
 

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
-from eulerpart.errors import NotEulerianError
-from eulerpart.graphs import Digraph, is_eulerian
+import eulerpart.lattice as lattice_module
+from eulerpart.cli import main
+from eulerpart.errors import CapExceededError, NotEulerianError
+from eulerpart.graphs import Digraph, is_eulerian, out_degree_factorial_product
 from eulerpart.lattice import (
     signed_circuit_product,
     build_eulerian_semilattice,
@@ -13,6 +17,10 @@ from eulerpart.lattice import (
 )
 from eulerpart.partition import SetPartition, all_set_partitions
 from eulerpart.poly import IntPoly
+from eulerpart.poset import FinitePoset
+from eulerpart.trails import count_circuits_best
+
+EXAMPLE = str(Path(__file__).resolve().parent.parent / "graphs" / "example_digraph.txt")
 
 A1 = SetPartition([{0, 1}, {2, 3}, {4, 5}, {6, 7}])
 A2 = SetPartition([{0, 2, 4}, {1, 3, 5}, {6, 7}])
@@ -38,7 +46,8 @@ def test_build_T_example_structure(example_digraph):
     lattice = build_eulerian_semilattice(example_digraph)
     assert len(lattice) == 16
     assert set(lattice.minimal) == {A1, A2}
-    assert lattice.top in lattice
+    assert lattice.top() == TOP
+    assert lattice.top() in lattice
     by_size = {}
     for b in lattice.elements:
         by_size.setdefault(len(b), []).append(lattice.signed_product(b))
@@ -87,11 +96,11 @@ def test_join_closure(example_digraph):
 
 def test_G_values(example_digraph):
     lattice = build_eulerian_semilattice(example_digraph)
-    assert lattice.downset_sum(lattice.top) == 0
+    assert lattice.downset_sum(lattice.top()) == 0
     for a in lattice.minimal:
         assert lattice.downset_sum(a) == (-1) ** len(a)
     for b in lattice.elements:
-        if b not in lattice.minimal and b != lattice.top:
+        if b not in lattice.minimal and b != lattice.top():
             assert lattice.downset_sum(b) == 0
     with pytest.raises(ValueError):
         lattice.downset_sum(SetPartition([{0, 1, 6, 7}, {2, 3, 4, 5}]))
@@ -99,7 +108,7 @@ def test_G_values(example_digraph):
 
 def test_mobius_inversion(example_digraph):
     lattice = build_eulerian_semilattice(example_digraph)
-    top = lattice.top
+    top = lattice.top()
     total = sum(
         lattice.mobius(b, top) * lattice.downset_sum(b) for b in lattice.elements
     )
@@ -110,15 +119,69 @@ def test_mobius_restricts_to_up_sets(example_digraph):
     from eulerpart.poset import subposet
 
     lattice = build_eulerian_semilattice(example_digraph)
-    top = lattice.top
+    top = lattice.top()
     for a in lattice.elements:
-        up = subposet(lattice.poset, lattice.poset.up_set(a))
+        up = subposet(lattice, lattice.up_set(a))
         assert lattice.mobius(a, top) == up.mobius(a, top)
 
 
 def test_circuit_partition_counts(example_digraph, two_cycle):
     assert circuit_partition_counts(example_digraph) == (6, 11, 6, 1)
     assert circuit_partition_counts(two_cycle) == (1,)
+
+
+def test_counts_build_no_order(example_digraph, monkeypatch):
+    """f_k and everything read from it sum over the element set alone; only
+    the semilattice builds the refinement order."""
+
+    class OrderBuilt(Exception):
+        pass
+
+    def refuse(*args):
+        raise OrderBuilt
+
+    monkeypatch.setattr(FinitePoset, "from_leq", refuse)
+    with pytest.raises(OrderBuilt):
+        build_eulerian_semilattice(example_digraph)
+    t = IntPoly.t()
+    assert circuit_partition_counts(example_digraph) == (6, 11, 6, 1)
+    assert martin_polynomial(example_digraph).s == t * (t + 1) * (t + 2)
+    assert verify_cancellation(example_digraph).alternating_sum == 0
+    assert martin_divisibility(example_digraph).quotient == t + 2
+    with pytest.raises(NotEulerianError):
+        circuit_partition_counts(Digraph(2, [(0, 1)]))
+
+
+def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys):
+    monkeypatch.setattr(lattice_module, "SEMILATTICE_CAP", 10)  # the example has 16
+    message = "semilattice has more than 10 elements"
+    with pytest.raises(CapExceededError, match=message):
+        martin_polynomial(example_digraph)
+    with pytest.raises(CapExceededError, match=message):
+        build_eulerian_semilattice(example_digraph)
+    assert main(["martin", EXAMPLE]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    # six parallel 2-cycles: 720 cycle partitions, each coarsened 203 ways
+    calls = []
+    real = lattice_module.connected_partitions
+    monkeypatch.setattr(
+        lattice_module, "connected_partitions", lambda g: calls.append(g) or real(g)
+    )
+    with pytest.raises(CapExceededError, match=message):
+        circuit_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 6))
+    assert len(calls) == 1
+
+
+def test_five_parallel_two_cycles():
+    """A 1496-element semilattice: f_1 against the BEST count, the
+    cancellation sum and s(2) against the out-degree factorials."""
+    d = Digraph(2, [(0, 1), (1, 0)] * 5)
+    polys = martin_polynomial(d)
+    assert polys.f[0] == count_circuits_best(d) == 2880
+    assert sum((-1) ** k * fk for k, fk in enumerate(polys.f, start=1)) == 0
+    assert polys.s(2) == out_degree_factorial_product(d)
 
 
 def test_counts_match_direct_partition_enumeration(example_digraph):
