@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from eulerpart.errors import GraphParseError
 from eulerpart.partition import components
@@ -97,12 +98,33 @@ class Multigraph:
         edges = self.edges() if edge_subset is None else edge_subset
         return len(components(self.pairs[e] for e in edges)) == 1
 
+    @cached_property
+    def _neighbor_masks(self):
+        """Bit w of entry u is set when some edge joins u and w; built on the
+        first connectivity query, so graphs never asked pay nothing."""
+        masks = [0] * self.n
+        for u, v in self.pairs:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return masks
+
     def induces_connected(self, vertex_set):
         """Connectivity of the subgraph induced on a vertex set; a single
-        vertex is connected, the empty set is not."""
-        vertex_set = frozenset(vertex_set)
-        inside = [p for p in self.pairs if p <= vertex_set]
-        return len(components([{v} for v in vertex_set] + inside)) == 1
+        vertex is connected, the empty set is not.  A search over int vertex
+        masks."""
+        inside = 0
+        for v in vertex_set:
+            self._check_vertex(v)
+            inside |= 1 << v
+        neighbors = self._neighbor_masks
+        reached = frontier = inside & -inside
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbors[low.bit_length() - 1] & inside & ~reached
+            reached |= new
+            frontier |= new
+        return inside != 0 and reached == inside
 
     def restrict(self, edge_subset):
         """Sub-multigraph on an edge subset; vertex ids are preserved."""

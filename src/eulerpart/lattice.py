@@ -8,6 +8,10 @@ never by filtering all Bell(m) set partitions.  The circuit-partition counts,
 and so the Martin polynomials, read only that element set; the refinement
 order is built only by ``build_eulerian_semilattice``, for the down-set
 sums and the Möbius inversion.
+
+Most blocks recur across many elements, since every element above a cycle
+partition coarsens it; so each call that reads many products counts each
+distinct block's Eulerian circuits once, in a dict local to that call.
 """
 
 from __future__ import annotations
@@ -29,17 +33,24 @@ from eulerpart.trails import (
 SEMILATTICE_CAP = 1 << 15
 
 
-def signed_circuit_product(d, b):
+def signed_circuit_product(d, b, _counts=None):
     """Product over blocks of minus the block's circuit count.
 
     Zero exactly when some block fails to induce a connected Eulerian
     sub-digraph; (-1)^{#blocks} times a positive integer otherwise.
+    ``_counts`` maps blocks to circuit counts already made for d; a caller
+    that reads many products of one digraph passes the same dict to each.
     """
     if b.ground != frozenset(d.edges()):
         raise ValueError("partition must cover exactly the edge set")
+    if _counts is None:
+        _counts = {}
     value = 1
     for block in b.blocks:
-        value *= -count_eulerian_circuits(d.restrict(block))
+        count = _counts.get(block)
+        if count is None:
+            count = _counts[block] = count_eulerian_circuits(d.restrict(block))
+        value *= -count
         if value == 0:
             return 0
     return value
@@ -55,7 +66,10 @@ class EulerianSemilattice(FinitePoset):
         super().__init__(order.elements, order.down)
         self.digraph = digraph
         self.minimal = minimal  # the cycle partitions, canonical order
-        self.products = {b: signed_circuit_product(digraph, b) for b in self.elements}
+        counts = {}
+        self.products = {
+            b: signed_circuit_product(digraph, b, _counts=counts) for b in self.elements
+        }
         assert all(self.products.values())
         self._sums = {}
 
@@ -114,8 +128,9 @@ def circuit_partition_counts(d):
     partitions into k Eulerian parts, summed.  Builds no order."""
     parts = eulerian_parts(d, _cycle_partitions_of_eulerian(d))
     out = [0] * max(len(b) for b in parts)
+    counts = {}
     for b in parts:
-        out[len(b) - 1] += (-1) ** len(b) * signed_circuit_product(d, b)
+        out[len(b) - 1] += (-1) ** len(b) * signed_circuit_product(d, b, _counts=counts)
     return tuple(out)
 
 

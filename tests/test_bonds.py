@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from eulerpart.corpus import connected_simple_graphs
 from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Multigraph
 from eulerpart.bonds import (
+    _tree_contains_broken_circuit,
     acyclic_orientations,
     BondLattice,
     broken_circuits,
     chromatic_polynomial,
     chromatic_polynomial_whitney,
     connected_partitions,
+    edge_orders,
     edge_set_join,
     base_to_orientation_direct,
     nbc_bases,
@@ -184,10 +187,26 @@ def test_mu_explicit_star():
 
 def test_mu_explicit_rejects_non_nbc():
     g = k3()
-    with pytest.raises(ValueError):
-        base_to_orientation_direct(frozenset({0, 1}), g, 0, (0, 1, 2))  # contains broken circuit
-    with pytest.raises(ValueError):
-        base_to_orientation_direct(frozenset({0}), g, 0, (0, 1, 2))  # not spanning
+    with pytest.raises(ValueError, match="spanning tree contains a broken circuit"):
+        base_to_orientation_direct(frozenset({0, 1}), g, 0, (0, 1, 2))
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        base_to_orientation_direct(frozenset({0}), g, 0, (0, 1, 2))
+
+
+def test_tree_broken_circuit_test_matches_definition():
+    """The fundamental-cycle test against the broken circuits themselves, on
+    every spanning tree of every connected simple graph with <= 6 vertices,
+    under three seeded edge orders."""
+    rng = random.Random(6)
+    trees = 0
+    for g in connected_simple_graphs(6):
+        for order in edge_orders(g, 3, rng):
+            broken = broken_circuits(g, order)
+            for t in spanning_trees(g):
+                expected = any(b <= t for b in broken)
+                assert _tree_contains_broken_circuit(g, t, order) == expected, (g, order, t)
+                trees += 1
+    assert trees == 31971
 
 
 def test_mu_explicit_lands_in_unique_sink_orientations():

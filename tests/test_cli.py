@@ -200,8 +200,8 @@ def test_mutation_is_caught(monkeypatch):
     cancellation check."""
     real = lattice_module.signed_circuit_product
 
-    def flipped(d, b):
-        return -real(d, b)
+    def flipped(d, b, _counts=None):
+        return -real(d, b, _counts)
 
     monkeypatch.setattr(lattice_module, "signed_circuit_product", flipped)
     result = check_cancellation(VerifyConfig(max_edges=4))

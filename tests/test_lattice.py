@@ -5,7 +5,12 @@ import pytest
 import eulerpart.lattice as lattice_module
 from eulerpart.cli import main
 from eulerpart.errors import CapExceededError, NotEulerianError
-from eulerpart.graphs import Digraph, is_eulerian, out_degree_factorial_product
+from eulerpart.graphs import (
+    Digraph,
+    is_eulerian,
+    out_degree_factorial_product,
+    parse_graph_file,
+)
 from eulerpart.lattice import (
     signed_circuit_product,
     build_eulerian_semilattice,
@@ -172,6 +177,29 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys):
     with pytest.raises(CapExceededError, match=message):
         circuit_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 6))
     assert len(calls) == 1
+
+
+def test_block_counts_memoised_within_one_call(monkeypatch):
+    """Each distinct block's circuits are counted once per call, and the memo
+    does not outlive the call: a second call counts them all again."""
+    calls = []
+    real = lattice_module.count_eulerian_circuits
+    monkeypatch.setattr(
+        lattice_module, "count_eulerian_circuits", lambda g: calls.append(g) or real(g)
+    )
+    d = parse_graph_file(EXAMPLE)
+    assert circuit_partition_counts(d) == (6, 11, 6, 1)
+    assert len(calls) == 18
+    assert circuit_partition_counts(d) == (6, 11, 6, 1)
+    assert len(calls) == 36
+    calls.clear()
+    lattice = build_eulerian_semilattice(d)
+    assert len(calls) == 18
+    assert len(lattice) == 16
+    assert all(lattice.products[b] == signed_circuit_product(d, b) for b in lattice.elements)
+    calls.clear()
+    assert circuit_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 5))[0] == 2880
+    assert len(calls) == 251
 
 
 def test_five_parallel_two_cycles():

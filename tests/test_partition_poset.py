@@ -152,6 +152,17 @@ def test_connectivity_edge_cases():
     assert Multigraph(1, []).induces_connected({0})
     assert not Multigraph(1, []).induces_connected(set())
     assert not Multigraph(3, [(0, 1)]).induces_connected({0, 1, 2})
+    with pytest.raises(ValueError, match="unknown vertex 3"):
+        Multigraph(3, [(0, 1)]).induces_connected({0, 3})
+    with pytest.raises(ValueError, match="unknown vertex -1"):
+        Multigraph(3, [(0, 1)]).induces_connected([-1])
+
+
+def test_neighbor_masks_built_on_first_query():
+    g = Multigraph(4, [(0, 1), (1, 2), (0, 1)])
+    assert "_neighbor_masks" not in vars(g)
+    assert g.induces_connected({0, 2, 1})
+    assert vars(g)["_neighbor_masks"] == [0b10, 0b101, 0b10, 0]
 
 
 @given(partitions_of_6, partitions_of_6)
