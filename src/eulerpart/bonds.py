@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Digraph, orientations
+from eulerpart.graphs import Digraph, orientation_arcs
 from eulerpart.heaps import (
     Heap,
     PieceSystem,
@@ -271,25 +271,33 @@ def chromatic_polynomial_whitney(g, order=None):
 # ---------------------------------------------------------------------------
 
 
-def _is_acyclic(d):
-    state = [0] * d.n
-
-    def visit(u):
-        state[u] = 1
-        for _, w in d.out_arcs(u):
-            if state[w] == 1:
-                return False
-            if state[w] == 0 and not visit(w):
-                return False
-        state[u] = 2
-        return True
-
-    return all(state[v] != 0 or visit(v) for v in range(d.n))
+def _is_acyclic(n, arcs):
+    """No directed cycle: peeling off the sinks of what is left empties the
+    vertex set."""
+    out = [0] * n
+    for u, v in arcs:
+        out[u] |= 1 << v
+    left = (1 << n) - 1
+    while left:
+        sinks_left = 0
+        for v in range(n):
+            if left >> v & 1 and not out[v] & left:
+                sinks_left |= 1 << v
+        if not sinks_left:
+            return False
+        left &= ~sinks_left
+    return True
 
 
 def acyclic_orientations(g):
+    """The acyclic orientations in the binary-counter order of
+    ``orientation_arcs``; a digraph is built only for those."""
     require_simple(g)
-    return [o for o in orientations(g) if _is_acyclic(o)]
+    return [
+        Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
+        for arcs in orientation_arcs(g)
+        if _is_acyclic(g.n, arcs)
+    ]
 
 
 def sinks(d):

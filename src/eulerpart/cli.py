@@ -29,6 +29,10 @@ SCHEMA = 1
 CIRCUITS_CAP = 10**5
 # past its cheap bound, the undirected count sums 2^(m-1) orientations
 CIRCUITS_COUNT_EDGE_CAP = 16
+# and the digraph count is a Bareiss determinant on (touched vertices - 1)
+# rows: on the complete digraph about 0.5 s at 128 rows and 1.3 s at 149
+# (CPython 3.11, one core of a 2-core machine)
+CIRCUITS_COUNT_ROW_CAP = 128
 
 
 def _poly(p):
@@ -89,7 +93,13 @@ def cmd_circuits(args, g):
         else:
             bound = 2 * math.prod(math.prod(range(g.degree(v) - 1, 0, -2)) for v in g.vertices())
         if bound > CIRCUITS_CAP:
-            if not g.directed and g.m > CIRCUITS_COUNT_EDGE_CAP:
+            if g.directed:
+                rows = len({v for arc in g.arcs for v in arc}) - 1
+                if rows > CIRCUITS_COUNT_ROW_CAP:
+                    raise CapExceededError(
+                        f"digraph circuits are counted up to {CIRCUITS_COUNT_ROW_CAP + 1} vertices"
+                    )
+            elif g.m > CIRCUITS_COUNT_EDGE_CAP:
                 raise CapExceededError(
                     f"multigraph circuits are counted up to {CIRCUITS_COUNT_EDGE_CAP} edges"
                 )

@@ -280,17 +280,21 @@ def is_eulerian(d, edge_subset=None):
     return balanced and d.edge_support_connected(edge_subset)
 
 
-def orientations(x):
-    """All 2^m orientations of a multigraph, in binary-counter order.
+def orientation_arcs(x):
+    """The arc lists of all 2^m orientations of a multigraph, in
+    binary-counter order.
 
     Bit i of the counter flips edge i away from its sorted-pair direction.
     """
     base = [tuple(sorted(p)) for p in x.pairs]
-    m = len(base)
-    for mask in range(1 << m):
-        arcs = [
-            (v, u) if mask >> e & 1 else (u, v) for e, (u, v) in enumerate(base)
-        ]
+    for mask in range(1 << len(base)):
+        yield [(v, u) if mask >> e & 1 else (u, v) for e, (u, v) in enumerate(base)]
+
+
+def orientations(x):
+    """All 2^m orientations of a multigraph, as digraphs in the order of
+    ``orientation_arcs``."""
+    for arcs in orientation_arcs(x):
         yield Digraph(x.n, arcs, x.vertex_labels, x.edge_labels)
 
 

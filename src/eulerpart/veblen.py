@@ -464,8 +464,17 @@ def hs_characteristic_polynomial(host):
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     cache = {}
+    # weight is multiplicative over components, so each distinct component
+    # (as a relabelled multiplicity key) is weighed once per host
+    weights = {}
     for x in enumerate_infragraphs(host, n):
-        contribution = Fraction((-1) ** x.component_count()) * weight(x, _cache=cache)
+        parts = _relabelled_components(x)
+        contribution = Fraction((-1) ** len(parts))
+        for part in parts:
+            key = multiplicity_key(part)
+            if key not in weights:
+                weights[key] = weight(part, _cache=cache)
+            contribution *= weights[key]
         coeffs[n - x.m] += contribution
     out = []
     for c in coeffs:
@@ -473,6 +482,17 @@ def hs_characteristic_polynomial(host):
             raise AssertionError(f"non-integral aggregated coefficient {c}")
         out.append(c.numerator)
     return IntPoly(out)
+
+
+def _relabelled_components(x):
+    """The connected components of x's edge support, each relabelled onto
+    0..k-1 in increasing vertex order."""
+    out = []
+    for vertices in components(x.pairs):
+        index = {v: i for i, v in enumerate(sorted(vertices))}
+        pairs = [(index[u], index[v]) for u, v in x.pairs if u in index]
+        out.append(VeblenMultigraph(len(index), pairs))
+    return out
 
 
 def elementary_subgraph_formula(host):

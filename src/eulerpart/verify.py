@@ -9,6 +9,7 @@ functions criterion by criterion.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -556,14 +557,20 @@ def check_orientation_circuit_partitions(config):
     return CheckResult("orientation-circuit-partitions", failures == 0, checked, {})
 
 
-def check_weight_n_independence(config):
+def check_weight_multiplicative(config):
+    """weight(A + B) = weight(A) weight(B) for B on fresh vertices, over
+    every unordered pair of small members: the property by which
+    hs_characteristic_polynomial weighs components instead of infragraphs."""
     failures = 0
     sample = [x for x in _veblens(config) if x.m <= 5]
-    for x in sample:
-        values = {veblen.weight(x, n) for n in (0, 1, 4)}
-        if len(values) != 1:
+    pairs = list(itertools.combinations_with_replacement(sample, 2))
+    for a, b in pairs:
+        union = veblen.VeblenMultigraph(
+            a.n + b.n, list(a.pairs) + [(u + a.n, v + a.n) for u, v in b.pairs]
+        )
+        if veblen.weight(union) != veblen.weight(a) * veblen.weight(b):
             failures += 1
-    return CheckResult("weight-n-independence", failures == 0, len(sample), {})
+    return CheckResult("weight-multiplicative", failures == 0, len(pairs), {})
 
 
 ALL_CHECKS = [
@@ -596,7 +603,7 @@ ALL_CHECKS = [
     check_associated_coefficient_routes,
     check_rooting_class_sizes,
     check_orientation_circuit_partitions,
-    check_weight_n_independence,
+    check_weight_multiplicative,
 ]
 
 

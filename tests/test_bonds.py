@@ -4,7 +4,7 @@ import pytest
 
 from eulerpart.corpus import connected_simple_graphs
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Multigraph
+from eulerpart.graphs import Multigraph, orientations
 from eulerpart.bonds import (
     _tree_contains_broken_circuit,
     acyclic_orientations,
@@ -283,3 +283,28 @@ def test_spanning_tree_count_k4():
 
 def test_acyclic_orientation_count_k4():
     assert len(acyclic_orientations(k4())) == 24  # |P(-1)| = 4!
+
+
+def _has_directed_cycle(d):
+    # u lies on a directed cycle when u is reachable from one of its out-neighbours
+    for u in range(d.n):
+        seen, stack = set(), [w for _, w in d.out_arcs(u)]
+        while stack:
+            w = stack.pop()
+            if w == u:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.extend(x for _, x in d.out_arcs(w))
+    return False
+
+
+def test_acyclic_orientations_filter_all_orientations_in_order():
+    for g in connected_simple_graphs(5):
+        g = Multigraph(g.n, g.pairs, [f"v{i}" for i in range(g.n)], [f"e{e}" for e in range(g.m)])
+        expected = [o for o in orientations(g) if not _has_directed_cycle(o)]
+        found = acyclic_orientations(g)
+        assert [o.arcs for o in found] == [o.arcs for o in expected]
+        assert all(
+            o.vertex_labels == g.vertex_labels and o.edge_labels == g.edge_labels for o in found
+        )

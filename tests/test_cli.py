@@ -5,8 +5,10 @@ from pathlib import Path
 
 import eulerpart.cli as cli_module
 import eulerpart.lattice as lattice_module
+import eulerpart.trails as trails_module
+import eulerpart.veblen as veblen_module
 from eulerpart.cli import main
-from eulerpart.verify import VerifyConfig, check_cancellation
+from eulerpart.verify import VerifyConfig, check_cancellation, check_weight_multiplicative
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE = str(REPO / "graphs" / "example_digraph.txt")
@@ -148,6 +150,28 @@ def test_circuits_cap_counts_only_past_the_bound(tmp_path, monkeypatch, capsys):
         monkeypatch.undo()
 
 
+def test_circuits_refuses_large_digraphs_before_the_determinant(tmp_path, monkeypatch, capsys):
+    def two_hamiltonian_cycles(n):
+        path = tmp_path / f"ham{n}.txt"
+        path.write_text(f"digraph {n}\n" + "".join(
+            f"a{i} {i + 1} {(i + 1) % n + 1}\nb{i} {i + 1} {(i + 7) % n + 1}\n" for i in range(n)
+        ))
+        return str(path)
+
+    # 129 vertices: 128 determinant rows, still counted, refused by the count
+    status, out, err = run_cli(["circuits", two_hamiltonian_cycles(129)], capsys)
+    assert status == 2 and out == "" and "Eulerian circuits; the cap is" in err
+
+    def no_count(g):
+        raise AssertionError("the circuit count ran")
+
+    # one vertex more, or 1500 (about 180 s of determinant): refused on size alone
+    monkeypatch.setattr(trails_module, "count_eulerian_circuits", no_count)
+    for n in (130, 1500):
+        status, out, err = run_cli(["circuits", two_hamiltonian_cycles(n)], capsys)
+        assert status == 2 and out == "" and "counted up to 129 vertices" in err
+
+
 def test_byte_identical_reruns():
     cmd = [
         sys.executable,
@@ -206,3 +230,18 @@ def test_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(lattice_module, "signed_circuit_product", flipped)
     result = check_cancellation(VerifyConfig(max_edges=4))
     assert not result.ok
+
+
+def test_weight_multiplicative_mutation_is_caught(monkeypatch):
+    """A weight that is off on disconnected inputs only must fail the
+    multiplicativity check."""
+    real = veblen_module.weight
+
+    def off_when_disconnected(x, n=0, _cache=None):
+        value = real(x, n, _cache)
+        return value + 1 if x.component_count() > 1 else value
+
+    config = VerifyConfig(veblen_edges=5)
+    assert check_weight_multiplicative(config).checked == 36
+    monkeypatch.setattr(veblen_module, "weight", off_when_disconnected)
+    assert not check_weight_multiplicative(config).ok

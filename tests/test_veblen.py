@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from eulerpart import veblen
+from eulerpart.corpus import complete_graph, relabeled_copy
 from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Multigraph, orientations
 from eulerpart.lattice import circuit_partition_counts
@@ -230,6 +233,35 @@ def test_hs_polynomial_small_hosts():
     assert hs_characteristic_polynomial(k2()) == t**2 - 1
     assert hs_characteristic_polynomial(k3()) == t**3 - 3 * t - 2
     assert hs_characteristic_polynomial(p3()) == t**3 - 2 * t
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabeled_copy(g, perm)
+
+
+def test_hs_polynomial_matches_oracle_on_relabelled_k6_k7():
+    k7_minus_e = Multigraph(7, [p for p in complete_graph(7).pairs if p != (2, 5)])
+    for seed, host in enumerate((complete_graph(6), complete_graph(7), k7_minus_e)):
+        host = _relabelled(host, seed)
+        assert hs_characteristic_polynomial(host) == charpoly_determinant_oracle(host)
+
+
+def test_hs_polynomial_weighs_connected_components_only(monkeypatch):
+    real = veblen.weight
+    seen = []
+
+    def counting(x, n=0, _cache=None):
+        seen.append(x.component_count())
+        return real(x, n, _cache)
+
+    k6 = complete_graph(6)
+    infragraphs = len(enumerate_infragraphs(k6, k6.n))
+    monkeypatch.setattr(veblen, "weight", counting)
+    assert hs_characteristic_polynomial(k6) == charpoly_determinant_oracle(k6)
+    assert seen and set(seen) == {1}
+    assert len(seen) < infragraphs
 
 
 def test_elementary_formula_small_hosts():
