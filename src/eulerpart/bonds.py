@@ -4,6 +4,17 @@ two explicit dictionaries from NBC bases to acyclic unique-sink orientations.
 The chromatic polynomial has two independent routes (deletion-contraction
 in production, the broken-circuit subset sum for verification), so the
 downstream Martin-polynomial identity is a genuine cross-check.
+
+The dictionaries between NBC bases and unique-sink orientations work on int
+masks in rank space.  Under an edge order, bit r of an edge mask stands for
+``order[r]``, so the largest edge of a set is ``mask.bit_length() - 1`` and
+"every edge of C ranks below r" is ``C >> r == 0``.  Vertex sets are masks
+with bit v for vertex v, and ``pm[r]`` is the vertex mask of ``order[r]``,
+built once per call.  One search from the root over an NBC base gives
+``path[v]``, the rank mask of the tree edges from v to the root; the tree
+part of the fundamental cycle of {u, v} is ``path[u] ^ path[v]``, and the
+tree edges from i down to the meet of the root paths of i and j are
+``path[i] & ~path[j]``.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from eulerpart.heaps import (
 )
 from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset, refinement_order
+from eulerpart.poset import FinitePoset, bits, refinement_order
 
 CYCLE_ENUM_VERTEX_CAP = 8
 CYCLE_ENUM_EDGE_CAP = 16
@@ -317,142 +328,132 @@ def unique_sink_orientations(g, x):
 # ---------------------------------------------------------------------------
 
 
-def _check_nbc_base(g, t, order):
-    t = frozenset(t)
-    # n - 1 edges connecting all n vertices form a spanning tree
-    if len(t) != g.n - 1 or len(edge_set_join(g, t)) != 1:
-        raise ValueError("not a spanning tree")
-    if _tree_contains_broken_circuit(g, t, order):
-        raise ValueError("spanning tree contains a broken circuit")
-    return t
+def _base_mask(g, t, order):
+    """The rank mask of the edge set t: bit r stands for order[r]."""
+    rank = {e: r for r, e in enumerate(order)}
+    mask = 0
+    for e in t:
+        if type(e) is not int or not 0 <= e < g.m:
+            raise ValueError(f"unknown edge {e!r}")
+        mask |= 1 << rank[e]
+    return mask
 
 
-def _tree_contains_broken_circuit(g, t, order):
-    """Whether the spanning tree t contains a broken circuit, in O(m n)
-    without enumerating cycles.
+def _root_paths(g, tree, order, root):
+    """path[v]: the rank mask of the tree edges on the path from v to root,
+    or None where the tree edges do not reach v."""
+    adj = [[] for _ in range(g.n)]
+    for r in bits(tree):
+        u, v = g.pairs[order[r]]
+        adj[u].append((v, 1 << r))
+        adj[v].append((u, 1 << r))
+    path = [None] * g.n
+    path[root] = 0
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for v, bit in adj[u]:
+            if path[v] is None:
+                path[v] = path[u] | bit
+                stack.append(v)
+    return path
 
-    A cycle C with C - max(C) inside t has max(C) outside t and is the
-    fundamental cycle of that edge; so t contains one exactly when some edge
-    outside t is the largest on its fundamental cycle in t.
-    """
-    rank = {e: i for i, e in enumerate(order)}
-    path_edges, _ = _tree_paths(g, t, 0)
-    for e in g.edges():
-        if e not in t:
+
+def _has_broken_circuit(g, tree, path, order):
+    """A cycle C with C - max(C) inside the tree has max(C) outside it and is
+    the fundamental cycle of that edge, whose tree part is path[u] ^ path[v];
+    so the tree contains a broken circuit exactly when some edge outside it
+    ranks above every edge of that tree part."""
+    for r, e in enumerate(order):
+        if not tree >> r & 1:
             u, v = g.pairs[e]
-            cycle = set(path_edges[u]).symmetric_difference(path_edges[v])
-            if all(rank[f] < rank[e] for f in cycle):
+            if (path[u] ^ path[v]) >> r == 0:
                 return True
     return False
 
 
-def _tree_paths(g, t, x):
-    """Parent arcs toward the root x inside the tree edge set t."""
-    adj = {v: [] for v in range(g.n)}
-    for e in t:
-        u, v = sorted(g.pairs[e])
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    parent = {x: None}
-    stack = [x]
-    while stack:
-        u = stack.pop()
-        for e, w in adj[u]:
-            if w not in parent:
-                parent[w] = (e, u)
-                stack.append(w)
-    path_edges = {}
-    path_vertices = {}
-    for v in range(g.n):
-        edges = []
-        verts = [v]
-        cur = v
-        while parent[cur] is not None:
-            e, nxt = parent[cur]
-            edges.append(e)
-            verts.append(nxt)
-            cur = nxt
-        path_edges[v] = edges
-        path_vertices[v] = verts
-    return path_edges, path_vertices
+def _tree_contains_broken_circuit(g, t, order):
+    """Whether the spanning tree t contains a broken circuit, in O(m n)
+    without enumerating cycles."""
+    tree = _base_mask(g, t, order)
+    return _has_broken_circuit(g, tree, _root_paths(g, tree, order, 0), order)
+
+
+def _check_nbc_base(g, t, order, root):
+    """The rank mask of the NBC base t and its root paths toward root, from
+    one search; raises ValueError when t is not an NBC base."""
+    if not 0 <= root < g.n:
+        raise ValueError(f"unknown vertex {root}")
+    tree = _base_mask(g, t, order)
+    path = _root_paths(g, tree, order, root)
+    # n - 1 edges reaching all n vertices form a spanning tree
+    if tree.bit_count() != g.n - 1 or None in path:
+        raise ValueError("not a spanning tree")
+    if _has_broken_circuit(g, tree, path, order):
+        raise ValueError("spanning tree contains a broken circuit")
+    return tree, path
+
+
+def _vertex_masks(g, order):
+    """pm[r]: the vertex mask of the edge order[r]."""
+    return [1 << u | 1 << v for u, v in map(g.pairs.__getitem__, order)]
+
+
+def _top_induced(pm, inside):
+    """The highest rank of an edge with both ends in the vertex mask inside,
+    or -1 when it induces no edge."""
+    r = len(pm) - 1
+    while r >= 0 and pm[r] & ~inside:
+        r -= 1
+    return r
 
 
 def base_to_orientation_direct(t, g, x, order):
     """Root-path comparison orientation of an NBC base.
 
     For each ordered pair, the largest tree edge between the vertex and the
-    meet of the two root paths decides the linear order; every graph edge is
-    oriented toward its smaller endpoint, so x is the unique sink.
+    meet of the two root paths decides the linear order, the null edge
+    ranking below all; every graph edge is oriented toward its smaller
+    endpoint, so x is the unique sink.  The tree edges from i down to the
+    meet are ``path[i] & ~path[j]``, the largest of them its top bit.
     """
     require_simple(g)
     order = check_edge_order(g, order)
-    t = _check_nbc_base(g, t, order)
-    rank = {e: i for i, e in enumerate(order)}
-    path_edges, path_vertices = _tree_paths(g, t, x)
-
-    def meet(i, j):
-        ri = path_vertices[i]
-        rj = set(path_vertices[j])
-        for v in ri:
-            if v in rj:
-                return v
-        raise AssertionError("root paths always meet at the root")
-
-    def top_edge_to_meet(i, j):
-        """Largest edge on the path from i down to meet(i, j); None when i
-        lies on j's root path (the null edge, smaller than everything)."""
-        m = meet(i, j)
-        if m == i:
-            return None
-        drop = len(path_edges[m])
-        segment = path_edges[i][: len(path_edges[i]) - drop]
-        return max(segment, key=rank.__getitem__)
-
-    def precedes(j, i):
-        e_ij = top_edge_to_meet(i, j)
-        e_ji = top_edge_to_meet(j, i)
-        if e_ji is None:
-            return e_ij is not None
-        if e_ij is None:
-            return False
-        return rank[e_ji] < rank[e_ij]
-
+    _, path = _check_nbc_base(g, t, order, x)
     arcs = []
-    for e in g.edges():
-        i, j = sorted(g.pairs[e])
-        if precedes(j, i):
+    for pair in g.pairs:
+        i, j = sorted(pair)
+        if (path[i] & ~path[j]).bit_length() > (path[j] & ~path[i]).bit_length():
             arcs.append((i, j))
         else:
             arcs.append((j, i))
     return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
 
 
-def _max_edge_of_induced(g, vertex_set, rank):
-    best = None
-    for e in g.edges():
-        if g.pairs[e] <= vertex_set:
-            if best is None or rank[e] > rank[best]:
-                best = e
-    return best
-
-
-def _base_pyramid(g, ps, t, vertex_set, x, rank):
-    if len(vertex_set) == 1:
+def _base_pyramid(ps, pm, tree, inside, x):
+    """The pyramid of the NBC base on the vertex mask inside, apex x; tree is
+    the rank mask of the base edges within inside."""
+    if inside & (inside - 1) == 0:
         return Heap.singleton(x)
-    e_top = _max_edge_of_induced(g, vertex_set, rank)
-    assert e_top is not None, "connected induced subgraph with >= 2 vertices has an edge"
-    assert e_top in t, "an NBC base always contains the largest induced edge"
-    remaining = t - {e_top}
-    side = next(c for c in components([{x}, *(g.pairs[e] for e in remaining)]) if x in c)
-    other = vertex_set - side
-    u = next(iter(g.pairs[e_top] & other))
-    p1 = _base_pyramid(g, ps, remaining & _edges_within(g, other), other, u, rank)
-    p2 = _base_pyramid(g, ps, remaining & _edges_within(g, side), side, x, rank)
+    top = _top_induced(pm, inside)
+    assert top >= 0, "connected induced subgraph with >= 2 vertices has an edge"
+    assert tree >> top & 1, "an NBC base always contains the largest induced edge"
+    # grow x's side over the other tree edges; what is left lies on the far side
+    far = tree ^ 1 << top
+    side = 1 << x
+    grown = True
+    while grown:
+        grown = False
+        for r in bits(far):
+            if pm[r] & side:
+                side |= pm[r]
+                far ^= 1 << r
+                grown = True
+    other = inside & ~side
+    u = (pm[top] & other).bit_length() - 1
+    p1 = _base_pyramid(ps, pm, far, other, u)
+    p2 = _base_pyramid(ps, pm, tree ^ 1 << top ^ far, side, x)
     return compose(ps, p1, p2)
-
-
-def _edges_within(g, vertex_set):
-    return frozenset(e for e in g.edges() if g.pairs[e] <= vertex_set)
 
 
 def base_to_orientation_recursive(t, g, x, order):
@@ -460,37 +461,32 @@ def base_to_orientation_recursive(t, g, x, order):
     induced edge, compose the two pyramids, then orient lower-to-higher."""
     require_simple(g)
     order = check_edge_order(g, order)
-    t = _check_nbc_base(g, t, order)
-    rank = {e: i for i, e in enumerate(order)}
+    tree, _ = _check_nbc_base(g, t, order, x)
     ps = PieceSystem(g)
-    pyramid = _base_pyramid(g, ps, t, frozenset(range(g.n)), x, rank)
+    pyramid = _base_pyramid(ps, _vertex_masks(g, order), tree, (1 << g.n) - 1, x)
     return pyramid_to_orientation(ps, pyramid)
 
 
 def orientation_to_base(o, g, x, order):
     """Inverse dictionary: from an acyclic unique-sink orientation back to
-    the NBC base, peeling the largest induced edge at each level."""
+    the NBC base, peeling the largest induced edge at each level.  The
+    levels are vertex masks cut straight from the pyramid's down-sets."""
     require_simple(g)
     order = check_edge_order(g, order)
     if sinks(o) != [x]:
         raise ValueError(f"orientation does not have unique sink {x}")
-    ps = PieceSystem(g)
-    pyramid = orientation_to_pyramid(ps, o)
-    rank = {e: i for i, e in enumerate(order)}
+    down = orientation_to_pyramid(PieceSystem(g), o).down
+    pm = _vertex_masks(g, order)
 
-    def rec(pyr):
-        if len(pyr) == 1:
-            return frozenset()
-        e_top = _max_edge_of_induced(g, frozenset(pyr.elements), rank)
-        p, q = sorted(g.pairs[e_top])
-        down = pyr.down_set(p if pyr.less(p, q) else q)
-        return (
-            frozenset({e_top})
-            | rec(pyr.restrict(down))
-            | rec(pyr.restrict(set(pyr.elements) - down))
-        )
+    def rec(inside):
+        if inside & (inside - 1) == 0:
+            return 0
+        top = _top_induced(pm, inside)
+        p, q = bits(pm[top])
+        below = down[p if down[q] >> p & 1 else q] & inside
+        return 1 << top | rec(below) | rec(inside & ~below)
 
-    return rec(pyramid)
+    return frozenset(order[r] for r in bits(rec((1 << g.n) - 1)))
 
 
 def edge_orders(g, count, rng):
@@ -534,13 +530,22 @@ def check_nbc_dictionaries(g, orders):
                 if mu_o.arcs != phi_o.arcs:
                     failures.append("explicit and recursive maps disagree")
                 images.add(phi_o.arcs)
-                if orientation_to_base(phi_o, g, x, order) != t:
+                # a map that refuses another map's output has failed too
+                try:
+                    back = orientation_to_base(phi_o, g, x, order)
+                except ValueError:
+                    back = None
+                if back != t:
                     failures.append("inverse map failed on a base")
             if images != {o.arcs for o in usos}:
                 failures.append(f"images differ from the orientations at sink {g.vertex_labels[x]}")
             for o in usos:
-                t = orientation_to_base(o, g, x, order)
-                if base_to_orientation_recursive(t, g, x, order).arcs != o.arcs:
+                try:
+                    t = orientation_to_base(o, g, x, order)
+                    back = base_to_orientation_recursive(t, g, x, order).arcs
+                except ValueError:
+                    back = None
+                if back != o.arcs:
                     failures.append("inverse map failed on an orientation")
     if len(base_counts) != 1:
         failures.append("NBC base count depends on the edge order")

@@ -9,6 +9,7 @@ and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -351,9 +352,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call: building it costs more than
+    serving a small request, and in-process callers make many."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler, needs_file = COMMANDS[args.command]
     try:
         if needs_file:

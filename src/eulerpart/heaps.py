@@ -122,7 +122,10 @@ class Heap:
 
     @staticmethod
     def singleton(x, label=None):
-        return Heap((x,), (), {x: x if label is None else label})
+        # one element: nothing to close, nothing to validate beyond the element
+        if not (isinstance(x, int) and x >= 0):
+            raise ValueError("heap elements must be non-negative ints")
+        return Heap._closed({x: 1 << x}, {x: x if label is None else label})
 
     def __len__(self):
         return len(self.elements)

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+import eulerpart.bonds as bonds_module
 from eulerpart.corpus import connected_simple_graphs
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Multigraph, orientations
+from eulerpart.graphs import Digraph, Multigraph, orientations
 from eulerpart.bonds import (
     _tree_contains_broken_circuit,
+    check_nbc_dictionaries,
     acyclic_orientations,
     BondLattice,
     broken_circuits,
@@ -27,8 +29,16 @@ from eulerpart.bonds import (
     spanning_trees,
     unique_sink_orientations,
 )
-from eulerpart.partition import SetPartition
+from eulerpart.heaps import (
+    Heap,
+    PieceSystem,
+    compose,
+    orientation_to_pyramid,
+    pyramid_to_orientation,
+)
+from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
+from eulerpart.verify import VerifyConfig, check_bijection_suite
 
 
 def k3():
@@ -193,6 +203,21 @@ def test_mu_explicit_rejects_non_nbc():
         base_to_orientation_direct(frozenset({0}), g, 0, (0, 1, 2))
 
 
+def test_dictionaries_reject_unknown_edges_and_vertices():
+    g = k3()
+    order = (0, 1, 2)
+    for forward in (base_to_orientation_direct, base_to_orientation_recursive):
+        for base in ({-1, 0}, {0, 5}, {0, 1.0}):
+            with pytest.raises(ValueError, match="unknown edge"):
+                forward(frozenset(base), g, 0, order)
+        for x in (-1, 3):
+            with pytest.raises(ValueError, match="unknown vertex"):
+                forward(frozenset({1, 2}), g, x, order)
+    stray = Digraph(3, [(1, 0), (2, 0), (1, 0)])  # arc 2 is not on edge {1, 2}
+    with pytest.raises(ValueError, match="not an orientation"):
+        orientation_to_base(stray, g, 0, order)
+
+
 def test_tree_broken_circuit_test_matches_definition():
     """The fundamental-cycle test against the broken circuits themselves, on
     every spanning tree of every connected simple graph with <= 6 vertices,
@@ -308,3 +333,183 @@ def test_acyclic_orientations_filter_all_orientations_in_order():
         assert all(
             o.vertex_labels == g.vertex_labels and o.edge_labels == g.edge_labels for o in found
         )
+
+
+# -- reference dictionaries ----------------------------------------------------
+# The meet / root-path, largest-induced-edge and Heap.restrict forms of the
+# three maps, on edge ids and vertex sets; the rank-mask maps must equal them.
+
+
+def _reference_tree_paths(g, t, x):
+    """Root-path edge and vertex lists toward x inside the tree t."""
+    adj = {v: [] for v in range(g.n)}
+    for e in t:
+        u, v = sorted(g.pairs[e])
+        adj[u].append((e, v))
+        adj[v].append((e, u))
+    parent = {x: None}
+    stack = [x]
+    while stack:
+        u = stack.pop()
+        for e, w in adj[u]:
+            if w not in parent:
+                parent[w] = (e, u)
+                stack.append(w)
+    path_edges, path_vertices = {}, {}
+    for v in range(g.n):
+        edges, verts, cur = [], [v], v
+        while parent[cur] is not None:
+            e, cur = parent[cur]
+            edges.append(e)
+            verts.append(cur)
+        path_edges[v], path_vertices[v] = edges, verts
+    return path_edges, path_vertices
+
+
+def reference_direct(t, g, x, order):
+    rank = {e: i for i, e in enumerate(order)}
+    path_edges, path_vertices = _reference_tree_paths(g, t, x)
+
+    def meet(i, j):
+        rj = set(path_vertices[j])
+        return next(v for v in path_vertices[i] if v in rj)
+
+    def top_edge_to_meet(i, j):
+        m = meet(i, j)
+        if m == i:
+            return None  # the null edge, below everything
+        segment = path_edges[i][: len(path_edges[i]) - len(path_edges[m])]
+        return max(segment, key=rank.__getitem__)
+
+    def precedes(j, i):
+        e_ij, e_ji = top_edge_to_meet(i, j), top_edge_to_meet(j, i)
+        if e_ji is None:
+            return e_ij is not None
+        return e_ij is not None and rank[e_ji] < rank[e_ij]
+
+    arcs = []
+    for e in g.edges():
+        i, j = sorted(g.pairs[e])
+        arcs.append((i, j) if precedes(j, i) else (j, i))
+    return tuple(arcs)
+
+
+def _reference_edges_within(g, vertex_set):
+    return frozenset(e for e in g.edges() if g.pairs[e] <= vertex_set)
+
+
+def _reference_top_induced(g, vertex_set, rank):
+    return max(_reference_edges_within(g, vertex_set), key=rank.__getitem__)
+
+
+def _reference_base_pyramid(g, ps, t, vertex_set, x, rank):
+    if len(vertex_set) == 1:
+        return Heap.singleton(x)
+    e_top = _reference_top_induced(g, vertex_set, rank)
+    remaining = t - {e_top}
+    side = next(c for c in components([{x}, *(g.pairs[e] for e in remaining)]) if x in c)
+    other = vertex_set - side
+    u = next(iter(g.pairs[e_top] & other))
+    p1 = _reference_base_pyramid(
+        g, ps, remaining & _reference_edges_within(g, other), other, u, rank
+    )
+    p2 = _reference_base_pyramid(
+        g, ps, remaining & _reference_edges_within(g, side), side, x, rank
+    )
+    return compose(ps, p1, p2)
+
+
+def reference_recursive(t, g, x, order):
+    rank = {e: i for i, e in enumerate(order)}
+    ps = PieceSystem(g)
+    pyramid = _reference_base_pyramid(g, ps, frozenset(t), frozenset(range(g.n)), x, rank)
+    return pyramid_to_orientation(ps, pyramid).arcs
+
+
+def reference_inverse(o, g, x, order):
+    rank = {e: i for i, e in enumerate(order)}
+
+    def rec(pyr):
+        if len(pyr) == 1:
+            return frozenset()
+        e_top = _reference_top_induced(g, frozenset(pyr.elements), rank)
+        p, q = sorted(g.pairs[e_top])
+        down = pyr.down_set(p if pyr.less(p, q) else q)
+        return (
+            frozenset({e_top})
+            | rec(pyr.restrict(down))
+            | rec(pyr.restrict(set(pyr.elements) - down))
+        )
+
+    return rec(orientation_to_pyramid(PieceSystem(g), o))
+
+
+def test_dictionaries_match_reference_forms():
+    """Each rank-mask map equals its reference form on every connected simple
+    graph with <= 5 vertices, under three seeded edge orders, at every sink."""
+    rng = random.Random(8)
+    bases_checked = orientations_checked = 0
+    for g in connected_simple_graphs(5):
+        by_sink = {}
+        for o in acyclic_orientations(g):
+            if len(sinks(o)) == 1:
+                by_sink.setdefault(sinks(o)[0], []).append(o)
+        for order in edge_orders(g, 3, rng):
+            bases = nbc_bases(g, order)
+            for x in range(g.n):
+                for t in bases:
+                    assert base_to_orientation_direct(t, g, x, order).arcs == reference_direct(
+                        t, g, x, order
+                    ), (g, order, x, t)
+                    assert base_to_orientation_recursive(
+                        t, g, x, order
+                    ).arcs == reference_recursive(t, g, x, order), (g, order, x, t)
+                    bases_checked += 1
+                for o in by_sink[x]:
+                    assert orientation_to_base(o, g, x, order) == reference_inverse(
+                        o, g, x, order
+                    ), (g, order, x, o.arcs)
+                    orientations_checked += 1
+    assert bases_checked == orientations_checked == 2355
+
+
+def _reverse_arc(d, index):
+    arcs = list(d.arcs)
+    arcs[index] = arcs[index][::-1]
+    return Digraph(d.n, arcs, d.vertex_labels, d.edge_labels)
+
+
+def _direct_reverses_first_arc(real):
+    return lambda t, g, x, order: _reverse_arc(real(t, g, x, order), 0)
+
+
+def _recursive_reverses_last_arc(real):
+    return lambda t, g, x, order: _reverse_arc(real(t, g, x, order), -1)
+
+
+def _inverse_drops_top_edge(real):
+    def dropped(o, g, x, order):
+        t = real(o, g, x, order)
+        return t - {max(t, key=order.index)}
+
+    return dropped
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    [
+        ("base_to_orientation_direct", _direct_reverses_first_arc),
+        ("base_to_orientation_recursive", _recursive_reverses_last_arc),
+        ("orientation_to_base", _inverse_drops_top_edge),
+    ],
+)
+def test_bijection_checks_catch_a_faulty_map(monkeypatch, name, fault):
+    """A fault in any one of the three maps fails the dictionary check on K4
+    and the nbc-bijection-suite on the graphs with <= 4 vertices."""
+    orders = edge_orders(k4(), 3, random.Random(4))
+    config = VerifyConfig(max_vertices=4)
+    assert check_nbc_dictionaries(k4(), orders)[0] == []
+    assert check_bijection_suite(config).ok
+    monkeypatch.setattr(bonds_module, name, fault(getattr(bonds_module, name)))
+    assert check_nbc_dictionaries(k4(), orders)[0]
+    assert not check_bijection_suite(config).ok

@@ -190,6 +190,23 @@ def test_byte_identical_reruns():
     assert first.stdout == second.stdout
 
 
+def test_parser_built_on_first_call_only(monkeypatch, capsys):
+    """Importing the CLI builds no parser; in-process calls share one."""
+    probe = "import eulerpart.cli as c; print(c._parser.cache_info().currsize)"
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=REPO)
+    assert fresh.stdout.strip() == "0"
+    real = cli_module.build_parser
+    builds = []
+    monkeypatch.setattr(cli_module, "build_parser", lambda: builds.append(1) or real())
+    cli_module._parser.cache_clear()
+    try:
+        for args in (["martin", EXAMPLE], ["chromatic", TRIANGLE], ["nbc", "missing.txt"]):
+            main(args + ["--format", "json"])
+    finally:
+        cli_module._parser.cache_clear()
+    assert builds == [1]
+
+
 def test_verify_smoke_small(capsys):
     status, out, _ = run_cli(
         [
