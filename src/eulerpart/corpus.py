@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from eulerpart.graphs import Digraph, Multigraph
-from eulerpart.veblen import VeblenMultigraph, enumerate_infragraphs
+from eulerpart.veblen import enumerate_infragraphs
 
 
 # ---------------------------------------------------------------------------
@@ -38,24 +38,20 @@ def _multigraph_matrix(g):
 
 
 def _vertex_profile(mat):
+    """Per vertex, its sorted row and sorted column: an invariant that any
+    isomorphism preserves vertex by vertex."""
     n = len(mat)
     return [
-        (sorted(mat[v]), sorted(mat[u][v] for u in range(n)))
+        (tuple(sorted(mat[v])), tuple(sorted(mat[u][v] for u in range(n))))
         for v in range(n)
     ]
 
 
-def _matrices_isomorphic(a, b):
-    """Backtracking vertex matching with row/column multiset pruning."""
+def _matrices_isomorphic(a, prof_a, b, groups_b):
+    """Backtracking vertex matching of a onto b, where b's vertices are
+    grouped by profile and both matrices have the same sorted profile."""
     n = len(a)
-    if n != len(b):
-        return False
-    prof_a, prof_b = _vertex_profile(a), _vertex_profile(b)
-    if sorted(prof_a) != sorted(prof_b):
-        return False
-    candidates = [
-        [w for w in range(n) if prof_b[w] == prof_a[v]] for v in range(n)
-    ]
+    candidates = [groups_b[p] for p in prof_a]
     image = [None] * n
     used = [False] * n
 
@@ -82,46 +78,36 @@ def _matrices_isomorphic(a, b):
 
 
 def digraphs_isomorphic(d1, d2):
-    if d1.m != d2.m:
-        return False
-    return _matrices_isomorphic(_digraph_matrix(d1), _digraph_matrix(d2))
+    store = _IsoStore(_digraph_matrix)
+    return store.add(d1) and not store.add(d2)
 
 
 def multigraphs_isomorphic(g1, g2):
-    if g1.m != g2.m:
-        return False
-    return _matrices_isomorphic(_multigraph_matrix(g1), _multigraph_matrix(g2))
+    store = _IsoStore(_multigraph_matrix)
+    return store.add(g1) and not store.add(g2)
 
 
 class _IsoStore:
-    """Bucketed store keeping one representative per isomorphism class."""
+    """One representative per isomorphism class, bucketed by the sorted
+    vertex profile; each graph's profile is computed once, when added."""
 
     def __init__(self, matrix_fn):
         self.matrix_fn = matrix_fn
         self.buckets = {}
 
-    def _key(self, g, mat):
-        return (
-            g.n,
-            g.m,
-            tuple(sorted(map(tuple, map(sorted, mat)))),
-        )
-
     def add(self, g):
         """Insert unless isomorphic to a stored graph; return True if new."""
         mat = self.matrix_fn(g)
-        key = self._key(g, mat)
-        bucket = self.buckets.setdefault(key, [])
-        for _, other_mat in bucket:
-            if _matrices_isomorphic(mat, other_mat):
+        prof = _vertex_profile(mat)
+        bucket = self.buckets.setdefault(tuple(sorted(prof)), [])
+        for other_mat, groups in bucket:
+            if _matrices_isomorphic(mat, prof, other_mat, groups):
                 return False
-        bucket.append((g, mat))
+        groups = {}
+        for v, p in enumerate(prof):
+            groups.setdefault(p, []).append(v)
+        bucket.append((mat, groups))
         return True
-
-    def items(self):
-        for bucket in self.buckets.values():
-            for g, _ in bucket:
-                yield g
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +143,7 @@ def connected_simple_graphs(max_vertices):
     out = []
     for n in range(1, max_vertices + 1):
         for g in simple_graph_classes(n):
-            # connectivity over all n vertices, not just the edge support
-            if n == 1 or (
-                g.edge_support_connected() and len(g.support_vertices()) == n
-            ):
+            if g.induces_connected(range(n)):
                 out.append(g)
     return tuple(out)
 
@@ -315,9 +298,7 @@ def veblen_corpus(max_edges=8, max_host_vertices=5):
             continue
         if store.add(x):
             out.append(x)
-    return tuple(
-        VeblenMultigraph(x.n, [tuple(sorted(p)) for p in x.pairs]) for x in out
-    )
+    return tuple(out)
 
 
 def relabeled_copy(g, perm):

@@ -187,12 +187,6 @@ class Digraph:
     def vertices(self):
         return range(self.n)
 
-    def arc(self, e):
-        return self.arcs[e]
-
-    def tail(self, e):
-        return self.arcs[e][0]
-
     def head(self, e):
         return self.arcs[e][1]
 
@@ -309,13 +303,6 @@ class ApproxClass:
     directed: bool
     n: int
     counts: tuple
-
-    def multiplicity(self, u, v):
-        key = (u, v) if self.directed else tuple(sorted((u, v)))
-        for pair, count in self.counts:
-            if pair == key:
-                return count
-        return 0
 
 
 def approx_class(g):

@@ -27,17 +27,15 @@ class PieceSystem:
     """Finite pieces with a reflexive symmetric concurrence relation.
 
     Stored as a simple graph: vertices are pieces 0..k-1, edges are the
-    distinct concurrent pairs.  ``payload`` optionally attaches meaning to
-    pieces (for cycle partitions: the arc set of each cycle).
-    ``concurrence[a]`` is the mask of the pieces concurrent with a, a included.
+    distinct concurrent pairs.  ``concurrence[a]`` is the mask of the pieces
+    concurrent with a, a included.
     """
 
-    def __init__(self, graph, payload=None):
+    def __init__(self, graph):
         if not graph.is_simple():
             raise ValueError("a concurrence graph carries no parallel edges")
         self.graph = graph
         self.k = graph.n
-        self.payload = tuple(payload) if payload is not None else None
         self.concurrence = [1 << a for a in range(self.k)]
         for u, v in graph.pairs:
             self.concurrence[u] |= 1 << v
@@ -47,7 +45,7 @@ class PieceSystem:
     def from_cycle_partition(cls, d, a):
         """Pieces are the cycles of a partition of an Eulerian digraph's arcs;
         two cycles are concurrent when they share a vertex."""
-        return cls(intersection_graph(d, a), payload=a.blocks)
+        return cls(intersection_graph(d, a))
 
     def pieces(self):
         return range(self.k)

@@ -215,13 +215,17 @@ def eulerian_circuits(g):
 def count_eulerian_circuits(g):
     """|C(g)| without enumeration; 0 when g is not Eulerian.
 
-    Digraphs use the arborescence formula below; multigraphs sum the
-    digraph count over all orientations that are balanced.
+    Digraphs need only the balance test before the arborescence formula
+    below, which is already 0 on a balanced digraph that is not connected.
+    Multigraphs sum the digraph count over all orientations that are
+    balanced.
     """
-    if g.m == 0 or not is_eulerian(g):
+    if g.m == 0:
         return 0
     if g.directed:
-        return _best_from_arcs(g.arcs)
+        return _best_from_arcs(g.arcs) if g.is_balanced() else 0
+    if not is_eulerian(g):
+        return 0
     return _count_circuits_all_orientations(g)
 
 
@@ -247,9 +251,10 @@ def _count_circuits_all_orientations(x):
 
 
 def _best_from_arcs(arcs):
-    """Circuit count of a balanced weakly-connected arc list (BEST theorem):
-    in-trees to the least touched vertex, as an exact Laplacian-minor
-    determinant, times prod over touched vertices of (outdeg - 1)!."""
+    """Circuit count of a balanced arc list (BEST theorem): in-trees to the
+    least touched vertex, as an exact Laplacian-minor determinant, times
+    prod over touched vertices of (outdeg - 1)!.  A list that is not weakly
+    connected has no spanning in-tree, so its count is 0."""
     index = {v: i for i, v in enumerate(sorted({v for arc in arcs for v in arc}))}
     k = len(index)
     if k <= 1:

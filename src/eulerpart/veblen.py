@@ -125,7 +125,9 @@ def enumerate_infragraphs(host, max_edges):
 
     rec(0, max_edges, {}, [])
     out = []
-    for mults in sorted(set(found)):
+    # rec finds each vector once; the sort key below ends in the
+    # multiplicity key, which tells every vector apart
+    for mults in found:
         pairs = []
         for (u, v), m in zip(host_pairs, mults):
             pairs.extend([(u, v)] * m)
@@ -250,12 +252,9 @@ def _decomposition(x, blocks, class_of_edge):
         counts = Counter(class_of_edge[e] for e in block)
         shapes.append(tuple(sorted(counts.items())))
         m_product *= math.prod(map(math.factorial, counts.values()))
-    order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-    part = SetPartition([blocks[i] for i in order])
-    # align shapes with the canonical block order of the SetPartition
-    shape_by_block = {frozenset(blocks[i]): shapes[i] for i in range(len(blocks))}
-    aligned = tuple(shape_by_block[b] for b in part.blocks)
-    return Decomposition(part, aligned, m_product)
+    # ``decompositions`` appends blocks by increasing least edge, which is
+    # the SetPartition block order, so the shapes stay aligned
+    return Decomposition(SetPartition(blocks), tuple(shapes), m_product)
 
 
 def decomposition_classes(x):

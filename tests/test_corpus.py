@@ -1,5 +1,11 @@
+import hashlib
 import itertools
+import random
+from collections import Counter
 
+import pytest
+
+from eulerpart import corpus as corpus_module
 from eulerpart.corpus import (
     _IsoStore,
     _digraph_matrix,
@@ -18,7 +24,7 @@ from eulerpart.corpus import (
     veblen_corpus,
     wheel_graph,
 )
-from eulerpart.graphs import Digraph, Multigraph, is_eulerian
+from eulerpart.graphs import Digraph, Multigraph, format_graph, is_eulerian
 from eulerpart.veblen import is_veblen
 
 
@@ -142,3 +148,137 @@ def test_veblen_corpus_properties():
     # the doubled edge and the triangle are in there
     assert any(x.m == 2 for x in corpus)
     assert any(x.m == 3 and x.is_simple() for x in corpus)
+
+
+# SHA-256 of the concatenated text format of each corpus: isomorphism
+# rejection must keep the classes, their first-found representatives and
+# their order, which the verify JSON depends on.
+CORPUS_DIGESTS = {
+    "eulerian_digraph_corpus(8)": (
+        lambda: eulerian_digraph_corpus(8),
+        "d33a2c46cc2444325cf8012e0cb46cb5d126622cd9fee6403bf397ada27a48b6",
+    ),
+    "eulerian_digraph_corpus(10)": (
+        lambda: eulerian_digraph_corpus(10),
+        "c677cc2e9aafc7df5fa29bf96c8ba8caab45ae451bc37f3f411edfc89e8f0412",
+    ),
+    "connected_simple_graphs(6)": (
+        lambda: connected_simple_graphs(6),
+        "6adb853cca25b043e9408e03ae02caae0fe8b82c01f2dd0e279f83b0e2820014",
+    ),
+    "veblen_corpus(8, 5)": (
+        lambda: veblen_corpus(8, 5),
+        "6c4975ce0dde9601605715076cd803d949a26e202f4a9f033d755aabd9a5796f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_DIGESTS))
+def test_corpus_digests_pinned(name):
+    build, digest = CORPUS_DIGESTS[name]
+    text = "".join(format_graph(g) for g in build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _brute_isomorphic(g1, g2):
+    """Oracle: try every vertex permutation."""
+
+    def edges(g, perm):
+        if g.directed:
+            return Counter((perm[u], perm[v]) for u, v in g.arcs)
+        return Counter(frozenset(perm[v] for v in p) for p in g.pairs)
+
+    if g1.directed != g2.directed or g1.n != g2.n:
+        return False
+    target = edges(g2, range(g2.n))
+    return any(edges(g1, perm) == target for perm in itertools.permutations(range(g1.n)))
+
+
+def _random_edges(rng, n, m):
+    out = []
+    while len(out) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            out.append((u, v))
+    return out
+
+
+def _regular_edges(rng, n, k):
+    """Union of k random fixed-point-free permutations: every vertex has the
+    same out- and in-degree, so many pairs share their vertex profiles."""
+    out = []
+    for _ in range(k):
+        perm = list(range(n))
+        while any(v == w for v, w in enumerate(perm)):
+            rng.shuffle(perm)
+        out += list(enumerate(perm))
+    return out
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_iso_matchers_agree_with_brute_force(directed):
+    build = Digraph if directed else Multigraph
+    same = digraphs_isomorphic if directed else multigraphs_isomorphic
+    rng = random.Random(20261018 + directed)
+    outcomes = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        kind = rng.randrange(4)
+        if kind == 3:  # two regular graphs
+            k = rng.randint(1, 2)
+            g1, g2 = (build(n, _regular_edges(rng, n, k)) for _ in range(2))
+        else:
+            m = rng.randint(1, 8)
+            g1 = build(n, _random_edges(rng, n, m))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            g2 = relabeled_copy(g1, perm)
+            if kind == 1:  # move one edge: often, not always, a new class
+                edges = list(g2.arcs if directed else map(tuple, g2.pairs))
+                edges[rng.randrange(m)] = _random_edges(rng, n, 1)[0]
+                g2 = build(n, edges)
+            elif kind == 2:
+                g2 = build(n, _random_edges(rng, n, m))
+        expected = _brute_isomorphic(g1, g2)
+        assert same(g1, g2) == expected == same(g2, g1)
+        outcomes[expected] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
+
+
+def test_iso_matchers_separate_equal_profiles():
+    c6 = cycle_graph(6)
+    triangles = Multigraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    d6 = Digraph(6, [(i, (i + 1) % 6) for i in range(6)])
+    d33 = Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    # K_{2,3} and a graph with its degrees whose twins a matcher that
+    # reuses an image vertex would fold together
+    k23 = complete_bipartite(2, 3)
+    folded = Multigraph(5, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4)])
+    for g, h, same, perm in (
+        (c6, triangles, multigraphs_isomorphic, [3, 5, 0, 1, 4, 2]),
+        (d6, d33, digraphs_isomorphic, [3, 5, 0, 1, 4, 2]),
+        (k23, folded, multigraphs_isomorphic, [3, 4, 0, 1, 2]),
+    ):
+        assert not same(g, h) and not same(h, g) and not _brute_isomorphic(g, h)
+        assert same(g, relabeled_copy(g, perm)) and same(h, relabeled_copy(h, perm))
+
+
+def test_iso_store_computes_one_profile_per_graph(monkeypatch):
+    graphs = []
+    for d in eulerian_digraph_corpus(6):
+        perm = list(range(1, d.n)) + [0]
+        graphs += [d, relabeled_copy(d, perm)]
+    # shares its profile with the directed 6-cycle of the corpus
+    graphs.append(Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+    real = corpus_module._vertex_profile
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(corpus_module, "_vertex_profile", counting)
+    store = _IsoStore(_digraph_matrix)
+    added = [store.add(g) for g in graphs]
+    assert len(calls) == len(graphs)
+    assert added == [True, False] * (len(graphs) // 2) + [True]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from eulerpart.corpus import eulerian_digraph_corpus
 from eulerpart.errors import InsertionError, NotEulerianError
 from eulerpart.graphs import Digraph, Multigraph
 from eulerpart.partition import SetPartition
@@ -81,6 +82,19 @@ def test_complete_digraph_k3_cross_check():
 def test_best_rejects_non_eulerian():
     with pytest.raises(NotEulerianError):
         count_circuits_best(Digraph(2, [(0, 1)]))
+
+
+def test_count_matches_enumeration_on_every_arc_subset():
+    """The digraph count tests balance only; the determinant must still give
+    0 on balanced subsets that are not connected, such as two disjoint
+    2-cycles."""
+    disconnected_balanced = 0
+    for d in eulerian_digraph_corpus(8):
+        for mask in range(1, 1 << d.m):
+            sub = d.restrict([e for e in d.edges() if mask >> e & 1])
+            assert count_eulerian_circuits(sub) == len(eulerian_circuits(sub))
+            disconnected_balanced += sub.is_balanced() and not sub.edge_support_connected()
+    assert disconnected_balanced > 0
 
 
 def test_count_for_undirected(doubled_edge, triangle):
