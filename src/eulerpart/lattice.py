@@ -9,6 +9,18 @@ and so the Martin polynomials, read only that element set; the refinement
 order is built only by ``build_eulerian_semilattice``, for the down-set
 sums and the Möbius inversion.
 
+The generator works on int masks.  Bit e of an arc mask is arc e.  A cycle
+partition a is a list of cycle arc masks and cycle vertex masks, in the
+order of ``a.blocks``; its intersection graph G_a is a list of neighbour
+masks over those cycle indices, and the pieces of its connected piece
+partitions are masks over the same indices.  An element of T(D) is a
+frozenset of block arc masks, each block the OR of its piece's cycle arc
+masks.  A block is then a union of cycles whose intersection graph is
+connected, so it is balanced and connected by construction, and its
+circuits are counted by the BEST kernel with no test.  Only
+``eulerian_parts`` and ``build_eulerian_semilattice`` turn elements into
+``SetPartition``s, each distinct element once.
+
 Most blocks recur across many elements, since every element above a cycle
 partition coarsens it; so each call that reads many products counts each
 distinct block's Eulerian circuits once, in a dict local to that call.
@@ -18,41 +30,57 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from eulerpart.bonds import BondLattice, connected_partitions
+from eulerpart.bonds import BondLattice
 from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset, refinement_order
+from eulerpart.poset import FinitePoset, bits, refinement_order
 from eulerpart.trails import (
+    _best_from_arcs,
     count_eulerian_circuits,
     cycle_partitions,
     intersection_graph,
 )
 
 SEMILATTICE_CAP = 1 << 15
+# the refinement order makes n^2 ``refines`` calls, 1.3-1.7 us each with
+# CPython 3.11 on one core (1496 elements: 2.9 s; 2070: 7.3 s), so the
+# largest order accepted builds in about 7 s
+ORDER_CAP = 2048
 
 
-def signed_circuit_product(d, b, _counts=None):
+def signed_circuit_product(d, b):
     """Product over blocks of minus the block's circuit count.
 
     Zero exactly when some block fails to induce a connected Eulerian
-    sub-digraph; (-1)^{#blocks} times a positive integer otherwise.
-    ``_counts`` maps blocks to circuit counts already made for d; a caller
-    that reads many products of one digraph passes the same dict to each.
+    sub-digraph; (-1)^{#blocks} times a positive integer otherwise.  Takes
+    any set partition of the arc set, so it tests each block's balance; the
+    semilattice's own products skip that test (see ``_signed_mask_product``).
     """
     if b.ground != frozenset(d.edges()):
         raise ValueError("partition must cover exactly the edge set")
-    if _counts is None:
-        _counts = {}
     value = 1
     for block in b.blocks:
-        count = _counts.get(block)
-        if count is None:
-            count = _counts[block] = count_eulerian_circuits(d.restrict(block))
-        value *= -count
+        value *= -count_eulerian_circuits(d.restrict(block))
         if value == 0:
             return 0
+    return value
+
+
+def _signed_mask_product(arcs, element, counts):
+    """Signed circuit product of an element given as block arc masks.
+
+    ``counts`` maps blocks to circuit counts already made for the digraph
+    whose arc list is ``arcs``; a caller that reads many products passes the
+    same dict to each.
+    """
+    value = 1
+    for block in element:
+        count = counts.get(block)
+        if count is None:
+            count = counts[block] = _best_from_arcs([arcs[e] for e in bits(block)])
+        value *= -count
     return value
 
 
@@ -61,16 +89,13 @@ class EulerianSemilattice(FinitePoset):
     refinement, with each element's signed circuit product and the running
     down-set sums of those products."""
 
-    def __init__(self, digraph, minimal, parts):
-        order = refinement_order(parts)
+    def __init__(self, digraph, minimal, products):
+        order = refinement_order(products)
         super().__init__(order.elements, order.down)
         self.digraph = digraph
         self.minimal = minimal  # the cycle partitions, canonical order
-        counts = {}
-        self.products = {
-            b: signed_circuit_product(digraph, b, _counts=counts) for b in self.elements
-        }
-        assert all(self.products.values())
+        self.products = products
+        assert all(products.values())
         self._sums = {}
 
     def signed_product(self, b):
@@ -85,29 +110,101 @@ class EulerianSemilattice(FinitePoset):
         return self._sums[b]
 
 
-def eulerian_parts(d, minimal):
-    """The partitions of d's arc set into connected Eulerian parts, each once.
+def _add_coarsenings(seen, arc_masks, vertex_masks):
+    """Add to ``seen`` each coarsening of one cycle partition along a
+    connected piece partition of its intersection graph, as a frozenset of
+    block arc masks; refuse as soon as ``seen`` passes SEMILATTICE_CAP.
 
-    Every such partition lies above some cycle partition a in ``minimal``,
-    and the up-set of a is isomorphic to the bond lattice of the
-    intersection graph of a; so the set is the union over a of coarsenings
-    of a along connected piece partitions.  Refuses as soon as the set
-    passes SEMILATTICE_CAP.
+    The cycles are the pieces 0..k-1, given by their arc and vertex masks.
+    The recursion pivots on the least unplaced piece and tries every piece
+    mask holding it, largest first; a piece is used when it induces a
+    connected subgraph of the intersection graph, and its block is the OR
+    of its cycles' arc masks.  Both are found once per piece mask.
     """
-    seen = {}
-    for a in minimal:
-        blocks = a.blocks
-        for piece_partition in connected_partitions(intersection_graph(d, a)):
-            merged = SetPartition(
-                [frozenset().union(*(blocks[i] for i in group)) for group in piece_partition]
-            )
-            if merged not in seen:
-                seen[merged] = None
+    neighbours = [
+        sum(1 << j for j, other in enumerate(vertex_masks) if j != i and other & mine)
+        for i, mine in enumerate(vertex_masks)
+    ]
+    block_of = {}  # piece mask -> arc mask of its block, 0 when disconnected
+    blocks = []
+
+    def block(piece):
+        reached = frontier = piece & -piece
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = neighbours[low.bit_length() - 1] & piece & ~reached
+            reached |= new
+            frontier |= new
+        if reached != piece:
+            return 0
+        arcs = 0
+        for i in bits(piece):
+            arcs |= arc_masks[i]
+        return arcs
+
+    def rec(remaining):
+        if not remaining:
+            element = frozenset(blocks)
+            if element not in seen:
+                seen[element] = None
                 if len(seen) > SEMILATTICE_CAP:
                     raise CapExceededError(
                         f"semilattice has more than {SEMILATTICE_CAP} elements"
                     )
+            return
+        pivot = remaining & -remaining
+        rest = remaining ^ pivot
+        sub = rest
+        while True:
+            piece = pivot | sub
+            arcs = block_of.get(piece)
+            if arcs is None:
+                arcs = block_of[piece] = block(piece)
+            if arcs:
+                blocks.append(arcs)
+                rec(remaining ^ piece)
+                blocks.pop()
+            if not sub:
+                return
+            sub = (sub - 1) & rest
+
+    rec((1 << len(arc_masks)) - 1)
+
+
+def _element_masks(d, minimal):
+    """The elements of T(d) as frozensets of block arc masks, each once, in
+    the order first reached from the cycle partitions in ``minimal``.
+
+    The up-set of a cycle partition a is isomorphic to the bond lattice of
+    its intersection graph, so every element is a coarsening of some a
+    along a connected piece partition.  Refuses as soon as the set passes
+    SEMILATTICE_CAP.
+    """
+    seen = {}
+    for a in minimal:
+        arc_masks = []
+        vertex_masks = []
+        for block in a.blocks:
+            arcs = vertices = 0
+            for e in block:
+                u, v = d.arcs[e]
+                arcs |= 1 << e
+                vertices |= 1 << u | 1 << v
+            arc_masks.append(arcs)
+            vertex_masks.append(vertices)
+        _add_coarsenings(seen, arc_masks, vertex_masks)
     return list(seen)
+
+
+def _partition(element):
+    return SetPartition([frozenset(bits(block)) for block in element])
+
+
+def eulerian_parts(d, minimal):
+    """The partitions of d's arc set into connected Eulerian parts, each
+    once, generated upward from the cycle partitions in ``minimal``."""
+    return [_partition(b) for b in _element_masks(d, minimal)]
 
 
 def _cycle_partitions_of_eulerian(d):
@@ -117,20 +214,33 @@ def _cycle_partitions_of_eulerian(d):
 
 
 def build_eulerian_semilattice(d):
-    """The semilattice of an Eulerian digraph, refinement order included."""
+    """The semilattice of an Eulerian digraph, refinement order included.
+
+    Refuses above ORDER_CAP elements, after generating them and before the
+    order is built.
+    """
     minimal = _cycle_partitions_of_eulerian(d)
-    return EulerianSemilattice(d, minimal, eulerian_parts(d, minimal))
+    elements = _element_masks(d, minimal)
+    if len(elements) > ORDER_CAP:
+        raise CapExceededError(
+            f"semilattice has {len(elements)} elements; "
+            f"its refinement order is built on at most {ORDER_CAP}"
+        )
+    counts = {}
+    products = {_partition(b): _signed_mask_product(d.arcs, b, counts) for b in elements}
+    return EulerianSemilattice(d, minimal, products)
 
 
 def circuit_partition_counts(d):
     """f_k for k = 1..max: partitions into k circuits assembling into an
     Eulerian circuit, (-1)^k times the signed circuit products of the
-    partitions into k Eulerian parts, summed.  Builds no order."""
-    parts = eulerian_parts(d, _cycle_partitions_of_eulerian(d))
-    out = [0] * max(len(b) for b in parts)
+    partitions into k Eulerian parts, summed.  Builds no order and no
+    ``SetPartition``."""
+    elements = _element_masks(d, _cycle_partitions_of_eulerian(d))
+    out = [0] * max(len(b) for b in elements)
     counts = {}
-    for b in parts:
-        out[len(b) - 1] += (-1) ** len(b) * signed_circuit_product(d, b, _counts=counts)
+    for b in elements:
+        out[len(b) - 1] += (-1) ** len(b) * _signed_mask_product(d.arcs, b, counts)
     return tuple(out)
 
 
@@ -206,13 +316,22 @@ def martin_chromatic_identity(d):
     rhs = IntPoly.zero()
     r_rhs = IntPoly.zero()
     chi_list = []
+    # many cycle partitions share one intersection graph (all of them are K_k
+    # on k parallel 2-cycles), so each distinct graph is weighed once
+    weighed = {}
     for a in cycle_partitions(d):
         graph = intersection_graph(d, a)
-        chi = BondLattice(graph).characteristic_polynomial()
+        key = (graph.n, frozenset(graph.pairs))
+        if key not in weighed:
+            weighed[key] = (
+                BondLattice(graph).characteristic_polynomial(),
+                chromatic_polynomial(graph),
+            )
+        chi, chromatic = weighed[key]
         chi_list.append((a, chi))
         sign = (-1) ** len(a)
         rhs = rhs - sign * chi
-        r_rhs = r_rhs + sign * chromatic_polynomial(graph)
+        r_rhs = r_rhs + sign * chromatic
     r_lhs = polys.r.compose(-t)
     return IdentityReport(
         s=polys.s,

@@ -239,12 +239,12 @@ def test_cap_violations_reported_not_fatal():
 def test_mutation_is_caught(monkeypatch):
     """Flipping the sign convention of the block product must fail the
     cancellation check."""
-    real = lattice_module.signed_circuit_product
+    real = lattice_module._signed_mask_product
 
-    def flipped(d, b, _counts=None):
-        return -real(d, b, _counts)
+    def flipped(arcs, element, counts):
+        return -real(arcs, element, counts)
 
-    monkeypatch.setattr(lattice_module, "signed_circuit_product", flipped)
+    monkeypatch.setattr(lattice_module, "_signed_mask_product", flipped)
     result = check_cancellation(VerifyConfig(max_edges=4))
     assert not result.ok
 

@@ -1,9 +1,13 @@
+import hashlib
+import time
 from pathlib import Path
 
 import pytest
 
 import eulerpart.lattice as lattice_module
+from eulerpart.bonds import connected_partitions
 from eulerpart.cli import main
+from eulerpart.corpus import eulerian_digraph_corpus
 from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import (
     Digraph,
@@ -15,6 +19,7 @@ from eulerpart.lattice import (
     signed_circuit_product,
     build_eulerian_semilattice,
     circuit_partition_counts,
+    eulerian_parts,
     martin_chromatic_identity,
     martin_divisibility,
     martin_polynomial,
@@ -23,13 +28,17 @@ from eulerpart.lattice import (
 from eulerpart.partition import SetPartition, all_set_partitions
 from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset
-from eulerpart.trails import count_circuits_best
+from eulerpart.trails import count_circuits_best, cycle_partitions, intersection_graph
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "graphs" / "example_digraph.txt")
 
 A1 = SetPartition([{0, 1}, {2, 3}, {4, 5}, {6, 7}])
 A2 = SetPartition([{0, 2, 4}, {1, 3, 5}, {6, 7}])
 TOP = SetPartition([set(range(8))])
+
+
+def parallel_two_cycles(k):
+    return Digraph(2, [(0, 1), (1, 0)] * k)
 
 
 def test_F_values_from_the_worked_example(example_digraph):
@@ -170,9 +179,11 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys):
     assert captured.err == f"error: {message}\n"
     # six parallel 2-cycles: 720 cycle partitions, each coarsened 203 ways
     calls = []
-    real = lattice_module.connected_partitions
+    real = lattice_module._add_coarsenings
     monkeypatch.setattr(
-        lattice_module, "connected_partitions", lambda g: calls.append(g) or real(g)
+        lattice_module,
+        "_add_coarsenings",
+        lambda seen, arcs, verts: calls.append(arcs) or real(seen, arcs, verts),
     )
     with pytest.raises(CapExceededError, match=message):
         circuit_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 6))
@@ -183,9 +194,9 @@ def test_block_counts_memoised_within_one_call(monkeypatch):
     """Each distinct block's circuits are counted once per call, and the memo
     does not outlive the call: a second call counts them all again."""
     calls = []
-    real = lattice_module.count_eulerian_circuits
+    real = lattice_module._best_from_arcs
     monkeypatch.setattr(
-        lattice_module, "count_eulerian_circuits", lambda g: calls.append(g) or real(g)
+        lattice_module, "_best_from_arcs", lambda arcs: calls.append(arcs) or real(arcs)
     )
     d = parse_graph_file(EXAMPLE)
     assert circuit_partition_counts(d) == (6, 11, 6, 1)
@@ -290,3 +301,70 @@ def test_delta_two_vanishes_at_zero():
     rep = martin_divisibility(d)
     assert rep.divisible
     assert martin_polynomial(d).s(0) == 0
+
+
+def _reference_parts(d):
+    """The element set built without masks: each cycle partition coarsened
+    along the connected partitions of its intersection Multigraph, with
+    ``SetPartition`` unions."""
+    out = set()
+    for a in cycle_partitions(d):
+        for groups in connected_partitions(intersection_graph(d, a)):
+            out.add(
+                SetPartition([frozenset().union(*(a.blocks[i] for i in g)) for g in groups])
+            )
+    return out
+
+
+def test_mask_generator_matches_reference_construction():
+    digraphs = list(eulerian_digraph_corpus(8)) + [parallel_two_cycles(5)]
+    for d in digraphs:
+        parts = eulerian_parts(d, cycle_partitions(d))
+        assert len(parts) == len(set(parts))
+        assert set(parts) == _reference_parts(d)
+    assert len(parts) == 1496
+
+
+# SHA-256 of repr(circuit_partition_counts(d)) + "\n" over the 871 digraphs of
+# eulerian_digraph_corpus(10), written with the SetPartition-based generator
+COUNTS_DIGEST_10 = "7b2b0094b4f31cc4a799b40ba490afd2028fef484e5562f6bf5a3e7afb5c01a2"
+
+
+def test_counts_digest_pinned():
+    text = "".join(repr(circuit_partition_counts(d)) + "\n" for d in eulerian_digraph_corpus(10))
+    assert hashlib.sha256(text.encode()).hexdigest() == COUNTS_DIGEST_10
+
+
+def test_identity_builds_one_bond_lattice_per_intersection_graph(example_digraph, monkeypatch):
+    built = []
+    real = lattice_module.BondLattice
+    monkeypatch.setattr(lattice_module, "BondLattice", lambda g: built.append(g) or real(g))
+    report = martin_chromatic_identity(parallel_two_cycles(6))
+    assert report.holds and report.r_identity_holds
+    assert len(report.chi_by_partition) == 720
+    assert len(built) == 1
+    built.clear()
+    report = martin_chromatic_identity(example_digraph)
+    assert report.holds and report.r_identity_holds
+    assert len(built) == 2
+
+
+def test_lattice_dump_refuses_before_the_order(tmp_path, monkeypatch, capsys):
+    """Six parallel 2-cycles have 22482 elements, past ORDER_CAP: the CLI
+    exits 2 without building the refinement order."""
+
+    def refuse(*args):
+        raise AssertionError("refinement order built past the cap")
+
+    monkeypatch.setattr(lattice_module, "refinement_order", refuse)
+    path = tmp_path / "six.txt"
+    path.write_text(
+        "digraph 2\n" + "".join(f"a{i} 1 2\nb{i} 2 1\n" for i in range(6))
+    )
+    start = time.monotonic()
+    assert main(["lattice-dump", str(path)]) == 2
+    assert time.monotonic() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "22482 elements" in captured.err
+    assert str(lattice_module.ORDER_CAP) in captured.err
