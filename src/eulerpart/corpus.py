@@ -13,7 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from eulerpart.graphs import Digraph, Multigraph
-from eulerpart.veblen import enumerate_infragraphs
 
 
 # ---------------------------------------------------------------------------
@@ -40,11 +39,7 @@ def _multigraph_matrix(g):
 def _vertex_profile(mat):
     """Per vertex, its sorted row and sorted column: an invariant that any
     isomorphism preserves vertex by vertex."""
-    n = len(mat)
-    return [
-        (tuple(sorted(mat[v])), tuple(sorted(mat[u][v] for u in range(n))))
-        for v in range(n)
-    ]
+    return [(tuple(sorted(row)), tuple(sorted(col))) for row, col in zip(mat, zip(*mat))]
 
 
 def _matrices_isomorphic(a, prof_a, b, groups_b):
@@ -94,20 +89,28 @@ class _IsoStore:
     def __init__(self, matrix_fn):
         self.matrix_fn = matrix_fn
         self.buckets = {}
+        self.classes = 0
 
-    def add(self, g):
-        """Insert unless isomorphic to a stored graph; return True if new."""
+    def class_index(self, g):
+        """The index of g's class, numbered in order of first appearance; a
+        graph isomorphic to no stored graph is stored and opens a class."""
         mat = self.matrix_fn(g)
         prof = _vertex_profile(mat)
         bucket = self.buckets.setdefault(tuple(sorted(prof)), [])
-        for other_mat, groups in bucket:
+        for other_mat, groups, index in bucket:
             if _matrices_isomorphic(mat, prof, other_mat, groups):
-                return False
+                return index
         groups = {}
         for v, p in enumerate(prof):
             groups.setdefault(p, []).append(v)
-        bucket.append((mat, groups))
-        return True
+        bucket.append((mat, groups, self.classes))
+        self.classes += 1
+        return self.classes - 1
+
+    def add(self, g):
+        """Insert unless isomorphic to a stored graph; return True if new."""
+        before = self.classes
+        return self.class_index(g) == before
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +293,9 @@ def eulerian_digraph_corpus(max_edges=8):
 def veblen_corpus(max_edges=8, max_host_vertices=5):
     """Connected even-degree multigraphs with at most max_edges edges on at
     most max_host_vertices vertices, one per isomorphism class."""
+    # veblen imports this module's isomorphism store at module level
+    from eulerpart.veblen import enumerate_infragraphs
+
     host = complete_graph(max_host_vertices)
     store = _IsoStore(_multigraph_matrix)
     out = []

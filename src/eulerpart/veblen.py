@@ -5,6 +5,13 @@ Everything is exact: circuit counts are integers, weights are Fractions,
 and the aggregated polynomial coefficients are asserted integral.  The
 characteristic polynomial has three routes (infragraph weights, elementary
 subgraphs, determinant via interpolation) that must agree.
+
+Infragraphs come from one generator of multiplicity vectors over the
+host's sorted pairs, which tracks vertex parity as an int mask.
+``enumerate_infragraphs`` builds a ``VeblenMultigraph`` per vector; the
+infragraph-weight route reads the vectors directly, splits them into
+components on vertex masks, and weighs one component per isomorphism
+class (``corpus._IsoStore``), through a memo that lives for one call.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from eulerpart.corpus import _IsoStore
 from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import (
     Digraph,
@@ -73,13 +81,72 @@ def is_veblen(x):
     return all(x.degree(v) % 2 == 0 for v in range(x.n))
 
 
-def multiplicity_key(x):
-    """The vertex-fixing class of a multigraph as a hashable key."""
-    counts = {}
-    for p in x.pairs:
-        key = tuple(sorted(p))
-        counts[key] = counts.get(key, 0) + 1
-    return (x.n, tuple(sorted(counts.items())))
+def _host_pairs(host):
+    """The host's edges as (u, v) pairs with u < v, in increasing order."""
+    if host.directed or not host.is_simple():
+        raise ValueError("the host must be a simple undirected graph")
+    return sorted(tuple(sorted(p)) for p in host.pairs)
+
+
+def _multiplicity_vectors(pairs, max_edges):
+    """Every nonzero vector of multiplicities over ``pairs`` with at most
+    ``max_edges`` edges in all and every vertex degree even, once each.
+
+    A vector is yielded as its nonzero entries, (pair index, multiplicity)
+    in increasing index order.  Vertex parity is an int mask, bit v set
+    while v has odd degree.  ``closes[i]`` masks the vertices whose last
+    pair is i: each must be even once pair i is passed, which prunes a
+    branch as soon as it cannot be completed.  The recursion jumps from
+    one nonzero entry to the next, so a run of zero entries costs one mask
+    test per pair it skips.
+    """
+    ends = [1 << u | 1 << v for u, v in pairs]
+    closes = [0] * len(pairs)
+    last = {}
+    for i, (u, v) in enumerate(pairs):
+        last[u] = last[v] = i
+    for v, i in last.items():
+        closes[i] |= 1 << v
+    entries = []
+
+    def rec(start, budget, parity):
+        if entries and not parity:
+            yield tuple(entries)  # every later entry zero
+        if not budget:
+            return
+        skipped = 0  # vertices closed by the zero entries start..i-1
+        for i in range(start, len(pairs)):
+            if parity & skipped:
+                return
+            flipped = parity ^ ends[i]
+            for m in range(1, budget + 1):
+                after = flipped if m & 1 else parity
+                if not after & closes[i]:
+                    entries.append((i, m))
+                    yield from rec(i + 1, budget - m, after)
+                    entries.pop()
+            skipped |= closes[i]
+
+    return rec(0, max_edges, 0)
+
+
+def _vector_components(vector, ends):
+    """The connected components of a multiplicity vector's edge support, as
+    (vertex mask, entries) pairs; ``ends[i]`` masks the ends of pair i."""
+    comps = []
+    for entry in vector:
+        mask = ends[entry[0]]
+        group = [entry]
+        rest = []
+        for comp in comps:
+            if comp[0] & mask:
+                mask |= comp[0]
+                group += comp[1]
+            else:
+                rest.append(comp)
+        rest.append((mask, group))
+        comps = rest
+    return comps
 
 
 def enumerate_infragraphs(host, max_edges):
@@ -90,50 +157,27 @@ def enumerate_infragraphs(host, max_edges):
     component count, multiplicity vector); possibly disconnected, never
     empty.
     """
-    if host.directed or not host.is_simple():
-        raise ValueError("the host must be a simple undirected graph")
+    pairs = _host_pairs(host)
     if max_edges > INFRAGRAPH_EDGE_CAP:
         raise CapExceededError(
             f"infragraph enumeration capped at {INFRAGRAPH_EDGE_CAP} edges"
         )
-    host_pairs = sorted(tuple(sorted(p)) for p in host.pairs)
-    last_touch = {}
-    for i, (u, v) in enumerate(host_pairs):
-        last_touch[u] = i
-        last_touch[v] = i
-    found = []
-
-    def rec(i, budget, parity, mults):
-        if i == len(host_pairs):
-            if any(mults):
-                found.append(tuple(mults))
-            return
-        u, v = host_pairs[i]
-        for m in range(budget + 1):
-            parity_u = (parity.get(u, 0) + m) % 2
-            parity_v = (parity.get(v, 0) + m) % 2
-            if last_touch.get(u) == i and parity_u:
-                continue
-            if last_touch.get(v) == i and parity_v:
-                continue
-            parity2 = dict(parity)
-            parity2[u] = parity_u
-            parity2[v] = parity_v
-            mults.append(m)
-            rec(i + 1, budget - m, parity2, mults)
-            mults.pop()
-
-    rec(0, max_edges, {}, [])
-    out = []
-    # rec finds each vector once; the sort key below ends in the
-    # multiplicity key, which tells every vector apart
-    for mults in found:
-        pairs = []
-        for (u, v), m in zip(host_pairs, mults):
-            pairs.extend([(u, v)] * m)
-        out.append(VeblenMultigraph(host.n, pairs, host.vertex_labels))
-    out.sort(key=lambda x: (x.m, x.component_count(), multiplicity_key(x)))
-    return out
+    ends = [1 << u | 1 << v for u, v in pairs]
+    # the sort key's last part is the multiplicity key, distinct per vector
+    keyed = sorted(
+        (
+            sum(m for _, m in vector),
+            len(_vector_components(vector, ends)),
+            tuple((pairs[i], m) for i, m in vector),
+        )
+        for vector in _multiplicity_vectors(pairs, max_edges)
+    )
+    return [
+        VeblenMultigraph(
+            host.n, [pair for pair, m in counts for _ in range(m)], host.vertex_labels
+        )
+        for _, _, counts in keyed
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -456,25 +500,49 @@ def hs_characteristic_polynomial(host):
     Coefficient of t^(n-d) collects (-1)^components * weight over the
     classes with d edges; elementary classes are the only nonzero
     contributors at rank 2, which bounds d by n.
+
+    The infragraphs are read as multiplicity vectors straight from the
+    generator behind ``enumerate_infragraphs`` and split into components
+    on vertex masks; no multigraph is built per infragraph.  The weight is
+    multiplicative over components, so each component is looked up in a
+    memo of two levels, local to the call: first by its multiplicity key,
+    relabelled in increasing vertex order, and on a miss by its
+    isomorphism class in an ``_IsoStore``.  ``weight`` runs once per class
+    of component, so the number of calls does not depend on how the host
+    is labelled.
     """
     if host.n > HOST_VERTEX_CAP:
         raise CapExceededError(f"host capped at {HOST_VERTEX_CAP} vertices")
+    pairs = _host_pairs(host)
     n = host.n
+    ends = [1 << u | 1 << v for u, v in pairs]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     cache = {}
-    # weight is multiplicative over components, so each distinct component
-    # (as a relabelled multiplicity key) is weighed once per host
-    weights = {}
-    for x in enumerate_infragraphs(host, n):
-        parts = _relabelled_components(x)
-        contribution = Fraction((-1) ** len(parts))
-        for part in parts:
-            key = multiplicity_key(part)
-            if key not in weights:
-                weights[key] = weight(part, _cache=cache)
-            contribution *= weights[key]
-        coeffs[n - x.m] += contribution
+    slots = {}  # vertex mask -> {pair index: its slot in a component key}
+    classes = _IsoStore(_key_matrix)
+    class_weights = []
+    signed = {}  # component key -> -weight
+    for vector in _multiplicity_vectors(pairs, n):
+        factors = []
+        for vertices, entries in _vector_components(vector, ends):
+            slot = slots.get(vertices)
+            if slot is None:
+                slot = slots[vertices] = _pair_slots(pairs, vertices)
+            code = 0
+            for i, m in entries:
+                code |= m << slot[i]
+            key = (vertices.bit_count(), code)
+            w = signed.get(key)
+            if w is None:
+                index = classes.class_index(key)
+                if index == len(class_weights):
+                    x = VeblenMultigraph(key[0], _key_edges(key))
+                    class_weights.append(-weight(x, _cache=cache))
+                w = signed[key] = class_weights[index]
+            factors.append(w)
+        if all(factors):
+            coeffs[n - sum(m for _, m in vector)] += math.prod(factors)
     out = []
     for c in coeffs:
         if c.denominator != 1:
@@ -483,15 +551,48 @@ def hs_characteristic_polynomial(host):
     return IntPoly(out)
 
 
-def _relabelled_components(x):
-    """The connected components of x's edge support, each relabelled onto
-    0..k-1 in increasing vertex order."""
-    out = []
-    for vertices in components(x.pairs):
-        index = {v: i for i, v in enumerate(sorted(vertices))}
-        pairs = [(index[u], index[v]) for u, v in x.pairs if u in index]
-        out.append(VeblenMultigraph(len(index), pairs))
-    return out
+def _pair_slots(pairs, vertices):
+    """Pair index -> bit offset in a component key, for the host pairs
+    inside a vertex mask.
+
+    A component on k vertices is relabelled onto 0..k-1 in increasing
+    vertex order and keyed by (k, code), with the multiplicity of pair
+    (a, b) in the four bits at 4(ak + b).  The route wears at most
+    HOST_VERTEX_CAP < 16 edges, so four bits hold any multiplicity.
+    """
+    index = {}
+    rest = vertices
+    while rest:
+        low = rest & -rest
+        index[low.bit_length() - 1] = len(index)
+        rest ^= low
+    k = len(index)
+    return {
+        i: 4 * (index[u] * k + index[v])
+        for i, (u, v) in enumerate(pairs)
+        if u in index and v in index
+    }
+
+
+def _key_edges(key):
+    """The edges of a component key, in increasing pair order."""
+    k, code = key
+    return [
+        (a, b)
+        for a in range(k)
+        for b in range(a + 1, k)
+        for _ in range(code >> 4 * (a * k + b) & 15)
+    ]
+
+
+def _key_matrix(key):
+    """The multiplicity matrix of a component key."""
+    k = key[0]
+    mat = [[0] * k for _ in range(k)]
+    for u, v in _key_edges(key):
+        mat[u][v] += 1
+        mat[v][u] += 1
+    return mat
 
 
 def elementary_subgraph_formula(host):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from eulerpart import bonds, corpus, heaps, lattice, trails, veblen
 from eulerpart.errors import CapExceededError
@@ -22,6 +23,7 @@ from eulerpart.graphs import (
     is_eulerian,
     orientations,
     out_degree_factorial_product,
+    parallel_factorial_product,
 )
 from eulerpart.heaps import Heap, PieceSystem
 from eulerpart.partition import all_set_partitions
@@ -573,6 +575,32 @@ def check_weight_multiplicative(config):
     return CheckResult("weight-multiplicative", failures == 0, len(pairs), {})
 
 
+def check_weight_via_cancellation(config):
+    """The paper's deduction of the rank-2 Harary-Sachs weights:
+    weight(X) = (-1)^c(X) / M_X * sum over the balanced orientations o of
+    X of sum_k (-1)^k f_k(o), with f_k from the semilattice.  By the
+    cancellation each inner sum vanishes unless o is one directed cycle.
+    Only the compared value comes from ``weight``; no decomposition is
+    enumerated."""
+    failures = 0
+    veblens = _veblens(config)
+    for x in veblens:
+        alternating = {}  # arc multiset -> sum_k (-1)^k f_k
+        total = 0
+        for o in orientations(x):
+            if not o.is_balanced():
+                continue
+            arcs = tuple(sorted(o.arcs))
+            if arcs not in alternating:
+                f = lattice.circuit_partition_counts(o)
+                alternating[arcs] = sum((-1) ** k * fk for k, fk in enumerate(f, start=1))
+            total += alternating[arcs]
+        expected = Fraction((-1) ** x.component_count() * total, parallel_factorial_product(x))
+        if veblen.weight(x) != expected:
+            failures += 1
+    return CheckResult("weight-via-cancellation", failures == 0, len(veblens), {})
+
+
 ALL_CHECKS = [
     check_orientation_class_sizes,
     check_eulerian_balance,
@@ -604,6 +632,7 @@ ALL_CHECKS = [
     check_rooting_class_sizes,
     check_orientation_circuit_partitions,
     check_weight_multiplicative,
+    check_weight_via_cancellation,
 ]
 
 

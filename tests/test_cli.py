@@ -8,7 +8,12 @@ import eulerpart.lattice as lattice_module
 import eulerpart.trails as trails_module
 import eulerpart.veblen as veblen_module
 from eulerpart.cli import main
-from eulerpart.verify import VerifyConfig, check_cancellation, check_weight_multiplicative
+from eulerpart.verify import (
+    VerifyConfig,
+    check_cancellation,
+    check_weight_multiplicative,
+    check_weight_via_cancellation,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE = str(REPO / "graphs" / "example_digraph.txt")
@@ -247,6 +252,21 @@ def test_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(lattice_module, "_signed_mask_product", flipped)
     result = check_cancellation(VerifyConfig(max_edges=4))
     assert not result.ok
+
+
+def test_weight_via_cancellation_mutation_is_caught(monkeypatch):
+    """A weight with the component sign dropped must fail the check that
+    rebuilds the weight from the cancellation."""
+    real = veblen_module.weight
+
+    def unsigned(x, n=0, _cache=None):
+        return -real(x, n, _cache)
+
+    config = VerifyConfig(veblen_edges=5)
+    result = check_weight_via_cancellation(config)
+    assert result.ok and result.checked == 8
+    monkeypatch.setattr(veblen_module, "weight", unsigned)
+    assert not check_weight_via_cancellation(config).ok
 
 
 def test_weight_multiplicative_mutation_is_caught(monkeypatch):

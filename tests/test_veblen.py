@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from eulerpart import veblen
-from eulerpart.corpus import complete_graph, relabeled_copy
+from eulerpart.corpus import complete_graph, relabeled_copy, wheel_graph
 from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Multigraph, orientations
 from eulerpart.lattice import circuit_partition_counts
@@ -24,7 +25,6 @@ from eulerpart.veblen import (
     hs_characteristic_polynomial,
     is_decomposable,
     is_veblen,
-    multiplicity_key,
     rooting_class_sizes,
     weight,
     weight_via_all_decompositions,
@@ -262,6 +262,62 @@ def test_hs_polynomial_weighs_connected_components_only(monkeypatch):
     assert hs_characteristic_polynomial(k6) == charpoly_determinant_oracle(k6)
     assert seen and set(seen) == {1}
     assert len(seen) < infragraphs
+
+
+def _weight_calls(monkeypatch, host):
+    """Calls of ``weight`` made by the Harary-Sachs route on host, whose
+    polynomial must equal the determinant oracle's."""
+    real = veblen.weight
+    calls = []
+
+    def counting(x, n=0, _cache=None):
+        calls.append(x)
+        return real(x, n, _cache)
+
+    monkeypatch.setattr(veblen, "weight", counting)
+    poly = hs_characteristic_polynomial(host)
+    monkeypatch.setattr(veblen, "weight", real)
+    assert poly == charpoly_determinant_oracle(host)
+    return len(calls)
+
+
+def test_hs_weight_calls_do_not_depend_on_labels(monkeypatch):
+    """The component memo ends in isomorphism classes, so every labelling
+    of a host makes the same calls: one per class of component."""
+    wheel = wheel_graph(6)
+    counts = [_weight_calls(monkeypatch, wheel)]
+    counts += [_weight_calls(monkeypatch, _relabelled(wheel, seed)) for seed in range(5)]
+    assert len(set(counts)) == 1
+    assert _weight_calls(monkeypatch, complete_graph(6)) == 18
+
+
+def _even_vectors_by_brute_force(pairs, n, max_edges):
+    found = set()
+    for mults in itertools.product(range(max_edges + 1), repeat=len(pairs)):
+        if not 0 < sum(mults) <= max_edges:
+            continue
+        degree = [0] * n
+        for (u, v), m in zip(pairs, mults):
+            degree[u] += m
+            degree[v] += m
+        if all(d % 2 == 0 for d in degree):
+            found.add(tuple((i, m) for i, m in enumerate(mults) if m))
+    return found
+
+
+def test_multiplicity_vectors_feed_enumerate_infragraphs():
+    """The route and the enumerator read one generator: it yields one
+    vector per infragraph at every budget, and on K4 exactly the
+    even-degree vectors that a brute force over all vectors finds."""
+    for host in (complete_graph(4), complete_graph(5), wheel_graph(6)):
+        pairs = veblen._host_pairs(host)
+        for k in range(host.n + 1):
+            vectors = list(veblen._multiplicity_vectors(pairs, k))
+            assert len(vectors) == len(set(vectors))
+            assert len(vectors) == len(enumerate_infragraphs(host, k))
+    pairs = veblen._host_pairs(complete_graph(4))
+    for k in range(5):
+        assert set(veblen._multiplicity_vectors(pairs, k)) == _even_vectors_by_brute_force(pairs, 4, k)
 
 
 def test_elementary_formula_small_hosts():
