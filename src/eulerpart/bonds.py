@@ -19,6 +19,7 @@ tree edges from i down to the meet of the root paths of i and j are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,7 +34,7 @@ from eulerpart.heaps import (
 )
 from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset, bits, refinement_order
+from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
 
 CYCLE_ENUM_VERTEX_CAP = 8
 CYCLE_ENUM_EDGE_CAP = 16
@@ -46,48 +47,38 @@ def require_simple(g):
         raise ValueError("parallel edges are not allowed here")
 
 
+def _connected_masks(g):
+    """The connected vertex partitions as frozensets of vertex masks (the
+    connected coarsenings of the singletons), and incident[v], v's edge mask."""
+    incident = [0] * g.n
+    for e, (u, v) in enumerate(g.pairs):
+        incident[u] |= 1 << e
+        incident[v] |= 1 << e
+    seen = {}
+    add_coarsenings(seen, [1 << v for v in range(g.n)], incident, math.inf)
+    return seen, incident
+
+
 def connected_partitions(g):
-    """Partitions of the vertex set into blocks inducing connected subgraphs.
-
-    The blocks are frozensets of vertex ids; recursion pivots on the least
-    unplaced vertex.
-    """
+    """Partitions of the vertex set into blocks inducing connected subgraphs, as
+    lists of vertex frozensets by least vertex; sorted block by block, smaller first."""
     require_simple(g)
-    verts = list(range(g.n))
-    out = []
-
-    def rec(remaining, blocks):
-        if not remaining:
-            out.append(list(blocks))
-            return
-        pivot = min(remaining)
-        pool = sorted(remaining - {pivot})
-        for r in range(len(pool) + 1):
-            for extra in combinations(pool, r):
-                block = frozenset((pivot, *extra))
-                if g.induces_connected(block):
-                    blocks.append(block)
-                    rec(remaining - block, blocks)
-                    blocks.pop()
-
-    rec(frozenset(verts), [])
-    return out
+    parts = [list(SetPartition(map(bits, x)).blocks) for x in _connected_masks(g)[0]]
+    return sorted(parts, key=lambda blocks: [(len(b), sorted(b)) for b in blocks])
 
 
 class BondLattice(FinitePoset):
     """Connected-block vertex partitions of a simple graph under refinement.
 
     Rank of a partition is n minus its block count; for connected graphs the
-    top is the one-block partition.
+    top is the one-block partition.  The order is read from up-sets, the
+    connected coarsenings of each element's blocks, as in the Eulerian semilattice.
     """
 
     def __init__(self, graph):
         require_simple(graph)
-        # adopt the elements and masks of the refinement order that the Eulerian
-        # semilattice also builds; the discarded poset's index dict is O(n)
-        # beside the n^2 `refines` calls that built the masks
-        order = refinement_order(SetPartition(b) for b in connected_partitions(graph))
-        super().__init__(order.elements, order.down)
+        elements, down = coarsening_order(*_connected_masks(graph))
+        super().__init__((SetPartition(map(bits, x)) for x in elements), down)
         self.graph = graph
 
     def closed_edge_set(self, x):
@@ -507,6 +498,8 @@ def check_nbc_dictionaries(g, orders):
     comparison, the number of (order, sink, base) triples pushed through
     both dictionaries, and the NBC-base count under the last order.
     """
+    # the NBC bases meet the cycle-enumeration cap before the 2^m sweep
+    bases_by_order = [nbc_bases(g, order) for order in orders]
     by_sink = {}
     for o in acyclic_orientations(g):
         s = sinks(o)
@@ -515,8 +508,7 @@ def check_nbc_dictionaries(g, orders):
     failures = []
     checked = 0
     base_counts = set()
-    for order in orders:
-        bases = nbc_bases(g, order)
+    for order, bases in zip(orders, bases_by_order):
         base_counts.add(len(bases))
         for x in range(g.n):
             usos = by_sink.get(x, [])

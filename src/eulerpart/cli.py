@@ -211,8 +211,10 @@ def cmd_bijection_check(args, g):
 
 def cmd_chromatic(args, g):
     _require_simple(g)
-    p = bonds.chromatic_polynomial(g)
+    # the Whitney route meets the cycle-enumeration cap before any work;
+    # deletion-contraction has no cap of its own
     whitney = bonds.chromatic_polynomial_whitney(g)
+    p = bonds.chromatic_polynomial(g)
     return {
         "chromatic": _poly(p),
         "chromatic_text": str(p),

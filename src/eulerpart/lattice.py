@@ -6,8 +6,8 @@ The element set is generated from the cycle partitions upward (each up-set
 is a copy of the bond lattice of the corresponding intersection graph),
 never by filtering all Bell(m) set partitions.  The circuit-partition counts,
 and so the Martin polynomials, read only that element set; the refinement
-order is built only by ``build_eulerian_semilattice``, for the down-set
-sums and the Möbius inversion.
+order, built only by ``build_eulerian_semilattice`` for the down-set sums
+and the Möbius inversion, is read from the same generator's up-sets.
 
 The generator works on int masks.  Bit e of an arc mask is arc e.  A cycle
 partition a is a list of cycle arc masks and cycle vertex masks, in the
@@ -17,9 +17,10 @@ partitions are masks over the same indices.  An element of T(D) is a
 frozenset of block arc masks, each block the OR of its piece's cycle arc
 masks.  A block is then a union of cycles whose intersection graph is
 connected, so it is balanced and connected by construction, and its
-circuits are counted by the BEST kernel with no test.  Only
-``eulerian_parts`` and ``build_eulerian_semilattice`` turn elements into
-``SetPartition``s, each distinct element once.
+circuits are counted by the BEST kernel with no test.  The generator is
+``poset.add_coarsenings``, with arc masks as payloads and vertex masks as
+touches.  Only ``eulerian_parts`` and ``build_eulerian_semilattice`` turn
+elements into ``SetPartition``s, each distinct element once.
 
 Most blocks recur across many elements, since every element above a cycle
 partition coarsens it; so each call that reads many products counts each
@@ -31,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from eulerpart.bonds import BondLattice
-from eulerpart.errors import CapExceededError, NotEulerianError
+from eulerpart.errors import NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset, bits, refinement_order
+from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order, mask_union
 from eulerpart.trails import (
     _best_from_arcs,
     count_eulerian_circuits,
@@ -44,10 +45,6 @@ from eulerpart.trails import (
 )
 
 SEMILATTICE_CAP = 1 << 15
-# the refinement order makes n^2 ``refines`` calls, 1.3-1.7 us each with
-# CPython 3.11 on one core (1496 elements: 2.9 s; 2070: 7.3 s), so the
-# largest order accepted builds in about 7 s
-ORDER_CAP = 2048
 
 
 def signed_circuit_product(d, b):
@@ -89,9 +86,8 @@ class EulerianSemilattice(FinitePoset):
     refinement, with each element's signed circuit product and the running
     down-set sums of those products."""
 
-    def __init__(self, digraph, minimal, products):
-        order = refinement_order(products)
-        super().__init__(order.elements, order.down)
+    def __init__(self, digraph, minimal, products, down):
+        super().__init__(products, down)
         self.digraph = digraph
         self.minimal = minimal  # the cycle partitions, canonical order
         self.products = products
@@ -110,68 +106,6 @@ class EulerianSemilattice(FinitePoset):
         return self._sums[b]
 
 
-def _add_coarsenings(seen, arc_masks, vertex_masks):
-    """Add to ``seen`` each coarsening of one cycle partition along a
-    connected piece partition of its intersection graph, as a frozenset of
-    block arc masks; refuse as soon as ``seen`` passes SEMILATTICE_CAP.
-
-    The cycles are the pieces 0..k-1, given by their arc and vertex masks.
-    The recursion pivots on the least unplaced piece and tries every piece
-    mask holding it, largest first; a piece is used when it induces a
-    connected subgraph of the intersection graph, and its block is the OR
-    of its cycles' arc masks.  Both are found once per piece mask.
-    """
-    neighbours = [
-        sum(1 << j for j, other in enumerate(vertex_masks) if j != i and other & mine)
-        for i, mine in enumerate(vertex_masks)
-    ]
-    block_of = {}  # piece mask -> arc mask of its block, 0 when disconnected
-    blocks = []
-
-    def block(piece):
-        reached = frontier = piece & -piece
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = neighbours[low.bit_length() - 1] & piece & ~reached
-            reached |= new
-            frontier |= new
-        if reached != piece:
-            return 0
-        arcs = 0
-        for i in bits(piece):
-            arcs |= arc_masks[i]
-        return arcs
-
-    def rec(remaining):
-        if not remaining:
-            element = frozenset(blocks)
-            if element not in seen:
-                seen[element] = None
-                if len(seen) > SEMILATTICE_CAP:
-                    raise CapExceededError(
-                        f"semilattice has more than {SEMILATTICE_CAP} elements"
-                    )
-            return
-        pivot = remaining & -remaining
-        rest = remaining ^ pivot
-        sub = rest
-        while True:
-            piece = pivot | sub
-            arcs = block_of.get(piece)
-            if arcs is None:
-                arcs = block_of[piece] = block(piece)
-            if arcs:
-                blocks.append(arcs)
-                rec(remaining ^ piece)
-                blocks.pop()
-            if not sub:
-                return
-            sub = (sub - 1) & rest
-
-    rec((1 << len(arc_masks)) - 1)
-
-
 def _element_masks(d, minimal):
     """The elements of T(d) as frozensets of block arc masks, each once, in
     the order first reached from the cycle partitions in ``minimal``.
@@ -181,54 +115,42 @@ def _element_masks(d, minimal):
     along a connected piece partition.  Refuses as soon as the set passes
     SEMILATTICE_CAP.
     """
+    ends = [1 << u | 1 << v for u, v in d.arcs]
     seen = {}
     for a in minimal:
-        arc_masks = []
-        vertex_masks = []
-        for block in a.blocks:
-            arcs = vertices = 0
-            for e in block:
-                u, v = d.arcs[e]
-                arcs |= 1 << e
-                vertices |= 1 << u | 1 << v
-            arc_masks.append(arcs)
-            vertex_masks.append(vertices)
-        _add_coarsenings(seen, arc_masks, vertex_masks)
+        arc_masks = [sum(1 << e for e in block) for block in a.blocks]
+        vertex_masks = [mask_union(ends, arcs) for arcs in arc_masks]
+        add_coarsenings(seen, arc_masks, vertex_masks, SEMILATTICE_CAP)
     return list(seen)
-
-
-def _partition(element):
-    return SetPartition([frozenset(bits(block)) for block in element])
 
 
 def eulerian_parts(d, minimal):
     """The partitions of d's arc set into connected Eulerian parts, each
     once, generated upward from the cycle partitions in ``minimal``."""
-    return [_partition(b) for b in _element_masks(d, minimal)]
+    return [SetPartition(map(bits, b)) for b in _element_masks(d, minimal)]
 
 
 def _cycle_partitions_of_eulerian(d):
     if not is_eulerian(d):
         raise NotEulerianError("the Eulerian-part semilattice needs an Eulerian digraph")
-    return cycle_partitions(d)
+    # each cycle partition is an element, so the element cap bounds them too
+    return cycle_partitions(d, SEMILATTICE_CAP)
 
 
 def build_eulerian_semilattice(d):
     """The semilattice of an Eulerian digraph, refinement order included.
 
-    Refuses above ORDER_CAP elements, after generating them and before the
-    order is built.
+    The elements above x are the connected coarsenings of x's blocks, so
+    the order is read from the generator's up-sets, with no comparison.
     """
     minimal = _cycle_partitions_of_eulerian(d)
-    elements = _element_masks(d, minimal)
-    if len(elements) > ORDER_CAP:
-        raise CapExceededError(
-            f"semilattice has {len(elements)} elements; "
-            f"its refinement order is built on at most {ORDER_CAP}"
-        )
+    ends = [1 << u | 1 << v for u, v in d.arcs]
+    elements, down = coarsening_order(_element_masks(d, minimal), ends)
     counts = {}
-    products = {_partition(b): _signed_mask_product(d.arcs, b, counts) for b in elements}
-    return EulerianSemilattice(d, minimal, products)
+    products = {
+        SetPartition(map(bits, b)): _signed_mask_product(d.arcs, b, counts) for b in elements
+    }
+    return EulerianSemilattice(d, minimal, products, down)
 
 
 def circuit_partition_counts(d):

@@ -1,14 +1,17 @@
 """Finite posets with explicit element lists: Möbius functions, ranks.
 
 The order relation is materialised as per-element bitmasks, which keeps
-down-set scans cheap for the lattice sizes this package works at (a few
-thousand elements at most).  The covers and maximal-element routines read
+down-set scans cheap for the lattice sizes this package works at (tens of
+thousands of elements at most).  The covers and maximal-element routines read
 such masks whether they are kept by position or by value, so heaps of pieces
 share them.
 """
 
 from __future__ import annotations
 
+import math
+
+from eulerpart.errors import CapExceededError
 from eulerpart.partition import SetPartition, all_set_partitions
 from eulerpart.poly import IntPoly
 
@@ -195,6 +198,85 @@ def refinement_order(partitions):
         partitions, key=lambda p: (-len(p), tuple(tuple(sorted(b)) for b in p.blocks))
     )
     return FinitePoset.from_leq(elements, SetPartition.refines)
+
+
+def add_coarsenings(seen, payloads, touches, cap):
+    """Add to ``seen`` each coarsening of the blocks 0..k-1 along a connected
+    piece partition, as a frozenset of merged payload masks (the OR of its
+    pieces'); blocks i and j are adjacent when their touch masks meet.
+    Refuses as soon as ``seen`` passes cap.  The recursion pivots on the
+    least unplaced block and tries every piece mask holding it, largest
+    first; whether a piece is connected is found once per piece mask.
+    """
+    neighbours = [
+        sum(1 << j for j, other in enumerate(touches) if j != i and other & mine)
+        for i, mine in enumerate(touches)
+    ]
+    block_of = {}  # piece mask -> its merged payload, 0 when disconnected
+    blocks = []
+
+    def block(piece):
+        reached = frontier = piece & -piece
+        merged = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            merged |= payloads[i]
+            new = neighbours[i] & piece & ~reached
+            reached |= new
+            frontier |= new
+        return merged if reached == piece else 0
+
+    def rec(remaining):
+        if not remaining:
+            element = frozenset(blocks)
+            if element not in seen:
+                seen[element] = None
+                if len(seen) > cap:
+                    raise CapExceededError(f"semilattice has more than {cap} elements")
+            return
+        pivot = remaining & -remaining
+        rest = remaining ^ pivot
+        sub = rest
+        while True:
+            piece = pivot | sub
+            merged = block_of.get(piece)
+            if merged is None:
+                merged = block_of[piece] = block(piece)
+            if merged:
+                blocks.append(merged)
+                rec(remaining ^ piece)
+                blocks.pop()
+            if not sub:
+                return
+            sub = (sub - 1) & rest
+
+    rec((1 << len(payloads)) - 1)
+
+
+def coarsening_order(elements, touches):
+    """Elements of payload masks, sorted as ``refinement_order`` sorts, and
+    their down masks; a payload touches the OR of ``touches`` over its bits.
+    The elements above x are the connected coarsenings of x's blocks, so x
+    sets its bit in the down mask of each, and no two are compared."""
+    elements = sorted(elements, key=lambda x: (-len(x), sorted(tuple(bits(b)) for b in x)))
+    index = {x: i for i, x in enumerate(elements)}
+    down = [0] * len(elements)
+    for i, x in enumerate(elements):
+        up = {}
+        add_coarsenings(up, list(x), [mask_union(touches, b) for b in x], math.inf)
+        for y in up:
+            down[index[y]] |= 1 << i
+    return elements, down
+
+
+def mask_union(masks, mask):
+    """The OR of masks[i] over the set bits i of mask."""
+    out = 0
+    for i in bits(mask):
+        out |= masks[i]
+    return out
 
 
 def partition_lattice(ground):

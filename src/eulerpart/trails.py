@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from eulerpart.errors import InsertionError, NotEulerianError
+from eulerpart.errors import CapExceededError, InsertionError, NotEulerianError
 from eulerpart.graphs import Multigraph, is_eulerian
 from eulerpart.partition import SetPartition
 
@@ -461,11 +461,13 @@ def directed_cycles_through(d, e0, allowed):
     return cycles
 
 
-def cycle_partitions(d):
+def cycle_partitions(d, cap=math.inf):
     """All partitions of the arc set into directed cycles, canonically ordered.
 
     Backtracking on the least uncovered arc; each returned value is a
-    SetPartition whose blocks are the cycles' arc sets.
+    SetPartition whose blocks are the cycles' arc sets.  Each is an element
+    of the Eulerian-part semilattice, so the semilattice's cap refuses as
+    soon as there are more than cap of them.
     """
     all_edges = frozenset(d.edges())
     out = []
@@ -474,6 +476,8 @@ def cycle_partitions(d):
     def rec(remaining):
         if not remaining:
             out.append(SetPartition(list(blocks)))
+            if len(out) > cap:
+                raise CapExceededError(f"semilattice has more than {cap} elements")
             return
         e0 = min(remaining)
         for cyc in directed_cycles_through(d, e0, remaining):

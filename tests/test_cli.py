@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import eulerpart.bonds as bonds_module
 import eulerpart.cli as cli_module
 import eulerpart.lattice as lattice_module
 import eulerpart.trails as trails_module
@@ -175,6 +176,34 @@ def test_circuits_refuses_large_digraphs_before_the_determinant(tmp_path, monkey
     for n in (130, 1500):
         status, out, err = run_cli(["circuits", two_hamiltonian_cycles(n)], capsys)
         assert status == 2 and out == "" and "counted up to 129 vertices" in err
+
+
+def test_uncapped_routes_wait_for_the_cycle_cap(tmp_path, monkeypatch, capsys):
+    """`chromatic` and `bijection-check` refuse at the cycle-enumeration cap
+    before deletion-contraction or the 2^m orientation sweep runs."""
+
+    def complete(n):
+        path = tmp_path / f"k{n}.txt"
+        path.write_text(f"multigraph {n}\n" + "".join(
+            f"e{u}_{v} {u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1)
+        ))
+        return str(path)
+
+    ring = tmp_path / "ring.txt"
+    ring.write_text("multigraph 30\n" + "".join(
+        f"r{i} {i + 1} {(i + 1) % 30 + 1}\nc{i} {i + 1} {(i + 5) % 30 + 1}\n" for i in range(0, 30, 3)
+    ) + "".join(f"s{i} {i + 1} {(i + 1) % 30 + 1}\n" for i in range(30) if i % 3))
+
+    def uncapped(*args):
+        raise AssertionError("an uncapped route ran before the cap")
+
+    monkeypatch.setattr(bonds_module, "chromatic_polynomial", uncapped)
+    monkeypatch.setattr(bonds_module, "acyclic_orientations", uncapped)
+    requests = [("chromatic", complete(16)), ("chromatic", complete(12)), ("chromatic", str(ring))]
+    requests += [("bijection-check", complete(8)), ("bijection-check", complete(12))]
+    for command, path in requests:
+        status, out, err = run_cli([command, path], capsys)
+        assert status == 2 and out == "" and "cycle enumeration capped" in err
 
 
 def test_byte_identical_reruns():

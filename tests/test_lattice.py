@@ -1,13 +1,14 @@
 import hashlib
+import json
 import time
 from pathlib import Path
 
 import pytest
 
 import eulerpart.lattice as lattice_module
-from eulerpart.bonds import connected_partitions
+from eulerpart.bonds import BondLattice
 from eulerpart.cli import main
-from eulerpart.corpus import eulerian_digraph_corpus
+from eulerpart.corpus import complete_graph, connected_simple_graphs, eulerian_digraph_corpus
 from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import (
     Digraph,
@@ -27,7 +28,7 @@ from eulerpart.lattice import (
 )
 from eulerpart.partition import SetPartition, all_set_partitions
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset
+from eulerpart.poset import FinitePoset, refinement_order
 from eulerpart.trails import count_circuits_best, cycle_partitions, intersection_graph
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "graphs" / "example_digraph.txt")
@@ -154,7 +155,7 @@ def test_counts_build_no_order(example_digraph, monkeypatch):
     def refuse(*args):
         raise OrderBuilt
 
-    monkeypatch.setattr(FinitePoset, "from_leq", refuse)
+    monkeypatch.setattr(lattice_module, "coarsening_order", refuse)
     with pytest.raises(OrderBuilt):
         build_eulerian_semilattice(example_digraph)
     t = IntPoly.t()
@@ -177,16 +178,24 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-    # six parallel 2-cycles: 720 cycle partitions, each coarsened 203 ways
+    # six parallel 2-cycles: 720 cycle partitions, each coarsened 203 ways;
+    # the listing refuses at the eleventh, before any coarsening
+    six = Digraph(2, [(0, 1), (1, 0)] * 6)
     calls = []
-    real = lattice_module._add_coarsenings
+    real = lattice_module.add_coarsenings
     monkeypatch.setattr(
         lattice_module,
-        "_add_coarsenings",
-        lambda seen, arcs, verts: calls.append(arcs) or real(seen, arcs, verts),
+        "add_coarsenings",
+        lambda seen, arcs, verts, cap: calls.append(arcs) or real(seen, arcs, verts, cap),
     )
     with pytest.raises(CapExceededError, match=message):
-        circuit_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 6))
+        circuit_partition_counts(six)
+    assert calls == []
+    # with the listing uncapped, the generator refuses inside the first one
+    real_cycles = lattice_module.cycle_partitions
+    monkeypatch.setattr(lattice_module, "cycle_partitions", lambda d, cap: real_cycles(d))
+    with pytest.raises(CapExceededError, match=message):
+        circuit_partition_counts(six)
     assert len(calls) == 1
 
 
@@ -304,15 +313,18 @@ def test_delta_two_vanishes_at_zero():
 
 
 def _reference_parts(d):
-    """The element set built without masks: each cycle partition coarsened
-    along the connected partitions of its intersection Multigraph, with
+    """The element set built without masks or the generator: each cycle
+    partition coarsened along every set partition of its cycles whose blocks
+    induce connected subgraphs of its intersection Multigraph, with
     ``SetPartition`` unions."""
     out = set()
     for a in cycle_partitions(d):
-        for groups in connected_partitions(intersection_graph(d, a)):
-            out.add(
-                SetPartition([frozenset().union(*(a.blocks[i] for i in g)) for g in groups])
-            )
+        graph = intersection_graph(d, a)
+        for groups in all_set_partitions(range(len(a))):
+            if all(graph.induces_connected(g) for g in groups.blocks):
+                out.add(
+                    SetPartition([frozenset().union(*(a.blocks[i] for i in g)) for g in groups])
+                )
     return out
 
 
@@ -328,6 +340,31 @@ def test_mask_generator_matches_reference_construction():
 # SHA-256 of repr(circuit_partition_counts(d)) + "\n" over the 871 digraphs of
 # eulerian_digraph_corpus(10), written with the SetPartition-based generator
 COUNTS_DIGEST_10 = "7b2b0094b4f31cc4a799b40ba490afd2028fef484e5562f6bf5a3e7afb5c01a2"
+
+
+def test_orders_equal_the_pairwise_refinement_order(monkeypatch):
+    """Both lattices read their order from up-sets; the elements and down
+    masks equal ``refinement_order``'s, which compares every pair, and
+    neither build compares a pair."""
+    t_inputs = list(eulerian_digraph_corpus(8)) + [parallel_two_cycles(4)]
+    bond_inputs = list(connected_simple_graphs(5)) + [complete_graph(6)]
+    real_from_leq = FinitePoset.from_leq.__func__
+    calls = []
+    monkeypatch.setattr(
+        FinitePoset,
+        "from_leq",
+        classmethod(lambda cls, *args: calls.append(args) or real_from_leq(cls, *args)),
+    )
+    built = [build_eulerian_semilattice(d) for d in t_inputs]
+    built += [BondLattice(g) for g in bond_inputs]
+    assert calls == []
+    for lattice in built:
+        oracle = refinement_order(lattice.elements)
+        assert oracle.elements == lattice.elements
+        assert oracle.down == lattice.down
+    assert len(calls) == len(built)
+    assert len(built[len(t_inputs) - 1]) == 131  # four parallel 2-cycles
+    assert len(built[-1]) == 203  # K6: Bell(6)
 
 
 def test_counts_digest_pinned():
@@ -349,22 +386,52 @@ def test_identity_builds_one_bond_lattice_per_intersection_graph(example_digraph
     assert len(built) == 2
 
 
+def _parallel_two_cycles_file(tmp_path, k):
+    path = tmp_path / f"parallel{k}.txt"
+    path.write_text("digraph 2\n" + "".join(f"a{i} 1 2\nb{i} 2 1\n" for i in range(k)))
+    return str(path)
+
+
+def test_lattice_dump_answers_on_five_parallel_two_cycles(tmp_path, capsys):
+    """1496 elements with their order: down-set sums are (-1)^k on the
+    k-cycle partitions and 0 above them."""
+    path = _parallel_two_cycles_file(tmp_path, 5)
+    start = time.monotonic()
+    assert main(["lattice-dump", path, "--format", "json"]) == 0
+    assert time.monotonic() - start < 2.0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["size"] == len(result["elements"]) == 1496
+    minimal = set(result["minimal"])
+    assert len(minimal) == 120
+    for i, e in enumerate(result["elements"]):
+        assert e["downset_sum"] == ((-1) ** len(e["blocks"]) if i in minimal else 0)
+
+
 def test_lattice_dump_refuses_before_the_order(tmp_path, monkeypatch, capsys):
-    """Six parallel 2-cycles have 22482 elements, past ORDER_CAP: the CLI
-    exits 2 without building the refinement order."""
+    """Seven parallel 2-cycles pass SEMILATTICE_CAP during generation: the
+    CLI exits 2 before any order is built."""
 
     def refuse(*args):
         raise AssertionError("refinement order built past the cap")
 
-    monkeypatch.setattr(lattice_module, "refinement_order", refuse)
-    path = tmp_path / "six.txt"
-    path.write_text(
-        "digraph 2\n" + "".join(f"a{i} 1 2\nb{i} 2 1\n" for i in range(6))
-    )
+    monkeypatch.setattr(lattice_module, "coarsening_order", refuse)
+    path = _parallel_two_cycles_file(tmp_path, 7)
     start = time.monotonic()
-    assert main(["lattice-dump", str(path)]) == 2
+    assert main(["lattice-dump", path]) == 2
     assert time.monotonic() - start < 5.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "22482 elements" in captured.err
-    assert str(lattice_module.ORDER_CAP) in captured.err
+    assert captured.err == f"error: semilattice has more than {lattice_module.SEMILATTICE_CAP} elements\n"
+
+
+def test_digraph_commands_refuse_many_cycle_partitions(tmp_path, capsys):
+    """The complete digraph on 6 vertices has more cycle partitions than
+    SEMILATTICE_CAP; the digraph subcommands refuse while listing them."""
+    path = tmp_path / "complete6.txt"
+    arcs = [(u, v) for u in range(1, 7) for v in range(1, 7) if u != v]
+    path.write_text("digraph 6\n" + "".join(f"a{i} {u} {v}\n" for i, (u, v) in enumerate(arcs)))
+    start = time.monotonic()
+    assert main(["martin", str(path)]) == 2
+    assert time.monotonic() - start < 5.0
+    message = f"error: semilattice has more than {lattice_module.SEMILATTICE_CAP} elements\n"
+    assert capsys.readouterr().err == message
