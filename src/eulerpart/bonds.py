@@ -49,7 +49,8 @@ def require_simple(g):
 
 def _connected_masks(g):
     """The connected vertex partitions as frozensets of vertex masks (the
-    connected coarsenings of the singletons), and incident[v], v's edge mask."""
+    singletons closed under merging two blocks joined by an edge), and
+    incident[v], v's edge mask."""
     incident = [0] * g.n
     for e, (u, v) in enumerate(g.pairs):
         incident[u] |= 1 << e
@@ -71,8 +72,8 @@ class BondLattice(FinitePoset):
     """Connected-block vertex partitions of a simple graph under refinement.
 
     Rank of a partition is n minus its block count; for connected graphs the
-    top is the one-block partition.  The order is read from up-sets, the
-    connected coarsenings of each element's blocks, as in the Eulerian semilattice.
+    top is the one-block partition.  The order is read from the covers, each
+    a merge of two blocks joined by an edge, as in the Eulerian semilattice.
     """
 
     def __init__(self, graph):

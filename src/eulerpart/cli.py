@@ -34,6 +34,16 @@ CIRCUITS_COUNT_EDGE_CAP = 16
 # rows: on the complete digraph about 0.5 s at 128 rows and 1.3 s at 149
 # (CPython 3.11, one core of a 2-core machine)
 CIRCUITS_COUNT_ROW_CAP = 128
+# `charpoly` checks the cap of every requested route before it runs any.  The
+# determinant oracle takes n + 1 Bareiss determinants: 0.5 s on K50, 1.3 s on
+# K60.  The elementary-subgraph recursion is worst on K_n: 0.7 s on K9, 7.2 s
+# on K10.  The Harary-Sachs route keeps its own cap, veblen.HOST_VERTEX_CAP.
+CHARPOLY_DET_VERTEX_CAP = 50
+CHARPOLY_ELEMENTARY_VERTEX_CAP = 9
+# `weight` sums over decomposition classes: ten parallel edges 0.26 s, twelve 10.6 s
+WEIGHT_EDGE_CAP = 10
+# `pyramids` lists (k-1)! pyramids on K_k: K8 0.57 s, K9 4.6 s and 36 MB of JSON
+PYRAMIDS_PIECE_CAP = 8
 
 
 def _poly(p):
@@ -224,6 +234,8 @@ def cmd_chromatic(args, g):
 
 def cmd_pyramids(args, g):
     _require_simple(g)
+    if g.n > PYRAMIDS_PIECE_CAP:
+        raise CapExceededError(f"pyramids are listed up to {PYRAMIDS_PIECE_CAP} pieces")
     ps = heaps.PieceSystem(g)
     piece = _resolve_vertex(g, args.piece) if args.piece else 0
     pyramids = heaps.full_pyramids(ps, piece)
@@ -247,14 +259,19 @@ def cmd_pyramids(args, g):
 def cmd_charpoly(args, g):
     _require_simple(g)
     method = args.method or "all"
+    # each route with its vertex cap, in the order the routes run
+    routes = {
+        "det": (veblen.charpoly_determinant_oracle, CHARPOLY_DET_VERTEX_CAP),
+        "hs": (veblen.hs_characteristic_polynomial, veblen.HOST_VERTEX_CAP),
+        "elementary": (veblen.elementary_subgraph_formula, CHARPOLY_ELEMENTARY_VERTEX_CAP),
+    }
+    if method != "all":
+        routes = {method: routes[method]}
+    for name, (_, cap) in routes.items():
+        if g.n > cap:
+            raise CapExceededError(f"charpoly route {name!r} capped at {cap} vertices")
+    values = {name: route(g) for name, (route, _) in routes.items()}
     out = {"method": method}
-    values = {}
-    if method in ("det", "all"):
-        values["det"] = veblen.charpoly_determinant_oracle(g)
-    if method in ("hs", "all"):
-        values["hs"] = veblen.hs_characteristic_polynomial(g)
-    if method in ("elementary", "all"):
-        values["elementary"] = veblen.elementary_subgraph_formula(g)
     for name, poly in values.items():
         out[name] = _poly(poly)
     out["text"] = str(next(iter(values.values())))
@@ -268,6 +285,8 @@ def cmd_weight(args, g):
         raise ValueError("weights need an undirected multigraph file")
     if not veblen.is_veblen(g):
         raise ValueError("weights need every vertex degree even")
+    if g.m > WEIGHT_EDGE_CAP:
+        raise CapExceededError(f"weights are computed up to {WEIGHT_EDGE_CAP} edges")
     x = veblen.VeblenMultigraph.from_multigraph(g)
     value = veblen.weight(x, args.n)
     return {

@@ -359,6 +359,10 @@ def out_degree_factorial_product(d):
 # text format: header "digraph n" | "multigraph n", then "edge-id u v" lines
 # ---------------------------------------------------------------------------
 
+# The header count sizes per-vertex tables before any command runs: with one
+# 2-cycle, `martin` takes 0.2 s at 10^5 vertices and 19 s and 2.1 GB at 10^7.
+HEADER_VERTEX_CAP = 10**5
+
 
 def parse_graph(text, source="<string>"):
     """Parse the one-graph-per-file text format.
@@ -385,6 +389,11 @@ def parse_graph(text, source="<string>"):
                 raise GraphParseError(f"{source}:{lineno}: vertex count must be an integer")
             if count <= 0:
                 raise GraphParseError(f"{source}:{lineno}: vertex count must be positive")
+            if count > HEADER_VERTEX_CAP:
+                raise GraphParseError(
+                    f"{source}:{lineno}: vertex count {count} is over the cap of "
+                    f"{HEADER_VERTEX_CAP}"
+                )
             header = (parts[0], count)
             continue
         parts = line.split()

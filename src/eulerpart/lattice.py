@@ -7,20 +7,21 @@ is a copy of the bond lattice of the corresponding intersection graph),
 never by filtering all Bell(m) set partitions.  The circuit-partition counts,
 and so the Martin polynomials, read only that element set; the refinement
 order, built only by ``build_eulerian_semilattice`` for the down-set sums
-and the Möbius inversion, is read from the same generator's up-sets.
+and the Möbius inversion, is read from the covers that the generator's
+merges make.
 
 The generator works on int masks.  Bit e of an arc mask is arc e.  A cycle
 partition a is a list of cycle arc masks and cycle vertex masks, in the
-order of ``a.blocks``; its intersection graph G_a is a list of neighbour
-masks over those cycle indices, and the pieces of its connected piece
-partitions are masks over the same indices.  An element of T(D) is a
-frozenset of block arc masks, each block the OR of its piece's cycle arc
-masks.  A block is then a union of cycles whose intersection graph is
-connected, so it is balanced and connected by construction, and its
-circuits are counted by the BEST kernel with no test.  The generator is
-``poset.add_coarsenings``, with arc masks as payloads and vertex masks as
-touches.  Only ``eulerian_parts`` and ``build_eulerian_semilattice`` turn
-elements into ``SetPartition``s, each distinct element once.
+order of ``a.blocks``.  An element of T(D) is a frozenset of block arc
+masks.  The up-set of a is the bond lattice of its intersection graph G_a,
+whose covers merge two blocks that share a vertex; so T(D) is the closure
+of the cycle partitions under that merge.  A block is then a union of
+cycles whose intersection graph is connected, so it is balanced and
+connected by construction, and its circuits are counted by the BEST kernel
+with no test.  The generator is ``poset.add_coarsenings``, with arc masks as
+payloads and vertex masks as touches.  Only ``eulerian_parts`` and
+``build_eulerian_semilattice`` turn elements into ``SetPartition``s, each
+distinct element once.
 
 Most blocks recur across many elements, since every element above a cycle
 partition coarsens it; so each call that reads many products counts each
@@ -111,9 +112,10 @@ def _element_masks(d, minimal):
     the order first reached from the cycle partitions in ``minimal``.
 
     The up-set of a cycle partition a is isomorphic to the bond lattice of
-    its intersection graph, so every element is a coarsening of some a
-    along a connected piece partition.  Refuses as soon as the set passes
-    SEMILATTICE_CAP.
+    its intersection graph, so every element is reached from some a by
+    merging blocks that share a vertex.  One ``seen`` serves every cycle
+    partition, so each element's merges are made once.  Refuses as soon as
+    the set passes SEMILATTICE_CAP.
     """
     ends = [1 << u | 1 << v for u, v in d.arcs]
     seen = {}
@@ -140,8 +142,8 @@ def _cycle_partitions_of_eulerian(d):
 def build_eulerian_semilattice(d):
     """The semilattice of an Eulerian digraph, refinement order included.
 
-    The elements above x are the connected coarsenings of x's blocks, so
-    the order is read from the generator's up-sets, with no comparison.
+    Each cover merges two blocks that share a vertex, so the order is read
+    from those merges, with no comparison.
     """
     minimal = _cycle_partitions_of_eulerian(d)
     ends = [1 << u | 1 << v for u, v in d.arcs]

@@ -5,11 +5,15 @@ down-set scans cheap for the lattice sizes this package works at (tens of
 thousands of elements at most).  The covers and maximal-element routines read
 such masks whether they are kept by position or by value, so heaps of pieces
 share them.
+
+Both lattices of the package, the Eulerian-part semilattice and the bond
+lattice, are the closure of their minimal elements under one step: merge two
+blocks that touch.  The pairs that step makes are the covers, so
+``add_coarsenings`` generates the elements with it and ``coarsening_order``
+reads the order from it.
 """
 
 from __future__ import annotations
-
-import math
 
 from eulerpart.errors import CapExceededError
 from eulerpart.partition import SetPartition, all_set_partitions
@@ -201,73 +205,54 @@ def refinement_order(partitions):
 
 
 def add_coarsenings(seen, payloads, touches, cap):
-    """Add to ``seen`` each coarsening of the blocks 0..k-1 along a connected
-    piece partition, as a frozenset of merged payload masks (the OR of its
-    pieces'); blocks i and j are adjacent when their touch masks meet.
-    Refuses as soon as ``seen`` passes cap.  The recursion pivots on the
-    least unplaced block and tries every piece mask holding it, largest
-    first; whether a piece is connected is found once per piece mask.
+    """Add to ``seen`` the element ``frozenset(payloads)`` and every element
+    above it, each a frozenset of payload masks: one step merges two blocks
+    whose touch masks meet, ORing their payloads and their touches.  An
+    element already in ``seen`` had its merges made when it was added, so a
+    start found there adds nothing.  Refuses as soon as ``seen`` passes cap.
     """
-    neighbours = [
-        sum(1 << j for j, other in enumerate(touches) if j != i and other & mine)
-        for i, mine in enumerate(touches)
-    ]
-    block_of = {}  # piece mask -> its merged payload, 0 when disconnected
-    blocks = []
-
-    def block(piece):
-        reached = frontier = piece & -piece
-        merged = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            i = low.bit_length() - 1
-            merged |= payloads[i]
-            new = neighbours[i] & piece & ~reached
-            reached |= new
-            frontier |= new
-        return merged if reached == piece else 0
-
-    def rec(remaining):
-        if not remaining:
-            element = frozenset(blocks)
+    start = frozenset(payloads)
+    if start in seen:
+        return
+    seen[start] = None
+    stack = [(tuple(payloads), tuple(touches))]
+    while stack:
+        blocks, touch = stack.pop()
+        for i, j in _touching_pairs(touch):
+            merged = blocks[:i] + blocks[i + 1 : j] + blocks[j + 1 :] + (blocks[i] | blocks[j],)
+            element = frozenset(merged)
             if element not in seen:
                 seen[element] = None
                 if len(seen) > cap:
                     raise CapExceededError(f"semilattice has more than {cap} elements")
-            return
-        pivot = remaining & -remaining
-        rest = remaining ^ pivot
-        sub = rest
-        while True:
-            piece = pivot | sub
-            merged = block_of.get(piece)
-            if merged is None:
-                merged = block_of[piece] = block(piece)
-            if merged:
-                blocks.append(merged)
-                rec(remaining ^ piece)
-                blocks.pop()
-            if not sub:
-                return
-            sub = (sub - 1) & rest
+                rest = touch[:i] + touch[i + 1 : j] + touch[j + 1 :]
+                stack.append((merged, rest + (touch[i] | touch[j],)))
 
-    rec((1 << len(payloads)) - 1)
+
+def _touching_pairs(touch):
+    """The pairs i < j of blocks whose touch masks meet."""
+    for j in range(1, len(touch)):
+        for i in range(j):
+            if touch[i] & touch[j]:
+                yield i, j
 
 
 def coarsening_order(elements, touches):
     """Elements of payload masks, sorted as ``refinement_order`` sorts, and
     their down masks; a payload touches the OR of ``touches`` over its bits.
-    The elements above x are the connected coarsenings of x's blocks, so x
-    sets its bit in the down mask of each, and no two are compared."""
+    A cover merges two blocks that touch, and the sort puts everything below
+    an element before it, so each down mask is complete when its element is
+    reached and is pushed into the elements that its merges reach; no two
+    elements are compared and no up-set is generated."""
     elements = sorted(elements, key=lambda x: (-len(x), sorted(tuple(bits(b)) for b in x)))
     index = {x: i for i, x in enumerate(elements)}
     down = [0] * len(elements)
     for i, x in enumerate(elements):
-        up = {}
-        add_coarsenings(up, list(x), [mask_union(touches, b) for b in x], math.inf)
-        for y in up:
-            down[index[y]] |= 1 << i
+        down[i] |= 1 << i
+        blocks = tuple(x)
+        for a, b in _touching_pairs([mask_union(touches, block) for block in blocks]):
+            merged = x - {blocks[a], blocks[b]} | {blocks[a] | blocks[b]}
+            down[index[merged]] |= down[i]
     return elements, down
 
 

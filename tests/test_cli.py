@@ -1,14 +1,20 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 import eulerpart.bonds as bonds_module
 import eulerpart.cli as cli_module
+import eulerpart.graphs as graphs_module
+import eulerpart.heaps as heaps_module
 import eulerpart.lattice as lattice_module
 import eulerpart.trails as trails_module
 import eulerpart.veblen as veblen_module
 from eulerpart.cli import main
+from eulerpart.errors import GraphParseError
 from eulerpart.verify import (
     VerifyConfig,
     check_cancellation,
@@ -19,6 +25,7 @@ from eulerpart.verify import (
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLE = str(REPO / "graphs" / "example_digraph.txt")
 TRIANGLE = str(REPO / "graphs" / "triangle.txt")
+FILE_COMMANDS = [name for name, (_, needs_file) in cli_module.COMMANDS.items() if needs_file]
 
 
 def run_cli(args, capsys):
@@ -311,3 +318,99 @@ def test_weight_multiplicative_mutation_is_caught(monkeypatch):
     assert check_weight_multiplicative(config).checked == 36
     monkeypatch.setattr(veblen_module, "weight", off_when_disconnected)
     assert not check_weight_multiplicative(config).ok
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the work ran before the cap")
+
+
+def test_huge_declared_vertex_count_refused_at_parse(tmp_path, capsys):
+    """The header count is refused before any per-vertex table is built, so
+    a three-line file declaring 10^8 vertices exits 2 at once everywhere."""
+    cap = graphs_module.HEADER_VERTEX_CAP
+    # one over the cap first: cheap even if the cap were gone, unlike 10^8
+    with pytest.raises(GraphParseError, match=f"over the cap of {cap}"):
+        graphs_module.parse_graph(f"digraph {cap + 1}\na 1 2\nb 2 1\n")
+    files = {
+        "digraph": _write(tmp_path, "d.txt", "digraph 100000000\na 1 2\nb 2 1\n"),
+        "multigraph": _write(tmp_path, "m.txt", "multigraph 100000000\na 1 2\nb 2 1\n"),
+    }
+    for command in FILE_COMMANDS:
+        for path in files.values():
+            start = time.perf_counter()
+            status, out, err = run_cli([command, path], capsys)
+            assert time.perf_counter() - start < 1.0
+            assert status == 2 and out == "" and f"over the cap of {cap}" in err
+    at_cap = _write(tmp_path, "cap.txt", f"digraph {cap}\na 1 2\nb 2 1\n")
+    status, out, _ = run_cli(["martin", at_cap, "--format", "json"], capsys)
+    assert status == 0 and json.loads(out)["result"]["f"] == [1]
+
+
+def test_charpoly_checks_every_route_cap_before_any_route(tmp_path, monkeypatch, capsys):
+    def complete(n):
+        return _write(tmp_path, f"k{n}.txt", f"multigraph {n}\n" + "".join(
+            f"e{u}_{v} {u} {v}\n" for u in range(1, n + 1) for v in range(u + 1, n + 1)
+        ))
+
+    lone_edge = _write(tmp_path, "lone.txt", "multigraph 400\ne 1 2\n")
+    for route in ("charpoly_determinant_oracle", "hs_characteristic_polynomial",
+                  "elementary_subgraph_formula"):
+        monkeypatch.setattr(veblen_module, route, _refuse)
+    requests = [
+        (["--method", "all"], lone_edge, "'det' capped at 50"),
+        (["--method", "det"], lone_edge, "'det' capped at 50"),
+        (["--method", "all"], complete(9), "'hs' capped at 8"),
+        (["--method", "hs"], complete(9), "'hs' capped at 8"),
+        (["--method", "elementary"], complete(10), "'elementary' capped at 9"),
+    ]
+    for method, path, message in requests:
+        status, out, err = run_cli(["charpoly", path, *method], capsys)
+        assert status == 2 and out == "" and message in err
+    monkeypatch.undo()
+    # at the caps, each route run alone still answers
+    path9 = _write(tmp_path, "p9.txt", "multigraph 9\n" + "".join(
+        f"e{i} {i} {i + 1}\n" for i in range(1, 9)
+    ))
+    status, out, _ = run_cli(
+        ["charpoly", path9, "--method", "elementary", "--format", "json"], capsys
+    )
+    assert status == 0 and json.loads(out)["result"]["elementary"][-1] == 1
+    path50 = _write(tmp_path, "p50.txt", "multigraph 50\ne 1 2\n")
+    status, out, _ = run_cli(["charpoly", path50, "--method", "det", "--format", "json"], capsys)
+    assert status == 0 and json.loads(out)["result"]["det"][-3:] == [-1, 0, 1]
+
+
+def test_weight_refuses_over_the_edge_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(veblen_module, "weight", _refuse)
+    monkeypatch.setattr(veblen_module, "is_decomposable", _refuse)
+    monkeypatch.setattr(veblen_module.VeblenMultigraph, "from_multigraph", _refuse)
+    for m in (12, 30):
+        text = "multigraph 2\n" + "".join(f"e{i} 1 2\n" for i in range(m))
+        bundle = _write(tmp_path, f"b{m}.txt", text)
+        status, out, err = run_cli(["weight", bundle], capsys)
+        assert status == 2 and out == "" and "up to 10 edges" in err
+    monkeypatch.undo()
+    cycle = _write(tmp_path, "c10.txt", "multigraph 10\n" + "".join(
+        f"e{i} {i + 1} {(i + 1) % 10 + 1}\n" for i in range(10)
+    ))
+    status, out, _ = run_cli(["weight", cycle, "--format", "json"], capsys)
+    assert status == 0 and json.loads(out)["result"]["decomposable"] is False
+
+
+def test_pyramids_refuses_over_the_piece_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(heaps_module, "full_pyramids", _refuse)
+    path20 = _write(tmp_path, "p20.txt", "multigraph 20\n" + "".join(
+        f"e{i} {i} {i + 1}\n" for i in range(1, 20)
+    ))
+    k12 = _write(tmp_path, "k12.txt", "multigraph 12\n" + "".join(
+        f"e{u}_{v} {u} {v}\n" for u in range(1, 13) for v in range(u + 1, 13)
+    ))
+    for path in (path20, k12):
+        status, out, err = run_cli(["pyramids", path], capsys)
+        assert status == 2 and out == "" and "up to 8 pieces" in err

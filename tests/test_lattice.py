@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
 import pytest
 
+import eulerpart.bonds as bonds_module
 import eulerpart.lattice as lattice_module
+import eulerpart.poset as poset_module
 from eulerpart.bonds import BondLattice
 from eulerpart.cli import main
 from eulerpart.corpus import complete_graph, connected_simple_graphs, eulerian_digraph_corpus
@@ -365,6 +368,46 @@ def test_orders_equal_the_pairwise_refinement_order(monkeypatch):
     assert len(calls) == len(built)
     assert len(built[len(t_inputs) - 1]) == 131  # four parallel 2-cycles
     assert len(built[-1]) == 203  # K6: Bell(6)
+
+
+def test_order_is_read_from_merges_alone(monkeypatch):
+    """Given the elements, ``coarsening_order`` pushes each down mask along
+    its merges and regenerates no up-set: with the generator patched to
+    raise, both lattices' orders still equal ``refinement_order``'s."""
+    inputs = []
+    for d in list(eulerian_digraph_corpus(8)) + [parallel_two_cycles(4)]:
+        ends = [1 << u | 1 << v for u, v in d.arcs]
+        inputs.append((lattice_module._element_masks(d, cycle_partitions(d)), ends))
+    for g in list(connected_simple_graphs(5)) + [complete_graph(6)]:
+        elements, incident = bonds_module._connected_masks(g)
+        inputs.append((list(elements), incident))
+
+    def refuse(*args):
+        raise AssertionError("an up-set was regenerated")
+
+    monkeypatch.setattr(poset_module, "add_coarsenings", refuse)
+    for elements, touches in inputs:
+        ordered, down = poset_module.coarsening_order(elements, touches)
+        oracle = refinement_order([SetPartition(map(poset_module.bits, x)) for x in elements])
+        assert [SetPartition(map(poset_module.bits, x)) for x in ordered] == list(oracle.elements)
+        assert down == oracle.down
+
+
+def test_coarsening_from_a_seen_start_adds_nothing():
+    """Each element's merges are made when it is added, so a start already
+    in ``seen`` (reached from an earlier cycle partition) adds nothing."""
+    path = [0b01, 0b11, 0b10]  # vertices 0 - 1 - 2, touching on edge masks
+    payloads = [1 << v for v in range(3)]
+    seen = {}
+    poset_module.add_coarsenings(seen, payloads, path, math.inf)
+    assert len(seen) == 4  # the connected partitions of a 3-vertex path
+    before = list(seen)
+    poset_module.add_coarsenings(seen, payloads, path, math.inf)
+    poset_module.add_coarsenings(seen, [0b011, 0b100], [0b11, 0b10], math.inf)
+    assert list(seen) == before
+    lone = {frozenset(payloads): None}
+    poset_module.add_coarsenings(lone, payloads, path, math.inf)
+    assert lone == {frozenset(payloads): None}
 
 
 def test_counts_digest_pinned():
