@@ -15,6 +15,14 @@ built once per call.  One search from the root over an NBC base gives
 part of the fundamental cycle of {u, v} is ``path[u] ^ path[v]``, and the
 tree edges from i down to the meet of the root paths of i and j are
 ``path[i] & ~path[j]``.
+
+The recursive dictionary and its inverse pass through a full pyramid over
+the vertices.  It is labelled by the identity, so it is held as a list
+``down[v]`` of vertex masks, the vertices below v with v included: the
+recursive map composes the two halves of each split on those masks, and the
+inverse reads them from one pass over the orientation in topological order.
+No ``heaps.PieceSystem`` or ``heaps.Heap`` is built per call; the ``Heap``
+forms of the three maps remain in the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -24,14 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Digraph, orientation_arcs
-from eulerpart.heaps import (
-    Heap,
-    PieceSystem,
-    compose,
-    orientation_to_pyramid,
-    pyramid_to_orientation,
-)
+from eulerpart.graphs import Digraph, is_orientation_of
 from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
@@ -274,37 +275,41 @@ def chromatic_polynomial_whitney(g, order=None):
 # ---------------------------------------------------------------------------
 
 
-def _is_acyclic(n, arcs):
-    """No directed cycle: peeling off the sinks of what is left empties the
-    vertex set."""
-    out = [0] * n
-    for u, v in arcs:
-        out[u] |= 1 << v
-    left = (1 << n) - 1
-    while left:
-        sinks_left = 0
-        for v in range(n):
-            if left >> v & 1 and not out[v] & left:
-                sinks_left |= 1 << v
-        if not sinks_left:
-            return False
-        left &= ~sinks_left
-    return True
-
-
 def acyclic_orientations(g):
     """The acyclic orientations in the binary-counter order of
-    ``orientation_arcs``; a digraph is built only for those."""
+    ``graphs.orientation_arcs``.
+
+    Edges are oriented from the last to the first, each first along its
+    sorted pair and then against it, which is that order; a branch stops at
+    the first arc that closes a directed cycle.  ``reach[v]`` is the mask of
+    the vertices v reaches, v included, so a -> b closes a cycle exactly
+    when b reaches a.
+    """
     require_simple(g)
-    return [
-        Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
-        for arcs in orientation_arcs(g)
-        if _is_acyclic(g.n, arcs)
-    ]
+    pairs = [tuple(sorted(p)) for p in g.pairs]
+    arcs = [None] * g.m
+    out = []
+
+    def grow(e, reach):
+        if e < 0:
+            out.append(Digraph(g.n, arcs, g.vertex_labels, g.edge_labels))
+            return
+        u, v = pairs[e]
+        for a, b in ((u, v), (v, u)):
+            if not reach[b] >> a & 1:
+                arcs[e] = (a, b)
+                grow(e - 1, [r | reach[b] if r >> a & 1 else r for r in reach])
+
+    grow(g.m - 1, [1 << v for v in range(g.n)])
+    return out
 
 
 def sinks(d):
-    return [v for v in range(d.n) if d.out_degree(v) == 0]
+    """The vertices with no out-arc, read from the mask of arc tails."""
+    tails = 0
+    for u, _ in d.arcs:
+        tails |= 1 << u
+    return [v for v in range(d.n) if not tails >> v & 1]
 
 
 def unique_sink_orientations(g, x):
@@ -422,11 +427,19 @@ def base_to_orientation_direct(t, g, x, order):
     return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
 
 
-def _base_pyramid(ps, pm, tree, inside, x):
-    """The pyramid of the NBC base on the vertex mask inside, apex x; tree is
-    the rank mask of the base edges within inside."""
+def _pyramid_masks(conc, pm, tree, inside, x, down):
+    """Fill in the pyramid of the NBC base on the vertex mask inside, apex x;
+    tree is the rank mask of the base edges within inside.
+
+    The pyramid is full and labelled by the identity, so it is held as
+    ``down[v]``, the mask of the vertices below v, v included.  The two
+    halves of the split are composed as ``heaps.compose`` does: below each
+    y of x's side go the down-sets of the far-side vertices concurrent
+    (``conc``, the neighbour masks) with some z <= y.
+    """
     if inside & (inside - 1) == 0:
-        return Heap.singleton(x)
+        down[x] = 1 << x
+        return
     top = _top_induced(pm, inside)
     assert top >= 0, "connected induced subgraph with >= 2 vertices has an edge"
     assert tree >> top & 1, "an NBC base always contains the largest induced edge"
@@ -443,9 +456,15 @@ def _base_pyramid(ps, pm, tree, inside, x):
                 grown = True
     other = inside & ~side
     u = (pm[top] & other).bit_length() - 1
-    p1 = _base_pyramid(ps, pm, far, other, u)
-    p2 = _base_pyramid(ps, pm, tree ^ 1 << top ^ far, side, x)
-    return compose(ps, p1, p2)
+    _pyramid_masks(conc, pm, far, other, u, down)
+    _pyramid_masks(conc, pm, tree ^ 1 << top ^ far, side, x, down)
+    far_sets = [(conc[w], down[w]) for w in bits(other)]
+    for y in bits(side):
+        below = mask = down[y]
+        for concurrent, far_down in far_sets:
+            if concurrent & below:
+                mask |= far_down
+        down[y] = mask
 
 
 def base_to_orientation_recursive(t, g, x, order):
@@ -454,20 +473,50 @@ def base_to_orientation_recursive(t, g, x, order):
     require_simple(g)
     order = check_edge_order(g, order)
     tree, _ = _check_nbc_base(g, t, order, x)
-    ps = PieceSystem(g)
-    pyramid = _base_pyramid(ps, _vertex_masks(g, order), tree, (1 << g.n) - 1, x)
-    return pyramid_to_orientation(ps, pyramid)
+    down = [0] * g.n
+    _pyramid_masks(g._neighbor_masks, _vertex_masks(g, order), tree, (1 << g.n) - 1, x, down)
+    arcs = [(u, v) if down[v] >> u & 1 else (v, u) for u, v in map(sorted, g.pairs)]
+    return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
+
+
+def _down_masks(n, arcs):
+    """down[v]: the mask of the vertices with a directed path to v, v
+    included.  A vertex is peeled once all its in-neighbours are, so the
+    masks are filled in a topological order; a sweep over the vertices that
+    peels none means a directed cycle, and raises ValueError."""
+    below = [0] * n  # the in-neighbours of v, as a mask and as a list
+    into = [[] for _ in range(n)]
+    for u, v in arcs:
+        below[v] |= 1 << u
+        into[v].append(u)
+    down = [0] * n
+    left = (1 << n) - 1
+    while left:
+        before = left
+        for v in range(n):
+            if left >> v & 1 and not below[v] & left:
+                mask = 1 << v
+                for u in into[v]:
+                    mask |= down[u]
+                down[v] = mask
+                left ^= 1 << v
+        if left == before:
+            raise ValueError("orientation is cyclic")
+    return down
 
 
 def orientation_to_base(o, g, x, order):
     """Inverse dictionary: from an acyclic unique-sink orientation back to
     the NBC base, peeling the largest induced edge at each level.  The
-    levels are vertex masks cut straight from the pyramid's down-sets."""
+    levels are vertex masks cut straight from the pyramid's down-sets,
+    which are the orientation's down-sets."""
     require_simple(g)
     order = check_edge_order(g, order)
     if sinks(o) != [x]:
         raise ValueError(f"orientation does not have unique sink {x}")
-    down = orientation_to_pyramid(PieceSystem(g), o).down
+    if not is_orientation_of(o, g):
+        raise ValueError("not an orientation of the concurrence graph")
+    down = _down_masks(g.n, o.arcs)
     pm = _vertex_masks(g, order)
 
     def rec(inside):
@@ -569,9 +618,11 @@ def orientation_counts_vs_chromatic(g):
     which chromatic-polynomial statistic each one matches."""
     require_simple(g)
     acyclic = acyclic_orientations(g)
-    per_vertex = []
-    for x in range(g.n):
-        per_vertex.append(sum(1 for o in acyclic if sinks(o) == [x]))
+    per_vertex = [0] * g.n
+    for o in acyclic:
+        s = sinks(o)
+        if len(s) == 1:
+            per_vertex[s[0]] += 1
     chrom = chromatic_polynomial(g)
     return OrientationCountReport(
         total_acyclic=len(acyclic),

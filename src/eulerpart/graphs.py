@@ -167,15 +167,24 @@ class Digraph:
         )
         if len(self.vertex_labels) != n or len(self.edge_labels) != len(arcs):
             raise ValueError("label tables must match vertex/edge counts")
-        self._out = [[] for _ in range(n)]
-        self._in = [[] for _ in range(n)]
+
+    @cached_property
+    def _out(self):
+        """Per vertex, the (arc id, head) list, sorted since arcs are
+        appended in id order.  Built on the first query, so digraphs read
+        only for their arcs pay nothing."""
+        out = [[] for _ in range(self.n)]
         for e, (u, v) in enumerate(self.arcs):
-            self._out[u].append((e, v))
-            self._in[v].append((e, u))
-        for lst in self._out:
-            lst.sort()
-        for lst in self._in:
-            lst.sort()
+            out[u].append((e, v))
+        return out
+
+    @cached_property
+    def _in(self):
+        """Per vertex, the (arc id, tail) list, built like ``_out``."""
+        into = [[] for _ in range(self.n)]
+        for e, (u, v) in enumerate(self.arcs):
+            into[v].append((e, u))
+        return into
 
     @property
     def m(self):
@@ -234,10 +243,10 @@ class Digraph:
         )
 
     def is_balanced(self, edge_subset=None):
-        if edge_subset is None:
-            return all(self.out_degree(v) == self.in_degree(v) for v in range(self.n))
+        """In-degree equals out-degree at every vertex, over the given arcs
+        (all of them by default); read from the arc list."""
         net = {}
-        for e in edge_subset:
+        for e in self.edges() if edge_subset is None else edge_subset:
             u, v = self.arcs[e]
             net[u] = net.get(u, 0) + 1
             net[v] = net.get(v, 0) - 1

@@ -93,17 +93,31 @@ class EulerianSemilattice(FinitePoset):
         self.minimal = minimal  # the cycle partitions, canonical order
         self.products = products
         assert all(products.values())
+        self._values = list(products.values())  # indexed like self.elements
         self._sums = {}
 
     def signed_product(self, b):
         return self.products[b]
 
     def downset_sum(self, b):
-        """Sum of signed circuit products over the down-set of b."""
+        """Sum of signed circuit products over the down-set of b, read by
+        index from b's down mask.
+
+        A down mask is as wide as the semilattice, and each step of ``bits``
+        costs that width, so the set bits are found in the mask's binary
+        string instead: the character at index i is bit ``last - i``.
+        """
         if b not in self:
             raise ValueError("element does not belong to the semilattice")
         if b not in self._sums:
-            self._sums[b] = sum(self.products[a] for a in self.down_set(b))
+            digits = bin(self.down[self.index[b]])
+            last = len(digits) - 1
+            total = 0
+            at = digits.find("1", 2)
+            while at >= 0:
+                total += self._values[last - at]
+                at = digits.find("1", at + 1)
+            self._sums[b] = total
         return self._sums[b]
 
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import eulerpart.bonds as bonds_module
+import eulerpart.heaps as heaps_module
 from eulerpart.corpus import connected_simple_graphs
 from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Digraph, Multigraph, orientations
@@ -513,3 +514,51 @@ def test_bijection_checks_catch_a_faulty_map(monkeypatch, name, fault):
     monkeypatch.setattr(bonds_module, name, fault(getattr(bonds_module, name)))
     assert check_nbc_dictionaries(k4(), orders)[0]
     assert not check_bijection_suite(config).ok
+
+
+def test_orientation_to_base_refuses_cycles_and_extra_sinks():
+    """On K4, 1 -> 2 -> 3 -> 1 with every other arc into 0 has 0 as its only
+    sink, so only the cycle check can refuse it; on the path 0 - 1 - 2, the
+    arcs out of 1 leave two sinks."""
+    g = k4()
+    order = tuple(g.edges())
+    cyclic = Digraph(4, [(1, 0), (2, 0), (3, 0), (1, 2), (3, 1), (2, 3)])
+    assert sinks(cyclic) == [0]
+    with pytest.raises(ValueError, match="orientation is cyclic"):
+        orientation_to_base(cyclic, g, 0, order)
+    two_sinks = Digraph(3, [(1, 0), (1, 2)])
+    with pytest.raises(ValueError, match="does not have unique sink 0"):
+        orientation_to_base(two_sinks, p3(), 0, (0, 1))
+    # an acyclic orientation of K4, with the arcs of edges 3 and 4 swapped
+    elsewhere = Digraph(4, [(1, 0), (2, 0), (3, 0), (1, 3), (1, 2), (3, 2)])
+    assert sinks(elsewhere) == [0]
+    with pytest.raises(ValueError, match="not an orientation"):
+        orientation_to_base(elsewhere, g, 0, order)
+
+
+def test_maps_build_no_heap_objects(monkeypatch):
+    """The three maps and the acyclic orientations run on masks: with every
+    way to make a PieceSystem or a Heap patched to raise, they still invert
+    each other on every connected simple graph with <= 5 vertices."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a heap object was built")
+
+    monkeypatch.setattr(heaps_module.PieceSystem, "__init__", refuse)
+    monkeypatch.setattr(heaps_module.Heap, "__init__", refuse)
+    monkeypatch.setattr(heaps_module.Heap, "_closed", classmethod(refuse))
+    for g in connected_simple_graphs(5):
+        order = tuple(g.edges())
+        by_sink = {}
+        for o in acyclic_orientations(g):
+            if len(sinks(o)) == 1:
+                by_sink.setdefault(sinks(o)[0], []).append(o)
+        for x in range(g.n):
+            for t in nbc_bases(g, order):
+                direct = base_to_orientation_direct(t, g, x, order)
+                recursive = base_to_orientation_recursive(t, g, x, order)
+                assert direct.arcs == recursive.arcs
+                assert orientation_to_base(recursive, g, x, order) == t
+            for o in by_sink[x]:
+                t = orientation_to_base(o, g, x, order)
+                assert base_to_orientation_recursive(t, g, x, order).arcs == o.arcs
