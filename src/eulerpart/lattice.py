@@ -10,15 +10,17 @@ order, built only by ``build_eulerian_semilattice`` for the down-set sums
 and the Möbius inversion, is read from the covers that the generator's
 merges make.
 
-The generator works on int masks.  Bit e of an arc mask is arc e.  A cycle
-partition a is a list of cycle arc masks and cycle vertex masks, in the
-order of ``a.blocks``.  An element of T(D) is a frozenset of block arc
-masks.  The up-set of a is the bond lattice of its intersection graph G_a,
-whose covers merge two blocks that share a vertex; so T(D) is the closure
-of the cycle partitions under that merge.  A block is then a union of
-cycles whose intersection graph is connected, so it is balanced and
-connected by construction, and its circuits are counted by the BEST kernel
-with no test.  The generator is ``poset.add_coarsenings``, with arc masks as
+The generator works on int masks from the first cycle on.  Bit e of an arc
+mask is arc e.  ``trails.cycle_partition_masks`` lists each cycle partition
+a as a list of (arc mask, vertex mask) pairs, one per cycle, in the order of
+their least arcs, which is the order of ``a.blocks``; no ``SetPartition`` is
+built for a cycle partition on the way to f_k.  An element of T(D) is a
+frozenset of block arc masks.  The up-set of a is the bond lattice of its
+intersection graph G_a, whose covers merge two blocks that share a vertex;
+so T(D) is the closure of the cycle partitions under that merge.  A block
+is then a union of cycles whose intersection graph is connected, so it is
+balanced and connected by construction, and its circuits are counted by the
+BEST kernel with no test.  The generator is ``poset.add_coarsenings``, with arc masks as
 payloads and vertex masks as touches.  Only ``eulerian_parts`` and
 ``build_eulerian_semilattice`` turn elements into ``SetPartition``s, each
 distinct element once.
@@ -31,6 +33,7 @@ distinct block's Eulerian circuits once, in a dict local to that call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from eulerpart.bonds import BondLattice
 from eulerpart.errors import NotEulerianError
@@ -41,6 +44,7 @@ from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
 from eulerpart.trails import (
     _best_from_arcs,
     count_eulerian_circuits,
+    cycle_partition_masks,
     cycle_partitions,
     intersection_graph,
 )
@@ -121,9 +125,10 @@ class EulerianSemilattice(FinitePoset):
         return self._sums[b]
 
 
-def _element_masks(d, minimal):
-    """The elements of T(d) as frozensets of block arc masks, each once, in
-    the order first reached from the cycle partitions in ``minimal``.
+def _element_masks(minimal):
+    """The elements of T(D) as frozensets of block arc masks, each once, in
+    the order first reached from the cycle partitions in ``minimal``, each a
+    list of (arc mask, vertex mask) pairs as ``cycle_partition_masks`` gives.
 
     The up-set of a cycle partition a is isomorphic to the bond lattice of
     its intersection graph, so every element is reached from some a by
@@ -131,26 +136,29 @@ def _element_masks(d, minimal):
     partition, so each element's merges are made once.  Refuses as soon as
     the set passes SEMILATTICE_CAP.
     """
-    ends = [1 << u | 1 << v for u, v in d.arcs]
     seen = {}
     for a in minimal:
-        arc_masks = [sum(1 << e for e in block) for block in a.blocks]
-        vertex_masks = [mask_union(ends, arcs) for arcs in arc_masks]
-        add_coarsenings(seen, arc_masks, vertex_masks, SEMILATTICE_CAP)
+        add_coarsenings(seen, [arcs for arcs, _ in a], [verts for _, verts in a], SEMILATTICE_CAP)
     return list(seen)
 
 
 def eulerian_parts(d, minimal):
     """The partitions of d's arc set into connected Eulerian parts, each
-    once, generated upward from the cycle partitions in ``minimal``."""
-    return [SetPartition(map(bits, b)) for b in _element_masks(d, minimal)]
+    once, generated upward from the cycle partitions in ``minimal``, given
+    as ``SetPartition``s."""
+    ends = [1 << u | 1 << v for u, v in d.arcs]
+    masks = []
+    for a in minimal:
+        arc_masks = [sum(1 << e for e in block) for block in a.blocks]
+        masks.append([(arcs, mask_union(ends, arcs)) for arcs in arc_masks])
+    return [SetPartition(map(bits, b)) for b in _element_masks(masks)]
 
 
 def _cycle_partitions_of_eulerian(d):
     if not is_eulerian(d):
         raise NotEulerianError("the Eulerian-part semilattice needs an Eulerian digraph")
     # each cycle partition is an element, so the element cap bounds them too
-    return cycle_partitions(d, SEMILATTICE_CAP)
+    return cycle_partition_masks(d, SEMILATTICE_CAP)
 
 
 def build_eulerian_semilattice(d):
@@ -161,12 +169,13 @@ def build_eulerian_semilattice(d):
     """
     minimal = _cycle_partitions_of_eulerian(d)
     ends = [1 << u | 1 << v for u, v in d.arcs]
-    elements, down = coarsening_order(_element_masks(d, minimal), ends)
+    elements, down = coarsening_order(_element_masks(minimal), ends)
     counts = {}
     products = {
         SetPartition(map(bits, b)): _signed_mask_product(d.arcs, b, counts) for b in elements
     }
-    return EulerianSemilattice(d, minimal, products, down)
+    cycles = [SetPartition([bits(arcs) for arcs, _ in a]) for a in minimal]
+    return EulerianSemilattice(d, cycles, products, down)
 
 
 def circuit_partition_counts(d):
@@ -174,7 +183,7 @@ def circuit_partition_counts(d):
     Eulerian circuit, (-1)^k times the signed circuit products of the
     partitions into k Eulerian parts, summed.  Builds no order and no
     ``SetPartition``."""
-    elements = _element_masks(d, _cycle_partitions_of_eulerian(d))
+    elements = _element_masks(_cycle_partitions_of_eulerian(d))
     out = [0] * max(len(b) for b in elements)
     counts = {}
     for b in elements:
@@ -195,17 +204,15 @@ def martin_polynomial(d):
     """Both generating polynomials of the circuit-partition counts.
 
     r(t) = sum f_k t^k;  s(t) = sum f_k (t-1)^(k-1), expanded in the
-    monomial basis.
+    monomial basis by the binomial theorem: the coefficient of t^j is
+    sum over k > j of f_k C(k-1, j) (-1)^(k-1-j).
     """
     f = circuit_partition_counts(d)
-    t = IntPoly.t()
-    r = IntPoly.zero()
-    s = IntPoly.zero()
-    shifted = t - 1
+    s = [0] * len(f)
     for k, fk in enumerate(f, start=1):
-        r = r + IntPoly.monomial(k, fk)
-        s = s + fk * shifted ** (k - 1)
-    return MartinPolynomials(f, r, s)
+        for j in range(k):
+            s[j] += fk * comb(k - 1, j) * (-1) ** (k - 1 - j)
+    return MartinPolynomials(f, IntPoly([0, *f]), IntPoly(s))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import math
 from eulerpart.errors import CapExceededError, InsertionError, NotEulerianError
 from eulerpart.graphs import Multigraph, is_eulerian
 from eulerpart.partition import SetPartition
+from eulerpart.poset import bits
 
 
 class Trail:
@@ -251,23 +252,47 @@ def _count_circuits_all_orientations(x):
 
 
 def _best_from_arcs(arcs):
-    """Circuit count of a balanced arc list (BEST theorem): in-trees to the
-    least touched vertex, as an exact Laplacian-minor determinant, times
-    prod over touched vertices of (outdeg - 1)!.  A list that is not weakly
-    connected has no spanning in-tree, so its count is 0."""
-    index = {v: i for i, v in enumerate(sorted({v for arc in arcs for v in arc}))}
+    """Circuit count of a balanced arc list (BEST theorem): in-trees to one
+    root, as an exact Laplacian-minor determinant, times prod over touched
+    vertices of (outdeg - 1)!.
+
+    A balanced digraph has the same in-tree count at every root, and none at
+    any root when it is not weakly connected, so the root is the first
+    vertex seen and a list that is not weakly connected counts 0.  Vertices
+    are indexed in first-seen order, and the minor without the root's row
+    and column is built directly and eliminated in place.  With as many arcs
+    as touched vertices, every out-degree is 1: the list is one circuit when
+    the successor orbit of the first tail has every vertex, and none
+    otherwise.
+    """
+    index = {}
+    for u, v in arcs:
+        if u not in index:
+            index[u] = len(index) - 1
+        if v not in index:
+            index[v] = len(index) - 1
     k = len(index)
     if k <= 1:
         return 0
-    lap = [[0] * k for _ in range(k)]
+    if len(arcs) == k:
+        successor = dict(arcs)
+        v = start = arcs[0][0]
+        for _ in range(k - 1):
+            v = successor[v]
+            if v == start:
+                return 0
+        return 1 if successor[v] == start else 0
+    # the root has index -1, so row and column i of the minor are vertex i
+    minor = [[0] * (k - 1) for _ in range(k - 1)]
     outdeg = [0] * k
     for u, v in arcs:
         u, v = index[u], index[v]
-        lap[u][u] += 1
-        lap[u][v] -= 1
         outdeg[u] += 1
-    minor = [row[1:] for row in lap[1:]]
-    return det_bareiss(minor) * math.prod(math.factorial(dv - 1) for dv in outdeg)
+        if u >= 0:
+            minor[u][u] += 1
+            if v >= 0:
+                minor[u][v] -= 1
+    return _bareiss(minor) * math.prod(math.factorial(dv - 1) for dv in outdeg)
 
 
 def count_circuits_best(d):
@@ -285,10 +310,14 @@ def count_circuits_best(d):
 
 def det_bareiss(matrix):
     """Fraction-free Gaussian elimination; exact determinant of an integer matrix."""
-    n = len(matrix)
-    if n == 0:
+    if not matrix:
         return 1
-    m = [row[:] for row in matrix]
+    return _bareiss([row[:] for row in matrix])
+
+
+def _bareiss(m):
+    """Determinant of a nonempty square integer matrix, eliminating it in place."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -300,11 +329,14 @@ def det_bareiss(matrix):
                     break
             else:
                 return 0
-        pivot = m[k][k]
+        row = m[k]
+        pivot = row[k]
         for i in range(k + 1, n):
+            other = m[i]
+            factor = other[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+                other[j] = (other[j] * pivot - factor * row[j]) // prev
+            other[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
 
@@ -461,32 +493,65 @@ def directed_cycles_through(d, e0, allowed):
     return cycles
 
 
-def cycle_partitions(d, cap=math.inf):
-    """All partitions of the arc set into directed cycles, canonically ordered.
+def cycle_partition_masks(d, cap=math.inf):
+    """All partitions of the arc set into directed cycles, canonically ordered,
+    each as a list of (arc mask, vertex mask) pairs, one pair per cycle.
 
-    Backtracking on the least uncovered arc; each returned value is a
-    SetPartition whose blocks are the cycles' arc sets.  Each is an element
-    of the Eulerian-part semilattice, so the semilattice's cap refuses as
-    soon as there are more than cap of them.
+    Backtracking on the least uncovered arc, whose cycles inside the
+    uncovered arcs are found by a walk from its head that takes out-arcs in
+    id order and visits no vertex twice; ``directed_cycles_through`` lists
+    the same cycles in the same order.  So each partition's cycles come in
+    the order of their least arcs.  Each partition is an element of the
+    Eulerian-part semilattice, so the semilattice's cap refuses as soon as
+    there are more than cap of them.
     """
-    all_edges = frozenset(d.edges())
+    heads = [v for _, v in d.arcs]
+    out_masks = [0] * d.n
+    for e, (u, _) in enumerate(d.arcs):
+        out_masks[u] |= 1 << e
     out = []
     blocks = []
 
+    def cycles_through(e0, allowed):
+        u0, v0 = d.arcs[e0]
+        found = []
+
+        def extend(u, arcs, seen):
+            if u == u0:
+                found.append((arcs, seen))
+                return
+            free = out_masks[u] & allowed
+            while free:
+                low = free & -free
+                free ^= low
+                w = heads[low.bit_length() - 1]
+                if w == u0 or not seen >> w & 1:
+                    extend(w, arcs | low, seen | 1 << w)
+
+        extend(v0, 1 << e0, 1 << u0 | 1 << v0)
+        return found
+
     def rec(remaining):
         if not remaining:
-            out.append(SetPartition(list(blocks)))
+            out.append(list(blocks))
             if len(out) > cap:
                 raise CapExceededError(f"semilattice has more than {cap} elements")
             return
-        e0 = min(remaining)
-        for cyc in directed_cycles_through(d, e0, remaining):
-            blocks.append(cyc)
-            rec(remaining - cyc)
+        e0 = (remaining & -remaining).bit_length() - 1
+        for cycle in cycles_through(e0, remaining):
+            blocks.append(cycle)
+            rec(remaining & ~cycle[0])
             blocks.pop()
 
-    rec(all_edges)
+    rec((1 << d.m) - 1)
     return out
+
+
+def cycle_partitions(d, cap=math.inf):
+    """All partitions of the arc set into directed cycles, canonically ordered,
+    as SetPartitions whose blocks are the cycles' arc sets: the listing of
+    ``cycle_partition_masks``, with its cap."""
+    return [SetPartition([bits(arcs) for arcs, _ in a]) for a in cycle_partition_masks(d, cap)]
 
 
 def intersection_graph(d, a):

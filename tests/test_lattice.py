@@ -195,8 +195,8 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys):
         circuit_partition_counts(six)
     assert calls == []
     # with the listing uncapped, the generator refuses inside the first one
-    real_cycles = lattice_module.cycle_partitions
-    monkeypatch.setattr(lattice_module, "cycle_partitions", lambda d, cap: real_cycles(d))
+    real_cycles = lattice_module.cycle_partition_masks
+    monkeypatch.setattr(lattice_module, "cycle_partition_masks", lambda d, cap: real_cycles(d))
     with pytest.raises(CapExceededError, match=message):
         circuit_partition_counts(six)
     assert len(calls) == 1
@@ -269,6 +269,28 @@ def test_martin_polynomial_cycle(three_cycle):
     polys = martin_polynomial(three_cycle)
     assert polys.s == IntPoly.one()
     assert polys.r == IntPoly.t()
+
+
+def _expanded_by_powers(f):
+    """r and s summed term by term, with the powers of t - 1 multiplied out."""
+    t = IntPoly.t()
+    r = IntPoly.zero()
+    s = IntPoly.zero()
+    shifted = t - 1
+    for k, fk in enumerate(f, start=1):
+        r = r + IntPoly.monomial(k, fk)
+        s = s + fk * shifted ** (k - 1)
+    return r, s
+
+
+def test_martin_polynomial_matches_expansion_by_powers():
+    """The binomial expansion of s and the coefficient list of r equal
+    sum f_k t^k and sum f_k (t-1)^(k-1) multiplied out."""
+    digraphs = list(eulerian_digraph_corpus(8))
+    for d in digraphs:
+        polys = martin_polynomial(d)
+        assert (polys.r, polys.s) == _expanded_by_powers(polys.f)
+    assert max(len(martin_polynomial(d).f) for d in digraphs) >= 4
 
 
 def test_cancellation(example_digraph, two_cycle, three_cycle):
@@ -377,7 +399,7 @@ def test_order_is_read_from_merges_alone(monkeypatch):
     inputs = []
     for d in list(eulerian_digraph_corpus(8)) + [parallel_two_cycles(4)]:
         ends = [1 << u | 1 << v for u, v in d.arcs]
-        inputs.append((lattice_module._element_masks(d, cycle_partitions(d)), ends))
+        inputs.append((lattice_module._element_masks(lattice_module.cycle_partition_masks(d)), ends))
     for g in list(connected_simple_graphs(5)) + [complete_graph(6)]:
         elements, incident = bonds_module._connected_masks(g)
         inputs.append((list(elements), incident))

@@ -1,16 +1,22 @@
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from eulerpart.corpus import eulerian_digraph_corpus
-from eulerpart.errors import InsertionError, NotEulerianError
+from eulerpart.errors import CapExceededError, InsertionError, NotEulerianError
 from eulerpart.graphs import Digraph, Multigraph
 from eulerpart.partition import SetPartition
+from eulerpart.poset import bits
 from eulerpart.trails import (
     Circuit,
     Trail,
+    _best_from_arcs,
     count_circuits_best,
     count_eulerian_circuits,
+    cycle_partition_masks,
     cycle_partitions,
     cycle_sequence,
     det_bareiss,
@@ -229,3 +235,142 @@ def test_intersection_graph_example(example_digraph):
     a2 = SetPartition([{0, 2, 4}, {1, 3, 5}, {6, 7}])
     g2 = intersection_graph(example_digraph, a2)
     assert g2.n == 3 and g2.m == 3  # a triangle
+
+
+def _listing_from_cycles_through(d, cap=math.inf):
+    """The cycle partitions as lists of (arc set, vertex mask) pairs, built on
+    ``directed_cycles_through``: backtracking on the least uncovered arc."""
+    out = []
+    blocks = []
+
+    def rec(remaining):
+        if not remaining:
+            out.append(list(blocks))
+            if len(out) > cap:
+                raise CapExceededError(f"semilattice has more than {cap} elements")
+            return
+        for cycle in directed_cycles_through(d, min(remaining), remaining):
+            verts = 0
+            for e in cycle:
+                u, v = d.arcs[e]
+                verts |= 1 << u | 1 << v
+            blocks.append((cycle, verts))
+            rec(remaining - cycle)
+            blocks.pop()
+
+    rec(frozenset(d.edges()))
+    return out
+
+
+def test_mask_listing_matches_cycles_through():
+    """The mask listing gives the cycle partitions of the listing built on
+    ``directed_cycles_through``, in its order, and refuses at the same count;
+    ``cycle_partitions`` is its SetPartition form."""
+    parallel = [Digraph(2, [(0, 1), (1, 0)] * k) for k in range(2, 6)]
+    for d in list(eulerian_digraph_corpus(8)) + parallel:
+        listing = cycle_partition_masks(d)
+        oracle = _listing_from_cycles_through(d)
+        assert [[(frozenset(bits(arcs)), verts) for arcs, verts in a] for a in listing] == oracle
+        assert cycle_partitions(d) == [SetPartition(c for c, _ in a) for a in oracle]
+    assert len(listing) == 120  # five parallel 2-cycles: 5! matchings
+    for d in [parallel[1], parallel[2]]:
+        count = len(cycle_partition_masks(d))
+        for cap in range(count + 1):
+            for listing in (cycle_partition_masks, _listing_from_cycles_through):
+                if cap < count:
+                    with pytest.raises(CapExceededError, match=f"more than {cap} elements"):
+                        listing(d, cap)
+                else:
+                    assert len(listing(d, cap)) == count
+
+
+def _closed_walk(rng, pool, length):
+    """A closed walk without loops through ``length`` arcs on vertices of
+    pool, which has at least three."""
+    while True:
+        walk = [rng.choice(pool)]
+        while len(walk) < length:
+            walk.append(rng.choice([v for v in pool if v != walk[-1]]))
+        if walk[-1] != walk[0]:
+            return list(zip(walk, walk[1:] + walk[:1]))
+
+
+def _balanced_arc_lists(seed=15):
+    """Balanced arc lists on scattered vertex ids: lone cycles (one circuit),
+    disjoint unions of cycles (arcs = vertices, none), unions of closed walks
+    on disjoint vertex sets (none), parallel 2-cycles, and unions of closed
+    walks on shared vertices, with out-degrees up to four."""
+    rng = random.Random(seed)
+    ids = list(range(3, 60, 7))
+    out = []
+    for _ in range(40):
+        k = rng.randint(2, 7)
+        cycle = rng.sample(ids, k)
+        out.append(list(zip(cycle, cycle[1:] + cycle[:1])))
+    for _ in range(40):
+        perm = rng.sample(ids, rng.randint(4, 8))
+        cut = rng.randint(2, len(perm) - 2)
+        parts = [perm[:cut], perm[cut:]]
+        arcs = [arc for c in parts for arc in zip(c, c[1:] + c[:1])]
+        rng.shuffle(arcs)
+        out.append(arcs)
+    for _ in range(40):
+        pool = rng.sample(ids, 6)
+        arcs = _closed_walk(rng, pool[:3], rng.randint(2, 4))
+        arcs += _closed_walk(rng, pool[3:], rng.randint(2, 5))
+        rng.shuffle(arcs)
+        out.append(arcs)
+    for k in range(2, 5):
+        u, v = rng.sample(ids, 2)
+        out.append([(u, v), (v, u)] * k)
+    for _ in range(120):
+        pool = rng.sample(ids, rng.randint(3, 4))
+        arcs = _closed_walk(rng, pool, rng.randint(2, 4))
+        while len(arcs) < 7 and rng.random() < 0.7:
+            arcs += _closed_walk(rng, pool, rng.randint(2, 9 - len(arcs)))
+        rng.shuffle(arcs)
+        out.append(arcs)
+    return out
+
+
+def _kernel_mismatches(kernel):
+    """The balanced arc lists on which kernel differs from enumeration."""
+    bad = []
+    for arcs in _balanced_arc_lists():
+        names = sorted({v for arc in arcs for v in arc})
+        label = {v: i for i, v in enumerate(names)}
+        d = Digraph(len(names), [(label[u], label[v]) for u, v in arcs])
+        if kernel(arcs) != len(eulerian_circuits(d)):
+            bad.append(arcs)
+    return bad
+
+
+def test_best_kernel_matches_enumeration():
+    """The kernel counts 1 on a lone cycle, 0 on a disconnected list and the
+    BEST count otherwise, whatever the vertex ids and the arc order."""
+    lists = _balanced_arc_lists()
+    values = [_best_from_arcs(arcs) for arcs in lists]
+    assert values[:40] == [1] * 40
+    assert values[40:120] == [0] * 80
+    assert max(values) > 1
+    assert _kernel_mismatches(_best_from_arcs) == []
+
+
+def _without_orbit_test(arcs):
+    if len(arcs) == len({v for arc in arcs for v in arc}):
+        return 1
+    return _best_from_arcs(arcs)
+
+
+def _without_factorials(arcs):
+    outdeg = {}
+    for u, _ in arcs:
+        outdeg[u] = outdeg.get(u, 0) + 1
+    return _best_from_arcs(arcs) // math.prod(math.factorial(k - 1) for k in outdeg.values())
+
+
+@pytest.mark.parametrize("kernel", [_without_orbit_test, _without_factorials])
+def test_best_kernel_mutations_are_caught(kernel):
+    """A one-cycle shortcut that skips the orbit length, and a kernel that
+    drops the (outdeg - 1)! factor, each differ from enumeration."""
+    assert _kernel_mismatches(kernel)
