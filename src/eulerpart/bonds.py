@@ -5,16 +5,30 @@ The chromatic polynomial has two independent routes (deletion-contraction
 in production, the broken-circuit subset sum for verification), so the
 downstream Martin-polynomial identity is a genuine cross-check.
 
-The dictionaries between NBC bases and unique-sink orientations work on int
-masks in rank space.  Under an edge order, bit r of an edge mask stands for
-``order[r]``, so the largest edge of a set is ``mask.bit_length() - 1`` and
-"every edge of C ranks below r" is ``C >> r == 0``.  Vertex sets are masks
-with bit v for vertex v, and ``pm[r]`` is the vertex mask of ``order[r]``,
-built once per call.  One search from the root over an NBC base gives
-``path[v]``, the rank mask of the tree edges from v to the root; the tree
-part of the fundamental cycle of {u, v} is ``path[u] ^ path[v]``, and the
-tree edges from i down to the meet of the root paths of i and j are
-``path[i] & ~path[j]``.
+The NBC work runs on int masks in rank space.  Under an edge order, bit r of
+an edge mask stands for ``order[r]``, so the largest edge of a set is
+``mask.bit_length() - 1`` and "every edge of C ranks below r" is
+``C >> r == 0``.  Vertex sets are masks with bit v for vertex v.  A simple
+graph and an order give one rank table (``_RankTable``): the order and the
+rank of each edge, ``pm[r]`` the vertex mask of ``order[r]`` and ``ends[r]``
+its endpoints, each edge's sorted pair, and per vertex its (rank bit,
+neighbour) list.  The graph and the order are validated once, when the table
+is built; one slot keeps the table of the last (graph, order) pair, so the
+many calls the dictionaries make under one order share it.
+
+The NBC sets come from one depth-first search, ``_nbc_forests``, over the
+broken-circuit complex (Whitney 1932; Björner 1992).  It adds edges in rank
+order; edge r, the largest so far, joins two components A and B, and the new
+set holds a broken circuit exactly when some edge ranked above r also joins
+A to B, so the branch stops there.  The search carries the component masks,
+which are the bond-lattice elements Rota's theorem groups the sets by.
+``simple_cycles``, ``broken_circuits`` and ``spanning_trees`` stay as the
+tests' oracle for it.
+
+One search from the root over an NBC base gives ``path[v]``, the rank mask of
+the tree edges from v to the root; the tree part of the fundamental cycle of
+{u, v} is ``path[u] ^ path[v]``, and the tree edges from i down to the meet
+of the root paths of i and j are ``path[i] & ~path[j]``.
 
 The recursive dictionary and its inverse pass through a full pyramid over
 the vertices.  It is labelled by the identity, so it is held as a list
@@ -28,11 +42,12 @@ forms of the three maps remain in the tests as their oracle.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Digraph, is_orientation_of
+from eulerpart.graphs import Digraph
 from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
@@ -99,17 +114,57 @@ def check_edge_order(g, order):
     return order
 
 
+class _RankTable:
+    """A simple graph under one edge order: ``order`` and ``rank[e]``, the
+    position of edge e in it; ``pairs[e]``, edge e's endpoints ascending;
+    ``ends[r]`` and ``pm[r]``, the endpoints and vertex mask of ``order[r]``;
+    ``adj[v]``, the (rank bit, neighbour) list of vertex v."""
+
+    __slots__ = ("graph", "order", "rank", "pairs", "ends", "pm", "adj")
+
+    def __init__(self, g, order):
+        self.graph, self.order = g, order
+        self.rank = {e: r for r, e in enumerate(order)}
+        self.pairs = [tuple(sorted(p)) for p in g.pairs]
+        self.ends = [self.pairs[e] for e in order]
+        self.pm = [1 << u | 1 << v for u, v in self.ends]
+        self.adj = [[] for _ in range(g.n)]
+        for r, (u, v) in enumerate(self.ends):
+            self.adj[u].append((1 << r, v))
+            self.adj[v].append((1 << r, u))
+
+
+_last_table = None
+
+
+def _rank_table(g, order):
+    """The rank table of g under order.  One slot keeps the table of the
+    last (graph, order) pair; a new pair is validated and its table built in
+    its place.  Callers work one pair at a time, so repeated calls validate
+    and build nothing, and no more than one table is ever kept."""
+    global _last_table
+    table = _last_table
+    if table is None or table.graph is not g or table.order != order:
+        require_simple(g)
+        table = _last_table = _RankTable(g, check_edge_order(g, order))
+    return table
+
+
+def _require_cycle_cap(g):
+    if g.n > CYCLE_ENUM_VERTEX_CAP or g.m > CYCLE_ENUM_EDGE_CAP:
+        raise CapExceededError(
+            f"cycle enumeration capped at {CYCLE_ENUM_VERTEX_CAP} vertices / "
+            f"{CYCLE_ENUM_EDGE_CAP} edges"
+        )
+
+
 def simple_cycles(g):
     """Vertex-simple cycles of length >= 3, each as a frozenset of edge ids.
 
     Exhaustive; refuses graphs beyond the desk-scale caps.
     """
     require_simple(g)
-    if g.n > CYCLE_ENUM_VERTEX_CAP or g.m > CYCLE_ENUM_EDGE_CAP:
-        raise CapExceededError(
-            f"cycle enumeration capped at {CYCLE_ENUM_VERTEX_CAP} vertices / "
-            f"{CYCLE_ENUM_EDGE_CAP} edges"
-        )
+    _require_cycle_cap(g)
     cycles = []
     for root in range(g.n):
         stack = [(root, [root], [])]
@@ -126,7 +181,9 @@ def simple_cycles(g):
 
 
 def broken_circuits(g, order):
-    """Each cycle minus its largest edge in the given linear order."""
+    """Each cycle minus its largest edge in the given linear order; with
+    ``spanning_trees`` and ``_is_forest``, the tests' oracle for the NBC
+    search."""
     order = check_edge_order(g, order)
     rank = {e: i for i, e in enumerate(order)}
     out = set()
@@ -154,36 +211,60 @@ def spanning_trees(g):
     return out
 
 
-def nbc_sets(g, order):
-    """All subsets of edges containing no broken circuit.
+def _joins(higher, a, b):
+    """Whether some edge among higher, given as vertex masks, joins the
+    disjoint vertex masks a and b."""
+    return any(p & a and p & b for p in higher)
 
-    These are exactly the forests avoiding the broken circuits; every other
-    subset contains a full cycle, hence a broken circuit.
+
+def _nbc_forests(g, order):
+    """Every NBC set of g under order, as a dict from the set of edge ids to
+    comp, where comp[v] is the vertex mask of v's component; refuses beyond
+    the cycle-enumeration caps before the search.
+
+    Edges are added depth first in rank order, so a branch adding edge r
+    holds only edges below r, and every subset of an NBC set is one.  Edge r
+    must join two components A and B, or it closes a cycle.  A broken
+    circuit C - c that r completes contains r, so c ranks above r, and
+    C - c is the forest path between the ends of c, through r: c joins A
+    to B.  Conversely such an edge c closes that path into a cycle.  So the
+    branch stops exactly when some edge ranked above r joins A to B.
     """
-    broken = sorted(broken_circuits(g, order), key=len)
-    out = []
-    for size in range(g.n):
-        for combo in combinations(list(g.edges()), size):
-            edge_set = frozenset(combo)
-            if not _is_forest(g, combo):
-                continue
-            if any(b <= edge_set for b in broken):
-                continue
-            out.append(edge_set)
+    table = _rank_table(g, order)
+    _require_cycle_cap(g)
+    ends, pm, order = table.ends, table.pm, table.order
+    out = {}
+
+    def grow(start, edges, comp):
+        out[frozenset(edges)] = comp
+        for r in range(start, len(ends)):
+            u, v = ends[r]
+            a, b = comp[u], comp[v]
+            if a != b and not _joins(pm[r + 1:], a, b):
+                grow(r + 1, edges + (order[r],), [a | b if c == a or c == b else c for c in comp])
+
+    grow(0, (), [1 << v for v in range(g.n)])
     return out
 
 
+def _by_size(edge_set):
+    return len(edge_set), sorted(edge_set)
+
+
+def nbc_sets(g, order):
+    """All subsets of edges containing no broken circuit, by size and then
+    by sorted edge ids.  These are exactly the forests avoiding the broken
+    circuits; every other subset contains a full cycle, hence a broken
+    circuit."""
+    return sorted(_nbc_forests(g, order), key=_by_size)
+
+
 def nbc_bases(g, order):
-    """NBC spanning trees of a connected simple graph."""
-    require_simple(g)
+    """NBC spanning trees of a connected simple graph, by sorted edge ids."""
+    _rank_table(g, order)  # the graph and the order are checked first
     if not g.edge_support_connected() and g.n > 1:
         raise ValueError("NBC bases are defined here for connected graphs")
-    if g.n == 1:
-        return [frozenset()]
-    broken = broken_circuits(g, order)
-    return [
-        t for t in spanning_trees(g) if not any(b <= t for b in broken)
-    ]
+    return sorted((s for s in _nbc_forests(g, order) if len(s) == g.n - 1), key=sorted)
 
 
 def edge_set_join(g, edge_subset):
@@ -194,11 +275,13 @@ def edge_set_join(g, edge_subset):
 
 
 def nbc_sets_by_element(g, order):
-    """Group all NBC sets by the lattice element they span."""
+    """Group all NBC sets, in ``nbc_sets`` order, by the lattice element
+    they span: the components the search hands over with each set."""
+    forests = _nbc_forests(g, order)
     grouped = {}
-    for s in nbc_sets(g, order):
-        grouped.setdefault(edge_set_join(g, s), []).append(s)
-    return grouped
+    for s in sorted(forests, key=_by_size):
+        grouped.setdefault(frozenset(forests[s]), []).append(s)
+    return {SetPartition(map(bits, blocks)): sets for blocks, sets in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -212,16 +295,16 @@ class RotaReport:
 
 
 def rota_check(lattice, order):
-    """Möbius values from the bottom against signed NBC-base counts, at
-    every lattice element."""
-    g = lattice.graph
-    grouped = nbc_sets_by_element(g, order)
+    """Möbius values from the bottom against signed NBC-set counts, at
+    every lattice element.  The NBC search hands over each set's element as
+    its component masks, so the sets are counted by those."""
+    counts = Counter(frozenset(comp) for comp in _nbc_forests(lattice.graph, order).values())
     bottom = lattice.bottom()
     ranks = lattice.rank_function()
     failures = []
     for x in lattice.elements:
         mu = lattice.mobius(bottom, x)
-        count = len(grouped.get(x, ()))
+        count = counts[frozenset(sum(1 << v for v in block) for block in x.blocks)]
         if mu != (-1) ** ranks[x] * count:
             failures.append((x, mu, count))
     return RotaReport(len(lattice.elements), tuple(failures))
@@ -262,10 +345,8 @@ def chromatic_polynomial(g):
 
 def chromatic_polynomial_whitney(g, order=None):
     """Verification route: alternating subset sum over NBC sets."""
-    require_simple(g)
-    order = check_edge_order(g, order if order is not None else tuple(g.edges()))
     coeffs = [0] * (g.n + 1)
-    for s in nbc_sets(g, order):
+    for s in _nbc_forests(g, order if order is not None else tuple(g.edges())):
         coeffs[g.n - len(s)] += (-1) ** len(s)
     return IntPoly(coeffs)
 
@@ -325,81 +406,72 @@ def unique_sink_orientations(g, x):
 # ---------------------------------------------------------------------------
 
 
-def _base_mask(g, t, order):
+def _base_mask(table, t):
     """The rank mask of the edge set t: bit r stands for order[r]."""
-    rank = {e: r for r, e in enumerate(order)}
+    rank = table.rank
     mask = 0
     for e in t:
-        if type(e) is not int or not 0 <= e < g.m:
+        if type(e) is not int or not 0 <= e < len(rank):
             raise ValueError(f"unknown edge {e!r}")
         mask |= 1 << rank[e]
     return mask
 
 
-def _root_paths(g, tree, order, root):
+def _root_paths(table, tree, root):
     """path[v]: the rank mask of the tree edges on the path from v to root,
     or None where the tree edges do not reach v."""
-    adj = [[] for _ in range(g.n)]
-    for r in bits(tree):
-        u, v = g.pairs[order[r]]
-        adj[u].append((v, 1 << r))
-        adj[v].append((u, 1 << r))
-    path = [None] * g.n
+    adj = table.adj
+    path = [None] * len(adj)
     path[root] = 0
     stack = [root]
     while stack:
         u = stack.pop()
-        for v, bit in adj[u]:
-            if path[v] is None:
-                path[v] = path[u] | bit
+        here = path[u]
+        for bit, v in adj[u]:
+            if bit & tree and path[v] is None:
+                path[v] = here | bit
                 stack.append(v)
     return path
 
 
-def _has_broken_circuit(g, tree, path, order):
+def _has_broken_circuit(table, tree, path):
     """A cycle C with C - max(C) inside the tree has max(C) outside it and is
     the fundamental cycle of that edge, whose tree part is path[u] ^ path[v];
     so the tree contains a broken circuit exactly when some edge outside it
     ranks above every edge of that tree part."""
-    for r, e in enumerate(order):
-        if not tree >> r & 1:
-            u, v = g.pairs[e]
-            if (path[u] ^ path[v]) >> r == 0:
-                return True
+    for r, (u, v) in enumerate(table.ends):
+        if not tree >> r & 1 and (path[u] ^ path[v]) >> r == 0:
+            return True
     return False
 
 
 def _tree_contains_broken_circuit(g, t, order):
     """Whether the spanning tree t contains a broken circuit, in O(m n)
     without enumerating cycles."""
-    tree = _base_mask(g, t, order)
-    return _has_broken_circuit(g, tree, _root_paths(g, tree, order, 0), order)
+    table = _rank_table(g, order)
+    tree = _base_mask(table, t)
+    return _has_broken_circuit(table, tree, _root_paths(table, tree, 0))
 
 
-def _check_nbc_base(g, t, order, root):
+def _check_nbc_base(g, table, t, root):
     """The rank mask of the NBC base t and its root paths toward root, from
     one search; raises ValueError when t is not an NBC base."""
     if not 0 <= root < g.n:
         raise ValueError(f"unknown vertex {root}")
-    tree = _base_mask(g, t, order)
-    path = _root_paths(g, tree, order, root)
+    tree = _base_mask(table, t)
+    path = _root_paths(table, tree, root)
     # n - 1 edges reaching all n vertices form a spanning tree
     if tree.bit_count() != g.n - 1 or None in path:
         raise ValueError("not a spanning tree")
-    if _has_broken_circuit(g, tree, path, order):
+    if _has_broken_circuit(table, tree, path):
         raise ValueError("spanning tree contains a broken circuit")
     return tree, path
 
 
-def _vertex_masks(g, order):
-    """pm[r]: the vertex mask of the edge order[r]."""
-    return [1 << u | 1 << v for u, v in map(g.pairs.__getitem__, order)]
-
-
-def _top_induced(pm, inside):
-    """The highest rank of an edge with both ends in the vertex mask inside,
-    or -1 when it induces no edge."""
-    r = len(pm) - 1
+def _top_induced(pm, inside, hi):
+    """The highest rank below hi of an edge with both ends in the vertex mask
+    inside, or -1 when there is none."""
+    r = hi - 1
     while r >= 0 and pm[r] & ~inside:
         r -= 1
     return r
@@ -414,16 +486,12 @@ def base_to_orientation_direct(t, g, x, order):
     endpoint, so x is the unique sink.  The tree edges from i down to the
     meet are ``path[i] & ~path[j]``, the largest of them its top bit.
     """
-    require_simple(g)
-    order = check_edge_order(g, order)
-    _, path = _check_nbc_base(g, t, order, x)
-    arcs = []
-    for pair in g.pairs:
-        i, j = sorted(pair)
-        if (path[i] & ~path[j]).bit_length() > (path[j] & ~path[i]).bit_length():
-            arcs.append((i, j))
-        else:
-            arcs.append((j, i))
+    table = _rank_table(g, order)
+    _, path = _check_nbc_base(g, table, t, x)
+    arcs = [
+        (i, j) if (path[i] & ~path[j]).bit_length() > (path[j] & ~path[i]).bit_length() else (j, i)
+        for i, j in table.pairs
+    ]
     return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
 
 
@@ -440,7 +508,7 @@ def _pyramid_masks(conc, pm, tree, inside, x, down):
     if inside & (inside - 1) == 0:
         down[x] = 1 << x
         return
-    top = _top_induced(pm, inside)
+    top = _top_induced(pm, inside, len(pm))
     assert top >= 0, "connected induced subgraph with >= 2 vertices has an edge"
     assert tree >> top & 1, "an NBC base always contains the largest induced edge"
     # grow x's side over the other tree edges; what is left lies on the far side
@@ -458,37 +526,35 @@ def _pyramid_masks(conc, pm, tree, inside, x, down):
     u = (pm[top] & other).bit_length() - 1
     _pyramid_masks(conc, pm, far, other, u, down)
     _pyramid_masks(conc, pm, tree ^ 1 << top ^ far, side, x, down)
-    far_sets = [(conc[w], down[w]) for w in bits(other)]
-    for y in bits(side):
-        below = mask = down[y]
-        for concurrent, far_down in far_sets:
-            if concurrent & below:
-                mask |= far_down
-        down[y] = mask
+    # down[y] & touch reads only the side part of down[y], which this loop
+    # leaves as it was
+    side_list = list(bits(side))
+    for w in bits(other):
+        touch = conc[w] & side
+        if touch:
+            for y in side_list:
+                if down[y] & touch:
+                    down[y] |= down[w]
 
 
 def base_to_orientation_recursive(t, g, x, order):
     """Recursive twin of ``base_to_orientation_direct``: split the NBC base at the largest
     induced edge, compose the two pyramids, then orient lower-to-higher."""
-    require_simple(g)
-    order = check_edge_order(g, order)
-    tree, _ = _check_nbc_base(g, t, order, x)
+    table = _rank_table(g, order)
+    tree, _ = _check_nbc_base(g, table, t, x)
     down = [0] * g.n
-    _pyramid_masks(g._neighbor_masks, _vertex_masks(g, order), tree, (1 << g.n) - 1, x, down)
-    arcs = [(u, v) if down[v] >> u & 1 else (v, u) for u, v in map(sorted, g.pairs)]
+    _pyramid_masks(g._neighbor_masks, table.pm, tree, (1 << g.n) - 1, x, down)
+    arcs = [(u, v) if down[v] >> u & 1 else (v, u) for u, v in table.pairs]
     return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
 
 
-def _down_masks(n, arcs):
+def _down_masks(below, into):
     """down[v]: the mask of the vertices with a directed path to v, v
-    included.  A vertex is peeled once all its in-neighbours are, so the
-    masks are filled in a topological order; a sweep over the vertices that
-    peels none means a directed cycle, and raises ValueError."""
-    below = [0] * n  # the in-neighbours of v, as a mask and as a list
-    into = [[] for _ in range(n)]
-    for u, v in arcs:
-        below[v] |= 1 << u
-        into[v].append(u)
+    included, from below[v] and into[v], v's in-neighbours as a mask and as
+    a list.  A vertex is peeled once all its in-neighbours are, so the masks
+    are filled in a topological order; a sweep over the vertices that peels
+    none means a directed cycle, and raises ValueError."""
+    n = len(below)
     down = [0] * n
     left = (1 << n) - 1
     while left:
@@ -509,25 +575,41 @@ def orientation_to_base(o, g, x, order):
     """Inverse dictionary: from an acyclic unique-sink orientation back to
     the NBC base, peeling the largest induced edge at each level.  The
     levels are vertex masks cut straight from the pyramid's down-sets,
-    which are the orientation's down-sets."""
-    require_simple(g)
-    order = check_edge_order(g, order)
-    if sinks(o) != [x]:
+    which are the orientation's down-sets.
+
+    One pass over the arcs gathers the tails for the sink test, compares
+    each arc with its edge for the orientation test, and records the
+    in-neighbours the down-sets are read from."""
+    table = _rank_table(g, order)
+    pairs = table.pairs
+    oriented = o.n == g.n and len(o.arcs) == len(pairs)
+    tails = 0
+    in_mask = [0] * o.n
+    into = [[] for _ in range(o.n)]
+    for e, (u, v) in enumerate(o.arcs):
+        tails |= 1 << u
+        in_mask[v] |= 1 << u
+        into[v].append(u)
+        if oriented and (u, v) != pairs[e] != (v, u):
+            oriented = False
+    if [v for v in range(o.n) if not tails >> v & 1] != [x]:
         raise ValueError(f"orientation does not have unique sink {x}")
-    if not is_orientation_of(o, g):
+    if not oriented:
         raise ValueError("not an orientation of the concurrence graph")
-    down = _down_masks(g.n, o.arcs)
-    pm = _vertex_masks(g, order)
-
-    def rec(inside):
-        if inside & (inside - 1) == 0:
-            return 0
-        top = _top_induced(pm, inside)
-        p, q = bits(pm[top])
-        below = down[p if down[q] >> p & 1 else q] & inside
-        return 1 << top | rec(below) | rec(inside & ~below)
-
-    return frozenset(order[r] for r in bits(rec((1 << g.n) - 1)))
+    down = _down_masks(in_mask, into)
+    pm, ends = table.pm, table.ends
+    edges = []
+    # (vertex mask, rank bound): a level's top edge ranks below its parent's
+    levels = [((1 << g.n) - 1, len(pm))]
+    while levels:
+        inside, hi = levels.pop()
+        if inside & (inside - 1):
+            top = _top_induced(pm, inside, hi)
+            p, q = ends[top]
+            below = down[p if down[q] >> p & 1 else q] & inside
+            edges.append(table.order[top])
+            levels += (below, top), (inside & ~below, top)
+    return frozenset(edges)
 
 
 def edge_orders(g, count, rng):
@@ -540,6 +622,15 @@ def edge_orders(g, count, rng):
     return out
 
 
+def _unless_refused(f, *args):
+    """f(*args), or None when f refuses its input with ValueError: a map
+    that refuses another map's output has failed too."""
+    try:
+        return f(*args)
+    except ValueError:
+        return None
+
+
 def check_nbc_dictionaries(g, orders):
     """Both NBC-base dictionaries against the acyclic unique-sink
     orientations of g, at every sink and under every edge order.
@@ -548,46 +639,51 @@ def check_nbc_dictionaries(g, orders):
     comparison, the number of (order, sink, base) triples pushed through
     both dictionaries, and the NBC-base count under the last order.
     """
-    # the NBC bases meet the cycle-enumeration cap before the 2^m sweep
-    bases_by_order = [nbc_bases(g, order) for order in orders]
-    by_sink = {}
-    for o in acyclic_orientations(g):
-        s = sinks(o)
-        if len(s) == 1:
-            by_sink.setdefault(s[0], []).append(o)
+    by_sink = None
     failures = []
     checked = 0
     base_counts = set()
-    for order, bases in zip(orders, bases_by_order):
+    for order in orders:
+        # one order at a time, so the rank table built here serves every map
+        # call under it
+        bases = nbc_bases(g, order)
+        if by_sink is None:
+            # the NBC bases meet the cycle-enumeration cap before the 2^m sweep
+            by_sink = {}
+            for o in acyclic_orientations(g):
+                s = sinks(o)
+                if len(s) == 1:
+                    by_sink.setdefault(s[0], []).append(o)
         base_counts.add(len(bases))
         for x in range(g.n):
             usos = by_sink.get(x, [])
             if len(usos) != len(bases):
                 failures.append(f"count mismatch at sink {g.vertex_labels[x]}")
-            images = set()
+            image = {}  # base -> the arcs of its recursive image
+            inverse = {}  # arcs -> the inverse map's answer, None if it refused
             for t in bases:
                 mu_o = base_to_orientation_direct(t, g, x, order)
                 phi_o = base_to_orientation_recursive(t, g, x, order)
                 checked += 1
                 if mu_o.arcs != phi_o.arcs:
                     failures.append("explicit and recursive maps disagree")
-                images.add(phi_o.arcs)
-                # a map that refuses another map's output has failed too
-                try:
-                    back = orientation_to_base(phi_o, g, x, order)
-                except ValueError:
-                    back = None
+                image[t] = phi_o.arcs
+                inverse[phi_o.arcs] = back = _unless_refused(orientation_to_base, phi_o, g, x, order)
                 if back != t:
                     failures.append("inverse map failed on a base")
-            if images != {o.arcs for o in usos}:
+            if set(image.values()) != {o.arcs for o in usos}:
                 failures.append(f"images differ from the orientations at sink {g.vertex_labels[x]}")
+            # the maps are functions, so an input already mapped above keeps
+            # its answer; only an orientation or base not seen there is mapped
             for o in usos:
-                try:
-                    t = orientation_to_base(o, g, x, order)
-                    back = base_to_orientation_recursive(t, g, x, order).arcs
-                except ValueError:
-                    back = None
-                if back != o.arcs:
+                if o.arcs in inverse:
+                    t = inverse[o.arcs]
+                else:
+                    t = _unless_refused(orientation_to_base, o, g, x, order)
+                if t is not None and t not in image:
+                    phi_o = _unless_refused(base_to_orientation_recursive, t, g, x, order)
+                    image[t] = None if phi_o is None else phi_o.arcs
+                if image.get(t) != o.arcs:
                     failures.append("inverse map failed on an orientation")
     if len(base_counts) != 1:
         failures.append("NBC base count depends on the edge order")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from eulerpart.corpus import connected_simple_graphs
 from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Digraph, Multigraph, orientations
 from eulerpart.bonds import (
+    _is_forest,
     _tree_contains_broken_circuit,
     check_nbc_dictionaries,
     acyclic_orientations,
@@ -21,6 +23,7 @@ from eulerpart.bonds import (
     base_to_orientation_direct,
     nbc_bases,
     nbc_sets,
+    nbc_sets_by_element,
     orientation_counts_vs_chromatic,
     base_to_orientation_recursive,
     orientation_to_base,
@@ -147,6 +150,143 @@ def test_nbc_sets_bottom():
     assert frozenset() in sets_k3
     # NBC sets of K3: {}, {0}, {1}, {2}, {0,2}, {1,2}
     assert len(sets_k3) == 6
+
+
+def test_nbc_bases_check_the_order_on_one_vertex():
+    g = Multigraph(1, [])
+    for nbc in (nbc_bases, nbc_sets):
+        with pytest.raises(ValueError, match="edge order must be a permutation"):
+            nbc(g, (7,))
+    assert nbc_bases(g, ()) == [frozenset()]
+    assert nbc_sets(g, ()) == [frozenset()]
+
+
+# -- the NBC search against the filter route ------------------------------------
+
+
+def _filter_nbc_sets(g, order):
+    """The forests among the edge subsets of size < n, less those holding a
+    broken circuit, by size and then by edge ids."""
+    broken = broken_circuits(g, order)
+    return [
+        frozenset(combo)
+        for size in range(g.n)
+        for combo in combinations(g.edges(), size)
+        if _is_forest(g, combo) and not any(b <= frozenset(combo) for b in broken)
+    ]
+
+
+def _first_nbc_search_mismatch():
+    """The first (graph, order) pair of connected_simple_graphs(6), under
+    three seeded orders each, where nbc_sets, nbc_bases or
+    nbc_sets_by_element differ from the filter route; None, and the number
+    of pairs, when none does."""
+    rng = random.Random(16)
+    pairs = 0
+    for g in connected_simple_graphs(6):
+        for order in edge_orders(g, 3, rng):
+            sets = _filter_nbc_sets(g, order)
+            broken = broken_circuits(g, order)
+            bases = [t for t in spanning_trees(g) if not any(b <= t for b in broken)]
+            grouped = {}
+            for s in sets:
+                grouped.setdefault(edge_set_join(g, s), []).append(s)
+            if (nbc_sets(g, order), nbc_bases(g, order), nbc_sets_by_element(g, order)) != (
+                sets, bases, grouped
+            ):
+                return g, order
+            pairs += 1
+    return None, pairs
+
+
+def test_nbc_search_matches_filter_route():
+    assert _first_nbc_search_mismatch() == (None, 429)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda higher, a, b: False,  # the prune dropped
+        lambda higher, a, b: any(p & a for p in higher),  # read from a's side only
+    ],
+)
+def test_nbc_search_oracle_catches_a_faulty_prune(monkeypatch, fault):
+    monkeypatch.setattr(bonds_module, "_joins", fault)
+    assert _first_nbc_search_mismatch()[0] is not None
+
+
+# -- the rank table ---------------------------------------------------------------
+
+
+def _nbc_calls(g, order):
+    """Every public NBC routine that reads the rank table, on g under order."""
+    bases = nbc_bases(g, order)
+    out = [nbc_sets(g, order), bases, chromatic_polynomial_whitney(g, order)]
+    for t in bases:
+        for x in range(g.n):
+            o = base_to_orientation_recursive(t, g, x, order)
+            out += [base_to_orientation_direct(t, g, x, order).arcs, o.arcs]
+            out.append(orientation_to_base(o, g, x, order))
+    return out
+
+
+def test_invalid_order_refused_after_a_valid_one():
+    g = k4()
+    good, bad = tuple(g.edges()), (0, 1, 2, 3, 4, 4)
+    t = nbc_bases(g, good)[0]
+    o = base_to_orientation_recursive(t, g, 0, good)
+    calls = [
+        lambda order: nbc_bases(g, order),
+        lambda order: nbc_sets(g, order),
+        lambda order: nbc_sets_by_element(g, order),
+        lambda order: chromatic_polynomial_whitney(g, order),
+        lambda order: base_to_orientation_direct(t, g, 0, order),
+        lambda order: base_to_orientation_recursive(t, g, 0, order),
+        lambda order: orientation_to_base(o, g, 0, order),
+    ]
+    for call in calls:
+        for _ in range(2):
+            call(good)
+            with pytest.raises(ValueError, match="edge order must be a permutation"):
+                call(bad)
+
+
+def test_alternating_orders_match_fresh_graphs():
+    """Two orders and two graphs, taken in turn call by call, give what each
+    (graph, order) pair gives on a graph of its own."""
+    rng = random.Random(2)
+    graphs = [k4(), star(4)]
+    pairs = [(g, order) for g in graphs for order in edge_orders(g, 2, rng)]
+    expected = [_nbc_calls(Multigraph(g.n, g.pairs), order) for g, order in pairs]
+    assert expected[0] != expected[1]
+    for _ in range(2):
+        for (g, order), want in zip(pairs, expected):
+            assert _nbc_calls(g, order) == want
+    # a single call per pair, round robin
+    for _ in range(3):
+        for g, order in pairs:
+            t = nbc_bases(g, order)[-1]
+            fresh = Multigraph(g.n, g.pairs)
+            assert (
+                base_to_orientation_direct(t, g, 1, order).arcs
+                == base_to_orientation_direct(t, fresh, 1, order).arcs
+            )
+
+
+def test_each_order_checked_once_per_dictionary_check(monkeypatch):
+    real = bonds_module.check_edge_order
+    seen = []
+
+    def counted(g, order):
+        seen.append(tuple(order))
+        return real(g, order)
+
+    monkeypatch.setattr(bonds_module, "check_edge_order", counted)
+    g = k4()
+    orders = edge_orders(g, 3, random.Random(4))
+    assert len(set(orders)) == 3
+    assert check_nbc_dictionaries(g, orders)[0] == []
+    assert seen == list(orders)
 
 
 def test_chromatic_polynomials():
