@@ -5,7 +5,7 @@ Every quantity the verification suite checks is invariant under graph
 isomorphism, so testing one representative per class covers every instance
 in the stated range.  Generation is pure Python: connected simple graphs by
 vertex augmentation, Eulerian digraphs by gluing directed cycles, Veblen
-multigraphs from the infragraph enumerator over a complete host.
+multigraphs from the infragraph multiplicity vectors over a complete host.
 """
 
 from __future__ import annotations
@@ -292,19 +292,40 @@ def eulerian_digraph_corpus(max_edges=8):
 @lru_cache(maxsize=None)
 def veblen_corpus(max_edges=8, max_host_vertices=5):
     """Connected even-degree multigraphs with at most max_edges edges on at
-    most max_host_vertices vertices, one per isomorphism class."""
-    # veblen imports this module's isomorphism store at module level
-    from eulerpart.veblen import enumerate_infragraphs
+    most max_host_vertices vertices, one per isomorphism class.
 
-    host = complete_graph(max_host_vertices)
-    store = _IsoStore(_multigraph_matrix)
-    out = []
-    for x in enumerate_infragraphs(host, max_edges):
-        if not x.edge_support_connected():
-            continue
-        if store.add(x):
-            out.append(x)
-    return tuple(out)
+    The infragraphs of the complete host are read as multiplicity vectors,
+    in the order of ``enumerate_infragraphs``: by edge count, then by
+    multiplicity key.  Disconnected vectors are dropped, isomorphism is
+    tested on the vector's multiplicity matrix, and a multigraph is built
+    only for the first vector of each class.
+    """
+    # veblen imports this module's isomorphism store at module level
+    from eulerpart.veblen import VeblenMultigraph, _vector_components, _infragraph_vectors
+
+    n = max_host_vertices
+    pairs, vectors = _infragraph_vectors(complete_graph(n), max_edges)
+    ends = [1 << u | 1 << v for u, v in pairs]
+
+    def matrix(vector):
+        mat = [[0] * n for _ in range(n)]
+        for i, m in vector:
+            u, v = pairs[i]
+            mat[u][v] = mat[v][u] = m
+        return mat
+
+    # pair indices follow the sorted pairs, so vectors sort as their keys
+    connected = sorted(
+        (sum(m for _, m in vector), vector)
+        for vector in vectors
+        if len(_vector_components(vector, ends)) == 1
+    )
+    store = _IsoStore(matrix)
+    return tuple(
+        VeblenMultigraph(n, [pairs[i] for i, m in vector for _ in range(m)])
+        for _, vector in connected
+        if store.add(vector)
+    )
 
 
 def relabeled_copy(g, perm):

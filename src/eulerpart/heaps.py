@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Digraph
 from eulerpart.poset import bits, cover_pairs, maximal_keys
 from eulerpart.trails import (
@@ -21,6 +22,12 @@ from eulerpart.trails import (
     insert_trail,
     edge_partition,
 )
+
+# The split-compose recursion tries up to 2^(k-2) splits per level, and K_k
+# has (k-1)! pyramids: K9 takes 1.1 s and 82 MB, K10 about ten times that,
+# and a path of 20 pieces 2.7 s.  Verify's piece systems have at most half
+# as many pieces as the corpus digraphs have arcs.
+PYRAMID_PIECE_CAP = 9
 
 
 class PieceSystem:
@@ -276,6 +283,10 @@ def full_pyramids(ps, beta, subset=None):
     pieces = frozenset(ps.pieces()) if subset is None else frozenset(subset)
     if beta not in pieces:
         raise ValueError(f"unknown piece {beta}")
+    if len(pieces) > PYRAMID_PIECE_CAP:
+        raise CapExceededError(
+            f"full pyramids are listed up to {PYRAMID_PIECE_CAP} pieces"
+        )
     if not ps.connected(pieces):
         return []
     return _pyramids(ps, pieces, beta, {})

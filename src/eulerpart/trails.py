@@ -231,24 +231,49 @@ def count_eulerian_circuits(g):
 
 
 def _count_circuits_all_orientations(x):
-    """Sum of circuit counts over all balanced orientations, as a tight
-    bitmask loop.  Reversing every arc is a count-preserving involution
-    without fixed points, so the first edge is pinned and the total doubled."""
+    """Sum of circuit counts over all balanced orientations.
+
+    Reversing every arc is a count-preserving involution without fixed
+    points, so the first edge is pinned and the total doubled.  The other
+    edges are oriented depth first in index order, with each vertex's net
+    out-degree updated in place.  A vertex whose last edge has just been
+    oriented never changes again, so the branch stops there unless it is
+    balanced; every orientation that reaches the end is balanced and is
+    BEST-counted, and the sum is that of the sweep over all 2^(m-1).
+    """
     pairs = [tuple(sorted(p)) for p in x.pairs]
-    total = 0
-    for mask in range(1 << (x.m - 1)):
-        net = [0] * x.n
-        arcs = []
-        for e, (u, v) in enumerate(pairs):
-            if e and (mask >> (e - 1)) & 1:
-                u, v = v, u
-            net[u] += 1
-            net[v] -= 1
-            arcs.append((u, v))
-        if any(net):
-            continue
-        total += _best_from_arcs(arcs)
-    return 2 * total
+    m = len(pairs)
+    closes = _closing_vertices(pairs)
+    net = [0] * x.n
+    arcs = [None] * m
+
+    def rec(e):
+        if e == m:
+            return _best_from_arcs(arcs)
+        u, v = pairs[e]
+        total = 0
+        for a, b in ((u, v), (v, u)) if e else ((u, v),):
+            net[a] += 1
+            net[b] -= 1
+            if not any(net[w] for w in closes[e]):
+                arcs[e] = (a, b)
+                total += rec(e + 1)
+            net[a] -= 1
+            net[b] += 1
+        return total
+
+    return 2 * rec(0)
+
+
+def _closing_vertices(pairs):
+    """Per edge index, the vertices whose last edge it is."""
+    last = {}
+    for e, (u, v) in enumerate(pairs):
+        last[u] = last[v] = e
+    closes = [[] for _ in pairs]
+    for w, e in last.items():
+        closes[e].append(w)
+    return closes
 
 
 def _best_from_arcs(arcs):

@@ -12,6 +12,14 @@ host's sorted pairs, which tracks vertex parity as an int mask.
 infragraph-weight route reads the vectors directly, splits them into
 components on vertex masks, and weighs one component per isomorphism
 class (``corpus._IsoStore``), through a memo that lives for one call.
+
+Weights run on edge masks.  One pass over the edge subsets keeps the
+connected even-degree blocks, each with its shape: its sorted (pair,
+multiplicity) tuple.  A block's coefficient is read from the call's memo
+by shape, so each shape is counted once per call; the decompositions come
+as block-mask tuples, grouped by their sorted shapes, and no
+``Decomposition`` is built.  ``decompositions`` wraps the same masks in
+``Decomposition`` objects for the full-sum oracle and the tests.
 """
 
 from __future__ import annotations
@@ -32,8 +40,9 @@ from eulerpart.graphs import (
     parallel_factorial_product,
 )
 from eulerpart.poly import IntPoly, interpolate_int_poly
+from eulerpart.poset import bits
 from eulerpart.partition import SetPartition, components
-from eulerpart.trails import count_eulerian_circuits, det_bareiss
+from eulerpart.trails import _closing_vertices, count_eulerian_circuits, det_bareiss
 
 INFRAGRAPH_EDGE_CAP = 12
 HOST_VERTEX_CAP = 8
@@ -101,12 +110,7 @@ def _multiplicity_vectors(pairs, max_edges):
     test per pair it skips.
     """
     ends = [1 << u | 1 << v for u, v in pairs]
-    closes = [0] * len(pairs)
-    last = {}
-    for i, (u, v) in enumerate(pairs):
-        last[u] = last[v] = i
-    for v, i in last.items():
-        closes[i] |= 1 << v
+    closes = [sum(1 << v for v in vs) for vs in _closing_vertices(pairs)]
     entries = []
 
     def rec(start, budget, parity):
@@ -149,6 +153,17 @@ def _vector_components(vector, ends):
     return comps
 
 
+def _infragraph_vectors(host, max_edges):
+    """The host's sorted pairs and the generator of its even multiplicity
+    vectors with at most ``max_edges`` edges; refused above the cap."""
+    pairs = _host_pairs(host)
+    if max_edges > INFRAGRAPH_EDGE_CAP:
+        raise CapExceededError(
+            f"infragraph enumeration capped at {INFRAGRAPH_EDGE_CAP} edges"
+        )
+    return pairs, _multiplicity_vectors(pairs, max_edges)
+
+
 def enumerate_infragraphs(host, max_edges):
     """All vertex-fixing classes of even-degree multigraphs wearing at most
     ``max_edges`` edges over the host's edge pairs.
@@ -157,11 +172,7 @@ def enumerate_infragraphs(host, max_edges):
     component count, multiplicity vector); possibly disconnected, never
     empty.
     """
-    pairs = _host_pairs(host)
-    if max_edges > INFRAGRAPH_EDGE_CAP:
-        raise CapExceededError(
-            f"infragraph enumeration capped at {INFRAGRAPH_EDGE_CAP} edges"
-        )
+    pairs, vectors = _infragraph_vectors(host, max_edges)
     ends = [1 << u | 1 << v for u, v in pairs]
     # the sort key's last part is the multiplicity key, distinct per vector
     keyed = sorted(
@@ -170,7 +181,7 @@ def enumerate_infragraphs(host, max_edges):
             len(_vector_components(vector, ends)),
             tuple((pairs[i], m) for i, m in vector),
         )
-        for vector in _multiplicity_vectors(pairs, max_edges)
+        for vector in vectors
     )
     return [
         VeblenMultigraph(
@@ -186,11 +197,7 @@ def enumerate_infragraphs(host, max_edges):
 
 
 def _edge_vertex_masks(x):
-    out = []
-    for p in x.pairs:
-        u, v = sorted(p)
-        out.append(1 << u | 1 << v)
-    return out
+    return [1 << u | 1 << v for u, v in x.pairs]
 
 
 def _parity_table(x):
@@ -204,15 +211,67 @@ def _parity_table(x):
     return table
 
 
+def _edges_connected(mask, ends):
+    """Whether the edges in a nonempty mask have a connected support.
+
+    The vertex mask of the least edge absorbs every edge that meets it,
+    pass after pass, until no edge is left or a pass absorbs none.
+    """
+    low = mask & -mask
+    reach = ends[low.bit_length() - 1]
+    rest = mask ^ low
+    while rest:
+        before = rest
+        for e in bits(before):
+            if ends[e] & reach:
+                reach |= ends[e]
+                rest ^= 1 << e
+        if rest == before:
+            return False
+    return True
+
+
 def connected_veblen_subset_masks(x):
-    """Bitmasks of edge subsets inducing connected even-degree subgraphs."""
+    """The edge subsets inducing connected even-degree subgraphs, as a dict
+    from edge mask to shape, in increasing mask order.
+
+    A block's shape is its sorted tuple of (pair, multiplicity); it fixes
+    the sub-multigraph, so blocks of one shape have one coefficient.
+    """
+    ends = _edge_vertex_masks(x)
+    pairs = [tuple(sorted(p)) for p in x.pairs]
     parity = _parity_table(x)
-    return [
-        mask
-        for mask in range(3, 1 << x.m)
-        if parity[mask] == 0
-        and x.edge_support_connected([e for e in range(x.m) if mask >> e & 1])
-    ]
+    blocks = {}
+    for mask in range(1, 1 << x.m):
+        if parity[mask] or not _edges_connected(mask, ends):
+            continue
+        counts = {}
+        for e in bits(mask):
+            counts[pairs[e]] = counts.get(pairs[e], 0) + 1
+        blocks[mask] = tuple(sorted(counts.items()))
+    return blocks
+
+
+def _decomposition_masks(blocks, m):
+    """Every partition of m edges into the given block masks, as a tuple of
+    masks by increasing least edge: each step takes a block holding the
+    least edge not yet covered."""
+    by_low = {}
+    for mask in blocks:
+        by_low.setdefault(mask & -mask, []).append(mask)
+    chosen = []
+
+    def rec(remaining):
+        if not remaining:
+            yield tuple(chosen)
+            return
+        for cand in by_low.get(remaining & -remaining, ()):
+            if not cand & ~remaining:
+                chosen.append(cand)
+                yield from rec(remaining ^ cand)
+                chosen.pop()
+
+    return rec((1 << m) - 1)
 
 
 def is_decomposable(x):
@@ -223,6 +282,11 @@ def is_decomposable(x):
     parity = _parity_table(x)
     full = (1 << x.m) - 1
     return any(parity[mask] == 0 for mask in range(1, full))
+
+
+def _symmetry_factor(shapes):
+    """alpha: product of factorials of same-shape block-group sizes."""
+    return math.prod(map(math.factorial, Counter(shapes).values()))
 
 
 @dataclass(frozen=True)
@@ -241,8 +305,7 @@ class Decomposition:
 
     @property
     def symmetry_factor(self):
-        """alpha: product of factorials of same-shape block-group sizes."""
-        return math.prod(map(math.factorial, Counter(self.shapes).values()))
+        return _symmetry_factor(self.shapes)
 
 
 @dataclass(frozen=True)
@@ -255,50 +318,20 @@ def decompositions(x):
     """Every partition of E(X) into connected even-degree blocks."""
     if not is_veblen(x):
         raise ValueError("decompositions need every vertex degree even")
-    if not isinstance(x, VeblenMultigraph):
-        x = VeblenMultigraph.from_multigraph(x)
-    class_of_edge = {}
-    for key, members in sorted(x.parallel_classes().items()):
-        for e in members:
-            class_of_edge[e] = key
-    by_low = {}
-    for mask in connected_veblen_subset_masks(x):
-        low = (mask & -mask).bit_length() - 1
-        by_low.setdefault(low, []).append(mask)
+    blocks = connected_veblen_subset_masks(x)
     out = []
-    blocks = []
-
-    def rec(remaining):
-        if not remaining:
-            out.append(
-                _decomposition(
-                    x,
-                    [frozenset(e for e in range(x.m) if b >> e & 1) for b in blocks],
-                    class_of_edge,
-                )
+    for dec in _decomposition_masks(blocks, x.m):
+        shapes = tuple(blocks[b] for b in dec)
+        out.append(
+            Decomposition(
+                # the blocks come by increasing least edge, which is the
+                # SetPartition block order, so the shapes stay aligned
+                SetPartition([bits(b) for b in dec]),
+                shapes,
+                math.prod(math.factorial(k) for shape in shapes for _, k in shape),
             )
-            return
-        e0 = (remaining & -remaining).bit_length() - 1
-        for cand in by_low.get(e0, ()):
-            if cand & ~remaining == 0:
-                blocks.append(cand)
-                rec(remaining & ~cand)
-                blocks.pop()
-
-    rec((1 << x.m) - 1)
+        )
     return out
-
-
-def _decomposition(x, blocks, class_of_edge):
-    shapes = []
-    m_product = 1
-    for block in blocks:
-        counts = Counter(class_of_edge[e] for e in block)
-        shapes.append(tuple(sorted(counts.items())))
-        m_product *= math.prod(map(math.factorial, counts.values()))
-    # ``decompositions`` appends blocks by increasing least edge, which is
-    # the SetPartition block order, so the shapes stay aligned
-    return Decomposition(SetPartition(blocks), tuple(shapes), m_product)
 
 
 def decomposition_classes(x):
@@ -409,18 +442,17 @@ def count_rooting_tuples(d):
 # ---------------------------------------------------------------------------
 
 
-def _block_coefficient(x, block, cache):
-    counts = {}
-    for e in block:
-        pair = tuple(sorted(x.pairs[e]))
-        counts[pair] = counts.get(pair, 0) + 1
-    key = tuple(sorted(counts.items()))
-    if key not in cache:
-        sub = x.restrict(block)
-        cache[key] = Fraction(
+def _shape_coefficient(x, edges, shape, cache):
+    """Circuit count over parallel factorial product of the block on the
+    given edges of x, read from cache by the block's shape; the
+    sub-multigraph is built only on a miss."""
+    coeff = cache.get(shape)
+    if coeff is None:
+        sub = x.restrict(edges)
+        coeff = cache[shape] = Fraction(
             count_eulerian_circuits(sub), parallel_factorial_product(sub)
         )
-    return cache[key]
+    return coeff
 
 
 def weight(x, n=0, _cache=None):
@@ -430,20 +462,29 @@ def weight(x, n=0, _cache=None):
     by its symmetry factor; the leading sign is (-1) to the number of
     components, which makes the weight multiplicative over components.  At
     rank 2 the value is independent of n.
+
+    The decompositions come as block-mask tuples.  A class is the sorted
+    tuple of its blocks' shapes, which gives its block count and alpha, and
+    its coefficient is the product of one memoised coefficient per shape.
     """
     if not is_veblen(x):
         raise ValueError("weights are defined for even-degree multigraphs")
     if not isinstance(x, VeblenMultigraph):
         x = VeblenMultigraph.from_multigraph(x)
     cache = _cache if _cache is not None else {}
+    blocks = connected_veblen_subset_masks(x)
+    coeffs = {
+        shape: _shape_coefficient(x, bits(mask), shape, cache)
+        for mask, shape in blocks.items()
+    }
+    classes = {
+        tuple(sorted(blocks[b] for b in dec))
+        for dec in _decomposition_masks(blocks, x.m)
+    }
     total = Fraction(0)
-    for cls in decomposition_classes(x):
-        dec = cls.representative
-        coeff = Fraction(1)
-        for block in dec.blocks:
-            coeff *= _block_coefficient(x, block, cache)
-        total += (
-            Fraction((-1) ** dec.block_count, dec.symmetry_factor) * coeff
+    for shapes in classes:
+        total += Fraction((-1) ** len(shapes), _symmetry_factor(shapes)) * math.prod(
+            coeffs[shape] for shape in shapes
         )
     return Fraction((-1) ** x.component_count()) * total
 
@@ -458,8 +499,8 @@ def weight_via_all_decompositions(x, n=0):
     total = Fraction(0)
     for dec in decompositions(x):
         coeff = Fraction(1)
-        for block in dec.blocks:
-            coeff *= _block_coefficient(x, block, cache)
+        for block, shape in zip(dec.blocks, dec.shapes):
+            coeff *= _shape_coefficient(x, block, shape, cache)
         total += (
             Fraction((-1) ** dec.block_count * dec.factorial_product, m_x) * coeff
         )

@@ -17,8 +17,13 @@ from eulerpart.cli import main
 from eulerpart.errors import GraphParseError
 from eulerpart.verify import (
     VerifyConfig,
+    check_associated_coefficient_routes,
     check_cancellation,
+    check_charpoly_three_routes,
+    check_orientation_circuit_partitions,
+    check_rooting_class_sizes,
     check_weight_multiplicative,
+    check_weight_vanishes_on_decomposables,
     check_weight_via_cancellation,
 )
 
@@ -318,6 +323,56 @@ def test_weight_multiplicative_mutation_is_caught(monkeypatch):
     assert check_weight_multiplicative(config).checked == 36
     monkeypatch.setattr(veblen_module, "weight", off_when_disconnected)
     assert not check_weight_multiplicative(config).ok
+
+
+def _without_full_block(real):
+    def blocks(x):
+        found = real(x)
+        found.pop((1 << x.m) - 1, None)
+        return found
+
+    return blocks
+
+
+# check name -> (check, config, module attribute, fault made from the real one)
+VEBLEN_MUTATIONS = {
+    # the elementary route drops its cycles above three edges
+    "charpoly-three-routes": (
+        check_charpoly_three_routes, VerifyConfig(), "_cycle_paths",
+        lambda real: lambda adjacency, v, available: [
+            p for p in real(adjacency, v, available) if len(p) == 2
+        ],
+    ),
+    # weight leaves out alpha
+    "weight-vanishes-decomposable": (
+        check_weight_vanishes_on_decomposables, VerifyConfig(veblen_edges=6),
+        "_symmetry_factor", lambda real: lambda shapes: 1,
+    ),
+    # the rooting route loses its last orientation class
+    "associated-coefficient-routes": (
+        check_associated_coefficient_routes, VerifyConfig(veblen_edges=6),
+        "eulerian_orientation_classes", lambda real: lambda x: real(x)[:-1],
+    ),
+    # class sizes stop dividing by the parallel arc factorials
+    "rooting-class-sizes": (
+        check_rooting_class_sizes, VerifyConfig(veblen_edges=6),
+        "arc_factorial_product", lambda real: lambda d: 1,
+    ),
+    # the whole edge set is never taken as one block
+    "orientation-circuit-partitions": (
+        check_orientation_circuit_partitions, VerifyConfig(max_edges=6),
+        "connected_veblen_subset_masks", _without_full_block,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VEBLEN_MUTATIONS))
+def test_veblen_check_mutation_is_caught(monkeypatch, name):
+    check, config, attr, make_fault = VEBLEN_MUTATIONS[name]
+    result = check(config)
+    assert result.name == name and result.ok and result.checked > 0
+    monkeypatch.setattr(veblen_module, attr, make_fault(getattr(veblen_module, attr)))
+    assert not check(config).ok
 
 
 def _write(tmp_path, name, text):

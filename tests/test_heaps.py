@@ -1,7 +1,11 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulerpart.heaps as heaps_module
+from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Digraph, Multigraph
 from eulerpart.heaps import (
     Heap,
@@ -173,6 +177,24 @@ def test_full_pyramids_trivial_cases():
 def test_full_pyramids_disconnected_empty():
     ps = PieceSystem(Multigraph(2, []))
     assert full_pyramids(ps, 0) == []
+
+
+def test_full_pyramids_refuse_over_the_piece_cap():
+    """A 20-piece path used to take 2.7 s in the subset sweep; it is
+    refused before the sweep, and so is every call over the cap."""
+    cap = heaps_module.PYRAMID_PIECE_CAP
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"up to {cap} pieces"):
+        count_full_pyramids(path_system(20), 19)
+    assert time.perf_counter() - start < 0.1
+    for call in (
+        lambda ps: full_pyramids(ps, 0),
+        lambda ps: pyramid_split_identity(ps, 0, 1),
+    ):
+        with pytest.raises(CapExceededError):
+            call(path_system(cap + 1))
+    assert count_full_pyramids(path_system(cap), 0) == 1
+    assert full_pyramids(path_system(cap + 1), 0, subset=range(cap)) != []
 
 
 def test_full_pyramids_counts_on_example_partitions(example_digraph):

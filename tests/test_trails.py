@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerpart.corpus import eulerian_digraph_corpus
+import eulerpart.trails as trails_module
+from eulerpart.corpus import eulerian_digraph_corpus, veblen_corpus
 from eulerpart.errors import CapExceededError, InsertionError, NotEulerianError
 from eulerpart.graphs import Digraph, Multigraph
 from eulerpart.partition import SetPartition
@@ -14,6 +15,7 @@ from eulerpart.trails import (
     Circuit,
     Trail,
     _best_from_arcs,
+    _count_circuits_all_orientations,
     count_circuits_best,
     count_eulerian_circuits,
     cycle_partition_masks,
@@ -374,3 +376,43 @@ def test_best_kernel_mutations_are_caught(kernel):
     """A one-cycle shortcut that skips the orbit length, and a kernel that
     drops the (outdeg - 1)! factor, each differ from enumeration."""
     assert _kernel_mismatches(kernel)
+
+
+def _orientation_sum(x):
+    """Twice the digraph circuit counts over all 2^(m-1) orientations of x
+    with edge 0 pinned, unbalanced ones included."""
+    pairs = [tuple(sorted(p)) for p in x.pairs]
+    total = 0
+    for mask in range(1 << (x.m - 1)):
+        arcs = [(v, u) if e and mask >> (e - 1) & 1 else (u, v) for e, (u, v) in enumerate(pairs)]
+        total += count_eulerian_circuits(Digraph(x.n, arcs))
+    return 2 * total
+
+
+def _random_eulerian_multigraph(rng, max_edges):
+    """A closed walk of 2..max_edges steps, no step staying put."""
+    n = rng.randint(2, 6)
+    while True:
+        walk = [rng.randrange(n)]
+        for _ in range(rng.randint(2, max_edges) - 1):
+            walk.append(rng.choice([v for v in range(n) if v != walk[-1]]))
+        if walk[-1] != walk[0]:
+            return Multigraph(n, list(zip(walk, walk[1:] + walk[:1])))
+
+
+def _sweep_mismatches():
+    inputs = list(veblen_corpus(8, 5))
+    rng = random.Random(17)
+    inputs += [_random_eulerian_multigraph(rng, 12) for _ in range(40)]
+    return [x for x in inputs if _count_circuits_all_orientations(x) != _orientation_sum(x)]
+
+
+def test_pruned_orientation_sweep_matches_all_orientations():
+    assert not _sweep_mismatches()
+
+
+def test_orientation_sweep_oracle_catches_an_early_prune(monkeypatch):
+    """A prune that reads each vertex one edge before its last edge."""
+    real = trails_module._closing_vertices
+    monkeypatch.setattr(trails_module, "_closing_vertices", lambda pairs: real(pairs)[1:] + [[]])
+    assert _sweep_mismatches()

@@ -1,11 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from eulerpart import veblen
-from eulerpart.corpus import complete_graph, relabeled_copy, wheel_graph
+from eulerpart.corpus import complete_graph, relabeled_copy, veblen_corpus, wheel_graph
 from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Multigraph, orientations
 from eulerpart.lattice import circuit_partition_counts
@@ -339,3 +340,73 @@ def test_three_routes_agree_on_c4_and_k4():
 
 def test_undirected_circuit_count_via_orientations(doubled_edge):
     assert count_eulerian_circuits(doubled_edge) == 2
+
+
+def _mask_weight_inputs():
+    """The Veblen corpus, a seeded relabelling of each member, and the
+    two-component unions of members with at most four edges each."""
+    members = list(veblen_corpus(8, 5))
+    inputs = members + [_relabelled(x, seed) for seed, x in enumerate(members)]
+    small = [x for x in members if x.m <= 4]
+    for a, b in itertools.combinations_with_replacement(small, 2):
+        inputs.append(
+            VeblenMultigraph(a.n + b.n, list(a.pairs) + [(u + a.n, v + a.n) for u, v in b.pairs])
+        )
+    return inputs
+
+
+def _mask_weight_mismatches(inputs):
+    """Inputs whose block masks differ from a connectivity filter over
+    every edge subset, or whose weight differs from the unquotiented sum."""
+    bad = []
+    for x in inputs:
+        expected = {}
+        for r in range(1, x.m + 1):
+            for edges in itertools.combinations(range(x.m), r):
+                pairs = [tuple(sorted(x.pairs[e])) for e in edges]
+                if is_veblen(Multigraph(x.n, pairs)) and x.edge_support_connected(edges):
+                    mask = sum(1 << e for e in edges)
+                    expected[mask] = tuple(sorted(Counter(pairs).items()))
+        if veblen.connected_veblen_subset_masks(x) != expected:
+            bad.append(("blocks", x))
+        if weight(x) != weight_via_all_decompositions(x):
+            bad.append(("weight", x))
+    return bad
+
+
+def test_mask_weight_matches_oracles():
+    inputs = _mask_weight_inputs()
+    assert len(inputs) > 2 * 57
+    assert not _mask_weight_mismatches(inputs)
+
+
+@pytest.mark.parametrize(
+    "name, fault, kind",
+    [
+        ("_edges_connected", lambda mask, ends: True, "blocks"),
+        ("_symmetry_factor", lambda shapes: 1, "weight"),
+    ],
+)
+def test_mask_weight_oracles_catch_a_fault(monkeypatch, name, fault, kind):
+    """A disconnected even mask taken as a block, or alpha left out, is
+    caught.  A disconnected block counts no circuits, so the first fault
+    leaves every weight as it was; only the block filter sees it."""
+    monkeypatch.setattr(veblen, name, fault)
+    assert kind in {k for k, _ in _mask_weight_mismatches(_mask_weight_inputs())}
+
+
+def test_weight_builds_no_decomposition_objects(monkeypatch):
+    members = list(veblen_corpus(8, 5))
+    expected = [weight(x) for x in members]
+    k5 = complete_graph(5)
+    poly = hs_characteristic_polynomial(k5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weight built a decomposition object")
+
+    monkeypatch.setattr(veblen, "Decomposition", refuse)
+    monkeypatch.setattr(veblen, "SetPartition", refuse)
+    assert [weight(x) for x in members] == expected
+    assert hs_characteristic_polynomial(k5) == poly
+    with pytest.raises(AssertionError):
+        decompositions(doubled())
