@@ -6,6 +6,15 @@ isomorphism, so testing one representative per class covers every instance
 in the stated range.  Generation is pure Python: connected simple graphs by
 vertex augmentation, Eulerian digraphs by gluing directed cycles, Veblen
 multigraphs from the infragraph multiplicity vectors over a complete host.
+Candidates are plain (n, edge tuple) pairs or vectors, and a graph object
+is built only for each class kept.
+
+Isomorphism rejection buckets the candidates by their sorted vertex
+colours and decides each match by backtracking.  The digraph corpus
+refines the colours by one round of colour refinement
+(``_RefiningIsoStore``), since many of its classes share their coarse
+profiles; the other corpora keep the coarse profile, whose buckets
+already hold about one class each.
 """
 
 from __future__ import annotations
@@ -20,20 +29,31 @@ from eulerpart.graphs import Digraph, Multigraph
 # ---------------------------------------------------------------------------
 
 
-def _digraph_matrix(d):
-    mat = [[0] * d.n for _ in range(d.n)]
-    for u, v in d.arcs:
+def _arc_matrix(candidate):
+    """Multiplicity matrix of an (n, arcs) pair."""
+    n, arcs = candidate
+    mat = [[0] * n for _ in range(n)]
+    for u, v in arcs:
         mat[u][v] += 1
     return mat
 
 
-def _multigraph_matrix(g):
-    mat = [[0] * g.n for _ in range(g.n)]
-    for p in g.pairs:
-        u, v = sorted(p)
+def _pair_matrix(candidate):
+    """Symmetric multiplicity matrix of an (n, pairs) pair."""
+    n, pairs = candidate
+    mat = [[0] * n for _ in range(n)]
+    for u, v in pairs:
         mat[u][v] += 1
         mat[v][u] += 1
     return mat
+
+
+def _digraph_matrix(d):
+    return _arc_matrix((d.n, d.arcs))
+
+
+def _multigraph_matrix(g):
+    return _pair_matrix((g.n, g.pairs))
 
 
 def _vertex_profile(mat):
@@ -42,11 +62,11 @@ def _vertex_profile(mat):
     return [(tuple(sorted(row)), tuple(sorted(col))) for row, col in zip(mat, zip(*mat))]
 
 
-def _matrices_isomorphic(a, prof_a, b, groups_b):
+def _matrices_isomorphic(a, colours_a, b, groups_b):
     """Backtracking vertex matching of a onto b, where b's vertices are
-    grouped by profile and both matrices have the same sorted profile."""
+    grouped by colour and both matrices have the same sorted colours."""
     n = len(a)
-    candidates = [groups_b[p] for p in prof_a]
+    candidates = [groups_b[c] for c in colours_a]
     image = [None] * n
     used = [False] * n
 
@@ -84,25 +104,38 @@ def multigraphs_isomorphic(g1, g2):
 
 class _IsoStore:
     """One representative per isomorphism class, bucketed by the sorted
-    vertex profile; each graph's profile is computed once, when added."""
+    vertex colours; each graph's colours are computed once, when added.
+
+    Here a vertex's colour is its coarse profile.  On the simple-graph
+    corpus, ``veblen_corpus`` and the component classes of
+    ``veblen.hs_characteristic_polynomial`` a bucket already holds about
+    one class (4490 isomorphism tests for 3993 candidates), so a finer key
+    would cost more to compute than it saves; ``_RefiningIsoStore`` is for
+    the crowded buckets of the digraph corpus.  The colours only narrow
+    the candidates: every match is decided by ``_matrices_isomorphic``.
+    """
 
     def __init__(self, matrix_fn):
         self.matrix_fn = matrix_fn
         self.buckets = {}
         self.classes = 0
 
+    def colours(self, mat):
+        """Per vertex, a colour that any isomorphism preserves."""
+        return _vertex_profile(mat)
+
     def class_index(self, g):
         """The index of g's class, numbered in order of first appearance; a
         graph isomorphic to no stored graph is stored and opens a class."""
         mat = self.matrix_fn(g)
-        prof = _vertex_profile(mat)
-        bucket = self.buckets.setdefault(tuple(sorted(prof)), [])
+        colours = self.colours(mat)
+        bucket = self.buckets.setdefault(tuple(sorted(colours)), [])
         for other_mat, groups, index in bucket:
-            if _matrices_isomorphic(mat, prof, other_mat, groups):
+            if _matrices_isomorphic(mat, colours, other_mat, groups):
                 return index
         groups = {}
-        for v, p in enumerate(prof):
-            groups.setdefault(p, []).append(v)
+        for v, c in enumerate(colours):
+            groups.setdefault(c, []).append(v)
         bucket.append((mat, groups, self.classes))
         self.classes += 1
         return self.classes - 1
@@ -111,6 +144,42 @@ class _IsoStore:
         """Insert unless isomorphic to a stored graph; return True if new."""
         before = self.classes
         return self.class_index(g) == before
+
+
+class _RefiningIsoStore(_IsoStore):
+    """An ``_IsoStore`` whose colours take one round of colour refinement
+    (one Weisfeiler-Leman step; Babai, Erdos and Selkow, "Random graph
+    isomorphism", SIAM J. Comput. 9, 1980).
+
+    A vertex's colour is its coarse profile with the sorted (multiplicity,
+    profile) pairs over its out-neighbours and over its in-neighbours.
+    Profiles and colours are numbered through palettes kept by the store,
+    so keys and groups are tuples of small ints.  On the 4726 candidates of
+    the digraph corpus to 10 arcs, refinement cuts the isomorphism tests
+    from 30780 to 5547.
+    """
+
+    def __init__(self, matrix_fn):
+        super().__init__(matrix_fn)
+        self.profile_palette = {}
+        self.colour_palette = {}
+
+    def colours(self, mat):
+        profiles = self.profile_palette
+        coarse = [profiles.setdefault(p, len(profiles)) for p in _vertex_profile(mat)]
+        outs = [[] for _ in mat]
+        ins = [[] for _ in mat]
+        for v, row in enumerate(mat):
+            out, cv = outs[v], coarse[v]
+            for w, m in enumerate(row):
+                if m:
+                    out.append((m, coarse[w]))
+                    ins[w].append((m, cv))
+        palette = self.colour_palette
+        return [
+            palette.setdefault((c, tuple(sorted(o)), tuple(sorted(i))), len(palette))
+            for c, o, i in zip(coarse, outs, ins)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +194,16 @@ def simple_graph_classes(n):
         return ()
     if n == 1:
         return (Multigraph(1, []),)
-    smaller = simple_graph_classes(n - 1)
-    store = _IsoStore(_multigraph_matrix)
+    store = _IsoStore(_pair_matrix)
     out = []
-    for parent in smaller:
-        base_pairs = [tuple(sorted(p)) for p in parent.pairs]
+    for parent in simple_graph_classes(n - 1):
+        base_pairs = tuple(tuple(sorted(p)) for p in parent.pairs)
         for mask in range(1 << (n - 1)):
-            pairs = base_pairs + [
+            pairs = base_pairs + tuple(
                 (w, n - 1) for w in range(n - 1) if mask >> w & 1
-            ]
-            g = Multigraph(n, pairs)
-            if store.add(g):
-                out.append(g)
+            )
+            if store.add((n, pairs)):
+                out.append(Multigraph(n, pairs))
     return tuple(out)
 
 
@@ -253,35 +320,35 @@ def eulerian_digraph_corpus(max_edges=8):
 
     Every such digraph is an arc-disjoint union of directed cycles that can
     be glued on in a connected order, so breadth-first gluing with
-    isomorphism rejection is exhaustive.
+    isomorphism rejection is exhaustive.  Candidates are (n, arc tuple)
+    pairs in a refining store, and a ``Digraph`` is built only for each
+    class kept, after the final sort.
     """
-    store = _IsoStore(_digraph_matrix)
+    store = _RefiningIsoStore(_arc_matrix)
     out = []
     frontier = []
     for length in range(2, max_edges + 1):
-        arcs = [(i, (i + 1) % length) for i in range(length)]
-        d = Digraph(length, arcs)
-        if store.add(d):
-            out.append(d)
-            frontier.append(d)
+        candidate = (length, tuple((i, (i + 1) % length) for i in range(length)))
+        if store.add(candidate):
+            out.append(candidate)
+            frontier.append(candidate)
     while frontier:
         next_frontier = []
-        for d in frontier:
-            budget = max_edges - d.m
+        for n, arcs in frontier:
+            budget = max_edges - len(arcs)
             if budget < 2:
                 continue
-            for seq in _attached_cycles(d.n, budget):
-                n_new = max(d.n, max(seq) + 1)
-                arcs = list(d.arcs) + [
-                    (seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq))
-                ]
-                candidate = Digraph(n_new, arcs)
+            for seq in _attached_cycles(n, budget):
+                candidate = (
+                    max(n, max(seq) + 1),
+                    arcs + tuple(zip(seq, seq[1:] + seq[:1])),
+                )
                 if store.add(candidate):
                     out.append(candidate)
                     next_frontier.append(candidate)
         frontier = next_frontier
-    out.sort(key=lambda d: (d.m, d.n, tuple(sorted(d.arcs))))
-    return tuple(out)
+    out.sort(key=lambda c: (len(c[1]), c[0], tuple(sorted(c[1]))))
+    return tuple(Digraph(n, arcs) for n, arcs in out)
 
 
 # ---------------------------------------------------------------------------

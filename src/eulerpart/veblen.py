@@ -42,7 +42,12 @@ from eulerpart.graphs import (
 from eulerpart.poly import IntPoly, interpolate_int_poly
 from eulerpart.poset import bits
 from eulerpart.partition import SetPartition, components
-from eulerpart.trails import _closing_vertices, count_eulerian_circuits, det_bareiss
+from eulerpart.trails import (
+    _closing_vertices,
+    _count_circuits_all_orientations,
+    count_eulerian_circuits,
+    det_bareiss,
+)
 
 INFRAGRAPH_EDGE_CAP = 12
 HOST_VERTEX_CAP = 8
@@ -445,12 +450,14 @@ def count_rooting_tuples(d):
 def _shape_coefficient(x, edges, shape, cache):
     """Circuit count over parallel factorial product of the block on the
     given edges of x, read from cache by the block's shape; the
-    sub-multigraph is built only on a miss."""
+    sub-multigraph is built only on a miss.  A block is connected and
+    even by construction, so it goes straight to the orientation sweep,
+    without the Eulerian test of ``count_eulerian_circuits``."""
     coeff = cache.get(shape)
     if coeff is None:
         sub = x.restrict(edges)
         coeff = cache[shape] = Fraction(
-            count_eulerian_circuits(sub), parallel_factorial_product(sub)
+            _count_circuits_all_orientations(sub), parallel_factorial_product(sub)
         )
     return coeff
 

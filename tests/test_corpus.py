@@ -8,6 +8,7 @@ import pytest
 from eulerpart import corpus as corpus_module
 from eulerpart.corpus import (
     _IsoStore,
+    _RefiningIsoStore,
     _digraph_matrix,
     complete_bipartite,
     complete_graph,
@@ -162,6 +163,10 @@ CORPUS_DIGESTS = {
         lambda: eulerian_digraph_corpus(10),
         "c677cc2e9aafc7df5fa29bf96c8ba8caab45ae451bc37f3f411edfc89e8f0412",
     ),
+    "eulerian_digraph_corpus(11)": (
+        lambda: eulerian_digraph_corpus(11),
+        "82b13dfccca3e402abd89bf190347adde55d8097bf8e89841bd92c935483576a",
+    ),
     "connected_simple_graphs(6)": (
         lambda: connected_simple_graphs(6),
         "6adb853cca25b043e9408e03ae02caae0fe8b82c01f2dd0e279f83b0e2820014",
@@ -282,3 +287,49 @@ def test_iso_store_computes_one_profile_per_graph(monkeypatch):
     added = [store.add(g) for g in graphs]
     assert len(calls) == len(graphs)
     assert added == [True, False] * (len(graphs) // 2) + [True]
+
+
+def _refined_relabelling_misses():
+    """(member, relabelling) pairs of eulerian_digraph_corpus(8) that a
+    refining store loaded with the corpus sends to another class."""
+    members = eulerian_digraph_corpus(8)
+    store = _RefiningIsoStore(_digraph_matrix)
+    assert [store.class_index(d) for d in members] == list(range(len(members)))
+    rng = random.Random(20261019)
+    misses = []
+    for index, d in enumerate(members):
+        for _ in range(3):
+            perm = list(range(d.n))
+            rng.shuffle(perm)
+            if store.class_index(relabeled_copy(d, perm)) != index:
+                misses.append((format_graph(d), perm))
+    return misses
+
+
+def test_refined_colours_are_invariant_under_relabelling():
+    assert _refined_relabelling_misses() == []
+
+
+def test_refined_colours_that_read_vertex_indices_are_caught(monkeypatch):
+    real = _RefiningIsoStore.colours
+
+    def indexed(self, mat):
+        return [(c, v) for v, c in enumerate(real(self, mat))]
+
+    monkeypatch.setattr(_RefiningIsoStore, "colours", indexed)
+    assert _refined_relabelling_misses()
+
+
+def test_refined_key_halves_the_isomorphism_tests(monkeypatch):
+    real = corpus_module._matrices_isomorphic
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(corpus_module, "_matrices_isomorphic", counting)
+    built = eulerian_digraph_corpus.__wrapped__(9)
+    # the profile-keyed store made 4156 tests for this corpus
+    assert len(calls) < 4156 // 2
+    assert [(d.n, d.arcs) for d in built] == [(d.n, d.arcs) for d in eulerian_digraph_corpus(9)]

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from eulerpart import trails as trails_module
 from eulerpart import veblen
 from eulerpart.corpus import complete_graph, relabeled_copy, veblen_corpus, wheel_graph
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Multigraph, orientations
+from eulerpart.graphs import Multigraph, orientations, parallel_factorial_product
 from eulerpart.lattice import circuit_partition_counts
 from eulerpart.poly import IntPoly
+from eulerpart.poset import bits
 from eulerpart.trails import count_eulerian_circuits
 from eulerpart.veblen import (
     VeblenMultigraph,
@@ -410,3 +412,25 @@ def test_weight_builds_no_decomposition_objects(monkeypatch):
     assert hs_characteristic_polynomial(k5) == poly
     with pytest.raises(AssertionError):
         decompositions(doubled())
+
+
+def test_shape_coefficient_counts_every_block_as_the_eulerian_count():
+    blocks = 0
+    for x in veblen_corpus(8, 5):
+        for mask, shape in veblen.connected_veblen_subset_masks(x).items():
+            sub = x.restrict(bits(mask))
+            expected = Fraction(count_eulerian_circuits(sub), parallel_factorial_product(sub))
+            assert veblen._shape_coefficient(x, bits(mask), shape, {}) == expected
+            blocks += 1
+    assert blocks > len(veblen_corpus(8, 5))
+
+
+def test_weight_runs_no_eulerian_test_per_block(monkeypatch):
+    members = list(veblen_corpus(8, 5))
+    expected = [weight(x) for x in members]
+
+    def refuse(g):
+        raise AssertionError("a block went through is_eulerian")
+
+    monkeypatch.setattr(trails_module, "is_eulerian", refuse)
+    assert [weight(x) for x in members] == expected
