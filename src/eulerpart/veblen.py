@@ -11,15 +11,19 @@ host's sorted pairs, which tracks vertex parity as an int mask.
 ``enumerate_infragraphs`` builds a ``VeblenMultigraph`` per vector; the
 infragraph-weight route reads the vectors directly, splits them into
 components on vertex masks, and weighs one component per isomorphism
-class (``corpus._IsoStore``), through a memo that lives for one call.
+class (``corpus._IsoStore``).  The classes, their weights (ints when
+integral) and the block coefficients by shape live in one module-level
+``_ComponentClasses``, shared by every host in the process; only the
+labelled-key memo lives for one call.
 
 Weights run on edge masks.  One pass over the edge subsets keeps the
 connected even-degree blocks, each with its shape: its sorted (pair,
-multiplicity) tuple.  A block's coefficient is read from the call's memo
-by shape, so each shape is counted once per call; the decompositions come
-as block-mask tuples, grouped by their sorted shapes, and no
-``Decomposition`` is built.  ``decompositions`` wraps the same masks in
-``Decomposition`` objects for the full-sum oracle and the tests.
+multiplicity) tuple.  A block's coefficient is read from a memo by shape
+(the call's own, or the one passed as ``_cache``), so each shape is
+counted once per memo; the decompositions come as block-mask tuples,
+grouped by their sorted shapes, and no ``Decomposition`` is built.
+``decompositions`` wraps the same masks in ``Decomposition`` objects for
+the full-sum oracle and the tests.
 """
 
 from __future__ import annotations
@@ -552,27 +556,31 @@ def hs_characteristic_polynomial(host):
     The infragraphs are read as multiplicity vectors straight from the
     generator behind ``enumerate_infragraphs`` and split into components
     on vertex masks; no multigraph is built per infragraph.  The weight is
-    multiplicative over components, so each component is looked up in a
-    memo of two levels, local to the call: first by its multiplicity key,
+    multiplicative over components, so each component is looked up in two
+    levels: first in a memo local to the call, by its multiplicity key
     relabelled in increasing vertex order, and on a miss by its
-    isomorphism class in an ``_IsoStore``.  ``weight`` runs once per class
-    of component, so the number of calls does not depend on how the host
-    is labelled.
+    isomorphism class in ``_COMPONENT_CLASSES``, which lives for the
+    process.  ``weight`` runs once per class of component in the process,
+    so the number of calls does not depend on how the host is labelled.
+    A vector's product stops at its first zero weight; each of its
+    components is itself a vector within the budget, so every class is
+    still weighed when it comes up alone.  Weights and sums are ints;
+    only a non-integral class weight would bring in a ``Fraction``.
     """
     if host.n > HOST_VERTEX_CAP:
         raise CapExceededError(f"host capped at {HOST_VERTEX_CAP} vertices")
     pairs = _host_pairs(host)
     n = host.n
     ends = [1 << u | 1 << v for u, v in pairs]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    cache = {}
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    classes = _COMPONENT_CLASSES
+    if classes.weigh is not weight:
+        classes.reset(weight)
     slots = {}  # vertex mask -> {pair index: its slot in a component key}
-    classes = _IsoStore(_key_matrix)
-    class_weights = []
     signed = {}  # component key -> -weight
     for vector in _multiplicity_vectors(pairs, n):
-        factors = []
+        product = 1
         for vertices, entries in _vector_components(vector, ends):
             slot = slots.get(vertices)
             if slot is None:
@@ -583,14 +591,12 @@ def hs_characteristic_polynomial(host):
             key = (vertices.bit_count(), code)
             w = signed.get(key)
             if w is None:
-                index = classes.class_index(key)
-                if index == len(class_weights):
-                    x = VeblenMultigraph(key[0], _key_edges(key))
-                    class_weights.append(-weight(x, _cache=cache))
-                w = signed[key] = class_weights[index]
-            factors.append(w)
-        if all(factors):
-            coeffs[n - sum(m for _, m in vector)] += math.prod(factors)
+                w = signed[key] = classes.signed_weight(key)
+            if not w:
+                break
+            product *= w
+        else:
+            coeffs[n - sum(m for _, m in vector)] += product
     out = []
     for c in coeffs:
         if c.denominator != 1:
@@ -641,6 +647,45 @@ def _key_matrix(key):
         mat[u][v] += 1
         mat[v][u] += 1
     return mat
+
+
+class _ComponentClasses:
+    """The component classes of the Harary-Sachs route, kept for the life
+    of the process: an ``_IsoStore`` of component keys, the signed weight
+    of each class by class index (an int when integral), and the
+    shape-coefficient dict that ``weight`` reads as its ``_cache``.
+
+    A class's weight does not depend on the host it came from, so hosts
+    share it.  The store is bounded by the classes of connected even
+    multigraphs with at most ``HOST_VERTEX_CAP`` edges: after K8 it holds
+    77 classes and 196 shapes.  It holds the values of one weight
+    function, ``weigh``; the route empties it when the module's ``weight``
+    is another, so a replaced ``weight`` (a planted fault) is always
+    called and its values never outlive it.
+    """
+
+    def __init__(self):
+        self.reset(None)
+
+    def reset(self, weigh):
+        """Empty the store and bind it to the weight function ``weigh``."""
+        self.weigh = weigh
+        self.store = _IsoStore(_key_matrix)
+        self.weights = []
+        self.shapes = {}
+
+    def signed_weight(self, key):
+        """-weight of the component a key describes, weighed on the first
+        key of its class only."""
+        index = self.store.class_index(key)
+        if index == len(self.weights):
+            x = VeblenMultigraph(key[0], _key_edges(key))
+            w = -self.weigh(x, _cache=self.shapes)
+            self.weights.append(w.numerator if w.denominator == 1 else w)
+        return self.weights[index]
+
+
+_COMPONENT_CLASSES = _ComponentClasses()
 
 
 def elementary_subgraph_formula(host):

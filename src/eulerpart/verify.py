@@ -20,6 +20,7 @@ from eulerpart.graphs import (
     Multigraph,
     approx_class,
     approx_class_size,
+    format_graph,
     is_eulerian,
     orientations,
     out_degree_factorial_product,
@@ -499,14 +500,16 @@ def check_pyramid_orientation_round_trip(config):
 
 
 def check_charpoly_three_routes(config):
+    """Each failure names the route and gives the host in the graph text
+    format, so that ``eulerpart charpoly`` can replay it."""
     failures = []
     hosts = corpus.spot_hosts(7)
     for host in hosts:
         det = veblen.charpoly_determinant_oracle(host)
         if veblen.hs_characteristic_polynomial(host) != det:
-            failures.append(("hs", host.n, host.m))
+            failures.append({"route": "hs", "host": format_graph(host)})
         if veblen.elementary_subgraph_formula(host) != det:
-            failures.append(("elementary", host.n, host.m))
+            failures.append({"route": "elementary", "host": format_graph(host)})
     return CheckResult(
         "charpoly-three-routes", not failures, len(hosts), {"failures": failures[:3]}
     )

@@ -325,6 +325,35 @@ def test_weight_multiplicative_mutation_is_caught(monkeypatch):
     assert not check_weight_multiplicative(config).ok
 
 
+def test_charpoly_three_routes_catches_a_flipped_hs_weight(monkeypatch, tmp_path, capsys):
+    """A weight with the sign flipped on 3-vertex components must fail the
+    three-route check, whose witness replays the failure through
+    ``eulerpart charpoly``.  The fault runs on a fresh component store,
+    which leaves the process store as it was."""
+    real = veblen_module.weight
+
+    def flipped(x, n=0, _cache=None):
+        value = real(x, n, _cache)
+        return -value if x.n == 3 else value
+
+    result = check_charpoly_three_routes(VerifyConfig())
+    assert result.ok and result.details == {"failures": []}
+    monkeypatch.setattr(veblen_module, "_COMPONENT_CLASSES", veblen_module._ComponentClasses())
+    monkeypatch.setattr(veblen_module, "weight", flipped)
+    result = check_charpoly_three_routes(VerifyConfig())
+    assert not result.ok
+    witness = result.details["failures"][0]
+    assert witness["route"] == "hs"
+    host = graphs_module.parse_graph(witness["host"])
+    assert veblen_module.hs_characteristic_polynomial(host) != (
+        veblen_module.charpoly_determinant_oracle(host)
+    )
+    path = tmp_path / "witness.txt"
+    path.write_text(witness["host"])
+    status, out, _ = run_cli(["charpoly", str(path), "--format", "json"], capsys)
+    assert status == 0 and json.loads(out)["result"]["agree"] is False
+
+
 def _without_full_block(real):
     def blocks(x):
         found = real(x)

@@ -7,7 +7,13 @@ import pytest
 
 from eulerpart import trails as trails_module
 from eulerpart import veblen
-from eulerpart.corpus import complete_graph, relabeled_copy, veblen_corpus, wheel_graph
+from eulerpart.corpus import (
+    complete_graph,
+    relabeled_copy,
+    spot_hosts,
+    veblen_corpus,
+    wheel_graph,
+)
 from eulerpart.errors import CapExceededError
 from eulerpart.graphs import Multigraph, orientations, parallel_factorial_product
 from eulerpart.lattice import circuit_partition_counts
@@ -261,6 +267,7 @@ def test_hs_polynomial_weighs_connected_components_only(monkeypatch):
 
     k6 = complete_graph(6)
     infragraphs = len(enumerate_infragraphs(k6, k6.n))
+    monkeypatch.setattr(veblen, "_COMPONENT_CLASSES", veblen._ComponentClasses())
     monkeypatch.setattr(veblen, "weight", counting)
     assert hs_characteristic_polynomial(k6) == charpoly_determinant_oracle(k6)
     assert seen and set(seen) == {1}
@@ -277,6 +284,7 @@ def _weight_calls(monkeypatch, host):
         calls.append(x)
         return real(x, n, _cache)
 
+    monkeypatch.setattr(veblen, "_COMPONENT_CLASSES", veblen._ComponentClasses())
     monkeypatch.setattr(veblen, "weight", counting)
     poly = hs_characteristic_polynomial(host)
     monkeypatch.setattr(veblen, "weight", real)
@@ -292,6 +300,62 @@ def test_hs_weight_calls_do_not_depend_on_labels(monkeypatch):
     counts += [_weight_calls(monkeypatch, _relabelled(wheel, seed)) for seed in range(5)]
     assert len(set(counts)) == 1
     assert _weight_calls(monkeypatch, complete_graph(6)) == 18
+
+
+def test_hs_component_classes_are_shared_across_hosts(monkeypatch):
+    """One store serves every host of the process: over the 51 spot hosts,
+    in a seeded order, ``weight`` runs once per stored class, and a host
+    whose classes are all stored makes no call."""
+    real = veblen.weight
+    calls = []
+
+    def counting(x, n=0, _cache=None):
+        calls.append(x)
+        return real(x, n, _cache)
+
+    store = veblen._ComponentClasses()
+    monkeypatch.setattr(veblen, "_COMPONENT_CLASSES", store)
+    monkeypatch.setattr(veblen, "weight", counting)
+    hosts = spot_hosts(7)
+    random.Random(20261019).shuffle(hosts)
+    assert len(hosts) == 51
+    for host in hosts:
+        assert hs_characteristic_polynomial(host) == charpoly_determinant_oracle(host)
+    assert len(calls) == store.store.classes == len(store.weights) == 33
+    assert all(isinstance(w, int) for w in store.weights)
+    calls.clear()
+    k6 = _relabelled(complete_graph(6), 7)
+    assert hs_characteristic_polynomial(k6) == charpoly_determinant_oracle(k6)
+    assert calls == []
+
+
+def test_hs_store_follows_a_replaced_weight(monkeypatch):
+    """The process store holds the values of one weight function: a
+    replaced ``weight`` is called although every class is stored, and its
+    values go when it does."""
+    k4 = complete_graph(4)
+    expected = charpoly_determinant_oracle(k4)
+    assert hs_characteristic_polynomial(k4) == expected
+    real = veblen.weight
+    monkeypatch.setattr(veblen, "weight", lambda x, n=0, _cache=None: -real(x, n, _cache))
+    assert hs_characteristic_polynomial(k4) != expected
+    monkeypatch.undo()
+    assert hs_characteristic_polynomial(k4) == expected
+
+
+def test_hs_polynomial_still_asserts_integral_coefficients(monkeypatch):
+    """A half-integral class weight reaches the coefficients as a Fraction
+    and is refused by the final integrality test."""
+    real = veblen.weight
+
+    def halved(x, n=0, _cache=None):
+        value = real(x, n, _cache)
+        return value / 2 if x.n == 2 else value
+
+    monkeypatch.setattr(veblen, "_COMPONENT_CLASSES", veblen._ComponentClasses())
+    monkeypatch.setattr(veblen, "weight", halved)
+    with pytest.raises(AssertionError, match="non-integral"):
+        hs_characteristic_polynomial(k2())
 
 
 def _even_vectors_by_brute_force(pairs, n, max_edges):
@@ -406,6 +470,7 @@ def test_weight_builds_no_decomposition_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("weight built a decomposition object")
 
+    monkeypatch.setattr(veblen, "_COMPONENT_CLASSES", veblen._ComponentClasses())
     monkeypatch.setattr(veblen, "Decomposition", refuse)
     monkeypatch.setattr(veblen, "SetPartition", refuse)
     assert [weight(x) for x in members] == expected
