@@ -11,10 +11,14 @@ an edge mask stands for ``order[r]``, so the largest edge of a set is
 ``C >> r == 0``.  Vertex sets are masks with bit v for vertex v.  A simple
 graph and an order give one rank table (``_RankTable``): the order and the
 rank of each edge, ``pm[r]`` the vertex mask of ``order[r]`` and ``ends[r]``
-its endpoints, each edge's sorted pair, and per vertex its (rank bit,
-neighbour) list.  The graph and the order are validated once, when the table
-is built; one slot keeps the table of the last (graph, order) pair, so the
-many calls the dictionaries make under one order share it.
+its endpoints, each edge's sorted pair and vertex mask, and per vertex its
+(rank bit, neighbour) list.  The graph and the order are validated once, when
+the table is built; one slot keeps the table of the last (graph, order) pair,
+so the many calls the dictionaries make under one order share it.  The table
+in turn keeps the last NBC base it accepted, with its sink: the direct and
+the recursive map, asked in turn for one (base, sink), validate it once.
+The base is matched by identity, as a frozenset, never by equality, so an
+equal set of other edge objects is still refused.
 
 The NBC sets come from one depth-first search, ``_nbc_forests``, over the
 broken-circuit complex (Whitney 1932; Björner 1992).  It adds edges in rank
@@ -35,6 +39,9 @@ the vertices.  It is labelled by the identity, so it is held as a list
 ``down[v]`` of vertex masks, the vertices below v with v included: the
 recursive map composes the two halves of each split on those masks, and the
 inverse reads them from one pass over the orientation in topological order.
+Each split is at the largest edge induced on its vertices, which crosses
+between the halves, so every edge inside a half ranks below it: both maps
+search a half's split edge downward from its parent's.
 No ``heaps.PieceSystem`` or ``heaps.Heap`` is built per call; the ``Heap``
 forms of the three maps remain in the tests as their oracle.
 """
@@ -118,16 +125,21 @@ class _RankTable:
     """A simple graph under one edge order: ``order`` and ``rank[e]``, the
     position of edge e in it; ``pairs[e]``, edge e's endpoints ascending;
     ``ends[r]`` and ``pm[r]``, the endpoints and vertex mask of ``order[r]``;
-    ``adj[v]``, the (rank bit, neighbour) list of vertex v."""
+    ``epm[e]``, the vertex mask of edge e; ``adj[v]``, the (rank bit,
+    neighbour) list of vertex v; and ``checked``, the last NBC base that
+    ``_check_nbc_base`` accepted under this pair, as (root, base, rank mask,
+    root paths), or None."""
 
-    __slots__ = ("graph", "order", "rank", "pairs", "ends", "pm", "adj")
+    __slots__ = ("graph", "order", "rank", "pairs", "ends", "pm", "epm", "adj", "checked")
 
     def __init__(self, g, order):
         self.graph, self.order = g, order
+        self.checked = None
         self.rank = {e: r for r, e in enumerate(order)}
         self.pairs = [tuple(sorted(p)) for p in g.pairs]
         self.ends = [self.pairs[e] for e in order]
         self.pm = [1 << u | 1 << v for u, v in self.ends]
+        self.epm = [1 << u | 1 << v for u, v in self.pairs]
         self.adj = [[] for _ in range(g.n)]
         for r, (u, v) in enumerate(self.ends):
             self.adj[u].append((1 << r, v))
@@ -455,7 +467,16 @@ def _tree_contains_broken_circuit(g, t, order):
 
 def _check_nbc_base(g, table, t, root):
     """The rank mask of the NBC base t and its root paths toward root, from
-    one search; raises ValueError when t is not an NBC base."""
+    one search; raises ValueError when t is not an NBC base.
+
+    The table keeps the last base accepted, so the direct and the recursive
+    map, asked in turn for one (base, sink), validate it once.  The base is
+    matched by identity, and only as a frozenset, which cannot change: an
+    equal set of other edge objects (``True`` for edge 1) or a list the
+    caller has since edited is validated afresh, and refused as before."""
+    last = table.checked
+    if last is not None and last[1] is t and last[0] == root and type(root) is int:
+        return last[2], last[3]
     if not 0 <= root < g.n:
         raise ValueError(f"unknown vertex {root}")
     tree = _base_mask(table, t)
@@ -465,6 +486,8 @@ def _check_nbc_base(g, table, t, root):
         raise ValueError("not a spanning tree")
     if _has_broken_circuit(table, tree, path):
         raise ValueError("spanning tree contains a broken circuit")
+    if type(t) is frozenset:
+        table.checked = root, t, tree, path
     return tree, path
 
 
@@ -484,21 +507,24 @@ def base_to_orientation_direct(t, g, x, order):
     meet of the two root paths decides the linear order, the null edge
     ranking below all; every graph edge is oriented toward its smaller
     endpoint, so x is the unique sink.  The tree edges from i down to the
-    meet are ``path[i] & ~path[j]``, the largest of them its top bit.
+    meet are ``path[i] & ~path[j]``, the largest of them its top bit.  The
+    two such masks of a pair are disjoint, so the one with the higher top
+    bit is the larger, and adding the common part ``path[i] & path[j]`` to
+    both keeps that: the comparison is ``path[i] > path[j]``.
     """
     table = _rank_table(g, order)
     _, path = _check_nbc_base(g, table, t, x)
-    arcs = [
-        (i, j) if (path[i] & ~path[j]).bit_length() > (path[j] & ~path[i]).bit_length() else (j, i)
-        for i, j in table.pairs
-    ]
+    arcs = [(i, j) if path[i] > path[j] else (j, i) for i, j in table.pairs]
     return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
 
 
-def _pyramid_masks(conc, pm, tree, inside, x, down):
+def _pyramid_masks(conc, pm, tree, inside, x, down, hi):
     """Fill in the pyramid of the NBC base on the vertex mask inside, apex x;
-    tree is the rank mask of the base edges within inside.
+    tree is the rank mask of the base edges within inside, and every edge
+    induced on inside ranks below hi.
 
+    The split is at the largest induced edge, which crosses between the two
+    halves, so each half's edges rank below it: it is the halves' bound.
     The pyramid is full and labelled by the identity, so it is held as
     ``down[v]``, the mask of the vertices below v, v included.  The two
     halves of the split are composed as ``heaps.compose`` does: below each
@@ -508,7 +534,7 @@ def _pyramid_masks(conc, pm, tree, inside, x, down):
     if inside & (inside - 1) == 0:
         down[x] = 1 << x
         return
-    top = _top_induced(pm, inside, len(pm))
+    top = _top_induced(pm, inside, hi)
     assert top >= 0, "connected induced subgraph with >= 2 vertices has an edge"
     assert tree >> top & 1, "an NBC base always contains the largest induced edge"
     # grow x's side over the other tree edges; what is left lies on the far side
@@ -517,24 +543,35 @@ def _pyramid_masks(conc, pm, tree, inside, x, down):
     grown = True
     while grown:
         grown = False
-        for r in bits(far):
-            if pm[r] & side:
-                side |= pm[r]
-                far ^= 1 << r
+        rest = far
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = pm[low.bit_length() - 1]
+            if p & side:
+                side |= p
+                far ^= low
                 grown = True
     other = inside & ~side
     u = (pm[top] & other).bit_length() - 1
-    _pyramid_masks(conc, pm, far, other, u, down)
-    _pyramid_masks(conc, pm, tree ^ 1 << top ^ far, side, x, down)
+    _pyramid_masks(conc, pm, far, other, u, down, top)
+    _pyramid_masks(conc, pm, tree ^ 1 << top ^ far, side, x, down, top)
     # down[y] & touch reads only the side part of down[y], which this loop
     # leaves as it was
-    side_list = list(bits(side))
-    for w in bits(other):
+    while other:
+        low = other & -other
+        other ^= low
+        w = low.bit_length() - 1
         touch = conc[w] & side
         if touch:
-            for y in side_list:
+            below = down[w]
+            rest = side
+            while rest:
+                y = rest & -rest
+                rest ^= y
+                y = y.bit_length() - 1
                 if down[y] & touch:
-                    down[y] |= down[w]
+                    down[y] |= below
 
 
 def base_to_orientation_recursive(t, g, x, order):
@@ -543,7 +580,7 @@ def base_to_orientation_recursive(t, g, x, order):
     table = _rank_table(g, order)
     tree, _ = _check_nbc_base(g, table, t, x)
     down = [0] * g.n
-    _pyramid_masks(g._neighbor_masks, table.pm, tree, (1 << g.n) - 1, x, down)
+    _pyramid_masks(g._neighbor_masks, table.pm, tree, (1 << g.n) - 1, x, down, len(table.pm))
     arcs = [(u, v) if down[v] >> u & 1 else (v, u) for u, v in table.pairs]
     return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
 
@@ -552,20 +589,22 @@ def _down_masks(below, into):
     """down[v]: the mask of the vertices with a directed path to v, v
     included, from below[v] and into[v], v's in-neighbours as a mask and as
     a list.  A vertex is peeled once all its in-neighbours are, so the masks
-    are filled in a topological order; a sweep over the vertices that peels
-    none means a directed cycle, and raises ValueError."""
-    n = len(below)
-    down = [0] * n
-    left = (1 << n) - 1
+    are filled in a topological order; a sweep over the vertices left that
+    peels none means a directed cycle, and raises ValueError."""
+    down = [0] * len(below)
+    left = (1 << len(below)) - 1
     while left:
-        before = left
-        for v in range(n):
-            if left >> v & 1 and not below[v] & left:
-                mask = 1 << v
+        before = rest = left
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if not below[v] & left:
+                left ^= low
+                mask = low
                 for u in into[v]:
                     mask |= down[u]
                 down[v] = mask
-                left ^= 1 << v
         if left == before:
             raise ValueError("orientation is cyclic")
     return down
@@ -578,42 +617,53 @@ def orientation_to_base(o, g, x, order):
     which are the orientation's down-sets.
 
     One pass over the arcs gathers the tails for the sink test, compares
-    each arc with its edge for the orientation test, and records the
-    in-neighbours the down-sets are read from."""
+    each arc's ends with its edge's for the orientation test, and records
+    the in-neighbours the down-sets are read from."""
     table = _rank_table(g, order)
-    pairs = table.pairs
-    oriented = o.n == g.n and len(o.arcs) == len(pairs)
+    epm, n = table.epm, o.n
+    oriented = n == g.n and len(o.arcs) == len(epm)
     tails = 0
-    in_mask = [0] * o.n
-    into = [[] for _ in range(o.n)]
+    in_mask = [0] * n
+    into = [[] for _ in range(n)]
     for e, (u, v) in enumerate(o.arcs):
-        tails |= 1 << u
-        in_mask[v] |= 1 << u
+        bit = 1 << u
+        tails |= bit
+        in_mask[v] |= bit
         into[v].append(u)
-        if oriented and (u, v) != pairs[e] != (v, u):
+        if oriented and bit | 1 << v != epm[e]:
             oriented = False
-    if [v for v in range(o.n) if not tails >> v & 1] != [x]:
+    # the sinks as a mask: exactly one bit, at x
+    full = (1 << n) - 1
+    free = full & ~tails
+    if not free or free & free - 1 or free.bit_length() - 1 != x:
         raise ValueError(f"orientation does not have unique sink {x}")
     if not oriented:
         raise ValueError("not an orientation of the concurrence graph")
     down = _down_masks(in_mask, into)
     pm, ends = table.pm, table.ends
     edges = []
-    # (vertex mask, rank bound): a level's top edge ranks below its parent's
-    levels = [((1 << g.n) - 1, len(pm))]
+    # (vertex mask, rank bound): a level's top edge ranks below its parent's;
+    # only levels of two or more vertices are pushed
+    levels = [(full, len(pm))] if full & full - 1 else []
     while levels:
         inside, hi = levels.pop()
-        if inside & (inside - 1):
-            top = _top_induced(pm, inside, hi)
-            p, q = ends[top]
-            below = down[p if down[q] >> p & 1 else q] & inside
-            edges.append(table.order[top])
-            levels += (below, top), (inside & ~below, top)
+        top = _top_induced(pm, inside, hi)
+        p, q = ends[top]
+        below = down[p if down[q] >> p & 1 else q] & inside
+        edges.append(table.order[top])
+        if below & below - 1:
+            levels.append((below, top))
+        rest = inside ^ below
+        if rest & rest - 1:
+            levels.append((rest, top))
     return frozenset(edges)
 
 
 def edge_orders(g, count, rng):
-    """The identity edge order, then count - 1 successive shuffles of it."""
+    """The identity edge order, then count - 1 successive shuffles of it;
+    refuses a count below one."""
+    if count < 1:
+        raise ValueError(f"edge order count must be at least 1, got {count}")
     base = list(g.edges())
     out = [tuple(base)]
     for _ in range(count - 1):
@@ -637,8 +687,12 @@ def check_nbc_dictionaries(g, orders):
 
     Returns (failures, checked, base_count): one message per failed
     comparison, the number of (order, sink, base) triples pushed through
-    both dictionaries, and the NBC-base count under the last order.
+    both dictionaries, and the NBC-base count under the last order.  Refuses
+    an empty list of orders before any work.
     """
+    orders = list(orders)
+    if not orders:
+        raise ValueError("at least one edge order is needed")
     by_sink = None
     failures = []
     checked = 0

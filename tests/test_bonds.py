@@ -289,6 +289,69 @@ def test_each_order_checked_once_per_dictionary_check(monkeypatch):
     assert seen == list(orders)
 
 
+def test_edge_orders_refuse_a_count_below_one():
+    g = k4()
+    for count in (0, -3):
+        with pytest.raises(ValueError, match="edge order count must be at least 1"):
+            edge_orders(g, count, random.Random(1))
+    assert len(edge_orders(g, 1, random.Random(1))) == 1
+
+
+def _refuse_work(*args):
+    raise AssertionError("work ran before the refusal")
+
+
+def test_dictionary_check_refuses_no_orders_before_any_work(monkeypatch):
+    monkeypatch.setattr(bonds_module, "nbc_bases", _refuse_work)
+    monkeypatch.setattr(bonds_module, "acyclic_orientations", _refuse_work)
+    for orders in ([], iter(())):
+        with pytest.raises(ValueError, match="at least one edge order"):
+            check_nbc_dictionaries(k4(), orders)
+
+
+def test_base_validated_once_is_matched_by_identity():
+    """The slot that lets the recursive map skip a base the direct map has
+    just validated answers only for the same frozenset at the same sink: an
+    equal set of other edge objects, a list edited in place and another
+    base are each validated as if the slot were empty, and refused where
+    they are no NBC base."""
+    g = k4()
+    order = tuple(g.edges())
+    t = next(b for b in nbc_bases(g, order) if 1 in b)
+    expected = base_to_orientation_recursive(t, g, 0, order).arcs
+    for stand_in in (True, 1.0):
+        twin = frozenset(stand_in if e == 1 else e for e in t)
+        assert twin == t
+        base_to_orientation_direct(t, g, 0, order)
+        with pytest.raises(ValueError, match=f"unknown edge {stand_in!r}"):
+            base_to_orientation_recursive(twin, g, 0, order)
+    base = sorted(t)
+    assert base_to_orientation_direct(base, g, 0, order).arcs == expected
+    base[base.index(1)] = 0  # another NBC base
+    assert base_to_orientation_recursive(base, g, 0, order).arcs == (
+        base_to_orientation_recursive(frozenset(base), g, 0, order).arcs
+    ) != expected
+    base_to_orientation_direct(base, g, 0, order)
+    base[base.index(0)] = 4  # edges 3, 4, 5: the triangle 1 2 3, missing 0
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        base_to_orientation_recursive(base, g, 0, order)
+    triangle = frozenset({0, 1, 3})
+    base_to_orientation_direct(t, g, 0, order)
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        base_to_orientation_recursive(triangle, g, 0, order)
+    broken = frozenset({0, 1, 5})  # {0, 1} is the broken circuit of 0 1 2
+    assert broken not in nbc_bases(g, order)
+    base_to_orientation_direct(t, g, 0, order)
+    with pytest.raises(ValueError, match="contains a broken circuit"):
+        base_to_orientation_recursive(broken, g, 0, order)
+    # the same frozenset at another sink is validated toward that sink
+    assert base_to_orientation_recursive(t, g, 0, order).arcs == expected
+    assert base_to_orientation_direct(t, g, 3, order).arcs == (
+        base_to_orientation_recursive(t, g, 3, order).arcs
+    )
+    assert sinks(base_to_orientation_recursive(t, g, 3, order)) == [3]
+
+
 def test_chromatic_polynomials():
     t = IntPoly.t()
     assert chromatic_polynomial(k3()) == t**3 - 3 * t**2 + 2 * t
@@ -585,17 +648,17 @@ def reference_inverse(o, g, x, order):
     return rec(orientation_to_pyramid(PieceSystem(g), o))
 
 
-def test_dictionaries_match_reference_forms():
-    """Each rank-mask map equals its reference form on every connected simple
-    graph with <= 5 vertices, under three seeded edge orders, at every sink."""
-    rng = random.Random(8)
+def _check_reference_forms(graphs, orders_of):
+    """Assert that each rank-mask map equals its reference form on every
+    graph, under each of its orders, at every sink; returns the number of
+    bases and of orientations compared."""
     bases_checked = orientations_checked = 0
-    for g in connected_simple_graphs(5):
+    for g in graphs:
         by_sink = {}
         for o in acyclic_orientations(g):
             if len(sinks(o)) == 1:
                 by_sink.setdefault(sinks(o)[0], []).append(o)
-        for order in edge_orders(g, 3, rng):
+        for order in orders_of(g):
             bases = nbc_bases(g, order)
             for x in range(g.n):
                 for t in bases:
@@ -611,7 +674,25 @@ def test_dictionaries_match_reference_forms():
                         o, g, x, order
                     ), (g, order, x, o.arcs)
                     orientations_checked += 1
-    assert bases_checked == orientations_checked == 2355
+    return bases_checked, orientations_checked
+
+
+def test_dictionaries_match_reference_forms():
+    """Each rank-mask map equals its reference form on every connected simple
+    graph with <= 5 vertices, under three seeded edge orders, at every sink."""
+    rng = random.Random(8)
+    checked = _check_reference_forms(connected_simple_graphs(5), lambda g: edge_orders(g, 3, rng))
+    assert checked == (2355, 2355)
+
+
+def test_dictionaries_match_reference_forms_on_dense_graphs():
+    """The same on K6 and on K6 less an edge, where the splits run deepest,
+    under two seeded shuffles of the edges each, at every sink."""
+    rng = random.Random(9)
+    k6 = list(combinations(range(6), 2))
+    graphs = [Multigraph(6, k6), Multigraph(6, k6[1:])]
+    checked = _check_reference_forms(graphs, lambda g: edge_orders(g, 3, rng)[1:])
+    assert checked == (2 * 6 * (120 + 96),) * 2
 
 
 def _reverse_arc(d, index):

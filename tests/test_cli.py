@@ -20,8 +20,10 @@ from eulerpart.verify import (
     check_associated_coefficient_routes,
     check_cancellation,
     check_charpoly_three_routes,
+    check_chromatic_routes,
     check_orientation_circuit_partitions,
     check_rooting_class_sizes,
+    check_rota,
     check_weight_multiplicative,
     check_weight_vanishes_on_decomposables,
     check_weight_via_cancellation,
@@ -401,6 +403,39 @@ def test_veblen_check_mutation_is_caught(monkeypatch, name):
     result = check(config)
     assert result.name == name and result.ok and result.checked > 0
     monkeypatch.setattr(veblen_module, attr, make_fault(getattr(veblen_module, attr)))
+    assert not check(config).ok
+
+
+def _without_largest_nbc_set(real):
+    def forests(g, order):
+        found = real(g, order)
+        if len(found) > 1:
+            del found[max(found, key=len)]
+        return found
+
+    return forests
+
+
+# check name -> (check, bonds attribute, fault made from the real one), each
+# run on the connected simple graphs with <= 4 vertices
+BONDS_MUTATIONS = {
+    # the NBC search loses one non-empty set
+    "rota-nbc-theorem": (check_rota, "_nbc_forests", _without_largest_nbc_set),
+    # the Whitney route is off by one in its constant term
+    "chromatic-two-routes": (
+        check_chromatic_routes, "chromatic_polynomial_whitney",
+        lambda real: lambda g, order=None: real(g, order) + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BONDS_MUTATIONS))
+def test_bonds_check_mutation_is_caught(monkeypatch, name):
+    check, attr, make_fault = BONDS_MUTATIONS[name]
+    config = VerifyConfig(max_vertices=4)
+    result = check(config)
+    assert result.name == name and result.ok and result.checked > 0
+    monkeypatch.setattr(bonds_module, attr, make_fault(getattr(bonds_module, attr)))
     assert not check(config).ok
 
 
