@@ -16,12 +16,7 @@ import random
 import sys
 
 from eulerpart import bonds, heaps, lattice, trails, veblen
-from eulerpart.errors import (
-    CapExceededError,
-    GraphParseError,
-    InsertionError,
-    NotEulerianError,
-)
+from eulerpart.errors import CapExceededError
 from eulerpart.graphs import is_eulerian, out_degree_factorial_product, parse_graph_file
 from eulerpart.verify import VerifyConfig, run_verification_suite
 
@@ -390,14 +385,8 @@ def main(argv=None):
             status = 0
         else:
             payload, status = handler(args)
-    except (
-        GraphParseError,
-        NotEulerianError,
-        CapExceededError,
-        InsertionError,
-        ValueError,
-        OSError,
-    ) as err:
+    except (ValueError, CapExceededError, OSError) as err:
+        # parse, Eulerian and insertion errors are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:

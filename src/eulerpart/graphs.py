@@ -64,9 +64,6 @@ class Multigraph:
     def vertices(self):
         return range(self.n)
 
-    def endpoints(self, e):
-        return self.pairs[e]
-
     def incident(self, u):
         """Sorted list of (edge id, other endpoint)."""
         return self._adj[u]
@@ -242,12 +239,11 @@ class Digraph:
             [self.edge_labels[e] for e in edge_subset],
         )
 
-    def is_balanced(self, edge_subset=None):
-        """In-degree equals out-degree at every vertex, over the given arcs
-        (all of them by default); read from the arc list."""
+    def is_balanced(self):
+        """In-degree equals out-degree at every vertex; read from the arc
+        list."""
         net = {}
-        for e in self.edges() if edge_subset is None else edge_subset:
-            u, v = self.arcs[e]
+        for u, v in self.arcs:
             net[u] = net.get(u, 0) + 1
             net[v] = net.get(v, 0) - 1
         return all(x == 0 for x in net.values())
@@ -261,26 +257,24 @@ class Digraph:
         return f"Digraph(n={self.n}, [{inner}])"
 
 
-def is_eulerian(d, edge_subset=None):
+def is_eulerian(d):
     """Closed-trail feasibility on a connected edge support.
 
     Digraphs need in-degree == out-degree everywhere; multigraphs need all
     degrees even.  The empty edge set does not count as Eulerian, and
     isolated vertices are ignored: only the edge support must be connected.
     """
-    if edge_subset is None:
-        edge_subset = list(d.edges())
-    if not edge_subset:
+    if not d.m:
         return False
     if d.directed:
-        balanced = d.is_balanced(edge_subset)
+        balanced = d.is_balanced()
     else:
         parity = {}
-        for e in edge_subset:
-            for v in d.pairs[e]:
+        for pair in d.pairs:
+            for v in pair:
                 parity[v] = parity.get(v, 0) ^ 1
         balanced = not any(parity.values())
-    return balanced and d.edge_support_connected(edge_subset)
+    return balanced and d.edge_support_connected()
 
 
 def orientation_arcs(x):

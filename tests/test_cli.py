@@ -27,6 +27,7 @@ from eulerpart.verify import (
     check_weight_multiplicative,
     check_weight_vanishes_on_decomposables,
     check_weight_via_cancellation,
+    run_verification_suite,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -275,6 +276,52 @@ def test_verify_smoke_small(capsys):
     assert "cancellation" in names and "rota-nbc-theorem" in names
 
 
+# (name, ok, checked) of every check, in order, on SMALL_VERIFY, where every
+# check counts at least one case
+SMALL_VERIFY = VerifyConfig(max_edges=6, max_vertices=4, veblen_edges=6, oracle_edges=6)
+SMALL_VERIFY_COUNTS = [
+    ("orientation-class-sizes", True, 17),
+    ("eulerian-balance", True, 20),
+    ("trail-counts", True, 20),
+    ("cycle-sequence-round-trip", True, 45),
+    ("circuit-count-oracle", True, 20),
+    ("cancellation", True, 20),
+    ("downset-sums-and-mobius-inversion", True, 20),
+    ("join-closure", True, 488),
+    ("lattice-vs-bell-filter", True, 20),
+    ("martin-evaluations", True, 20),
+    ("martin-chromatic-identity", True, 20),
+    ("counts-vs-direct-enumeration", True, 20),
+    ("nbc-bijection-suite", True, 237),
+    ("rota-nbc-theorem", True, 234),
+    ("chromatic-two-routes", True, 10),
+    ("orientation-count-pattern", True, 9),
+    ("downset-product-law", True, 78),
+    ("heap-axioms-vs-sandwich", True, 346),
+    ("heap-monoid-laws", True, 55),
+    ("pyramid-balance-and-mobius", True, 35),
+    ("pyramid-split-identity", True, 51),
+    ("trail-fibers-vs-pyramids", True, 35),
+    ("trail-pyramid-round-trip", True, 45),
+    ("pyramid-orientation-round-trip", True, 106),
+    ("charpoly-three-routes", True, 51),
+    ("weight-vanishes-decomposable", True, 13),
+    ("associated-coefficient-routes", True, 17),
+    ("rooting-class-sizes", True, 32),
+    ("orientation-circuit-partitions", True, 40),
+    ("weight-multiplicative", True, 36),
+    ("weight-via-cancellation", True, 17),
+]
+
+
+def test_verify_counts_are_pinned():
+    status, report = run_verification_suite(SMALL_VERIFY)
+    assert status == 0 and report["ok"]
+    checks = report["checks"]
+    assert [(c["name"], c["ok"], c["checked"]) for c in checks] == SMALL_VERIFY_COUNTS
+    assert all(c["details"] == {"failures": []} for c in checks)
+
+
 def test_cap_violations_reported_not_fatal():
     from eulerpart.verify import run_verification_suite
 
@@ -282,6 +329,8 @@ def test_cap_violations_reported_not_fatal():
     assert status == 0
     capped = [c for c in report["checks"] if "capped" in c["details"]]
     assert capped, "a 13-edge Veblen sweep must hit the infragraph cap"
+    passing_names = {name for name, _, _ in SMALL_VERIFY_COUNTS}
+    assert {c["name"] for c in capped} <= passing_names
 
 
 def test_mutation_is_caught(monkeypatch):
@@ -437,6 +486,62 @@ def test_bonds_check_mutation_is_caught(monkeypatch, name):
     assert result.name == name and result.ok and result.checked > 0
     monkeypatch.setattr(bonds_module, attr, make_fault(getattr(bonds_module, attr)))
     assert not check(config).ok
+
+
+def _negated(real):
+    return lambda *args: -real(*args)
+
+
+def _off_when_disconnected(real):
+    def weight(x, n=0, _cache=None):
+        value = real(x, n, _cache)
+        return value + 1 if x.component_count() > 1 else value
+
+    return weight
+
+
+# check name -> (check, config, module, attribute, fault made from the real
+# one): the planted faults of the mutation tests above
+PLANTED_FAULTS = {
+    "cancellation": (
+        check_cancellation, VerifyConfig(max_edges=4), lattice_module, "_signed_mask_product",
+        _negated,
+    ),
+    "weight-via-cancellation": (
+        check_weight_via_cancellation, VerifyConfig(veblen_edges=5), veblen_module, "weight",
+        _negated,
+    ),
+    "weight-multiplicative": (
+        check_weight_multiplicative, VerifyConfig(veblen_edges=5), veblen_module, "weight",
+        _off_when_disconnected,
+    ),
+    **{
+        name: (check, config, veblen_module, attr, make_fault)
+        for name, (check, config, attr, make_fault) in VEBLEN_MUTATIONS.items()
+    },
+    **{
+        name: (check, VerifyConfig(max_vertices=4), bonds_module, attr, make_fault)
+        for name, (check, attr, make_fault) in BONDS_MUTATIONS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))
+def test_failing_check_lists_replayable_witnesses(monkeypatch, name):
+    """Under each planted fault the failing check names one to three
+    distinct inputs, each in the graph text format that the subcommands
+    read; a charpoly witness gives its host."""
+    check, config, module, attr, make_fault = PLANTED_FAULTS[name]
+    monkeypatch.setattr(module, attr, make_fault(getattr(module, attr)))
+    result = check(config)
+    witnesses = result.details["failures"]
+    assert result.name == name and not result.ok
+    assert 1 <= len(witnesses) <= 3
+    assert len({json.dumps(w, sort_keys=True) for w in witnesses}) == len(witnesses)
+    for witness in witnesses:
+        text = witness["host"] if isinstance(witness, dict) else witness
+        graph = graphs_module.parse_graph(text)
+        assert graph.m == len(text.splitlines()) - 1
 
 
 def _write(tmp_path, name, text):

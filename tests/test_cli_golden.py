@@ -42,6 +42,7 @@ CASES = [
 ] + [
     ["verify", "--max-edges", "0", "--format", "json"],
     ["verify", "--max-vertices", "0", "--format", "json"],
+    ["verify", "--max-edges", "5", "--max-vertices", "4", "--format", "json"],
 ] + [
     # heap output: every apex piece of the two undirected samples
     ["pyramids", f"graphs/{graph}", "--piece", str(v), "--format", "json"]
@@ -61,7 +62,7 @@ def _load_golden():
 
 
 def test_golden_covers_every_case():
-    assert len(CASES) == 65
+    assert len(CASES) == 66
     assert sorted(_load_golden()) == sorted(_case_id(a) for a in CASES)
 
 
