@@ -14,7 +14,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from eulerpart.corpus import connected_simple_graphs, eulerian_digraph_corpus, veblen_corpus
 from eulerpart.lattice import eulerian_parts, verify_cancellation
-from eulerpart.trails import cycle_partitions
 from eulerpart.veblen import is_decomposable, weight
 
 
@@ -25,7 +24,7 @@ def main():
     for m in sorted(by_m):
         members = [d for d in digraphs if d.m == m]
         sums = Counter(verify_cancellation(d).alternating_sum for d in members)
-        sizes = Counter(len(eulerian_parts(d, cycle_partitions(d))) for d in members)
+        sizes = Counter(len(eulerian_parts(d)) for d in members)
         print(
             f"  m={m}: {by_m[m]:3d} classes, alternating sums {dict(sums)}, "
             f"largest semilattice {max(sizes)}"

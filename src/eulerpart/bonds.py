@@ -110,7 +110,7 @@ class BondLattice(FinitePoset):
         return frozenset(
             e
             for e in self.graph.edges()
-            if any(self.graph.pairs[e] <= b for b in x.blocks)
+            if any(b.issuperset(self.graph.pairs[e]) for b in x.blocks)
         )
 
 
@@ -136,7 +136,7 @@ class _RankTable:
         self.graph, self.order = g, order
         self.checked = None
         self.rank = {e: r for r, e in enumerate(order)}
-        self.pairs = [tuple(sorted(p)) for p in g.pairs]
+        self.pairs = g.pairs
         self.ends = [self.pairs[e] for e in order]
         self.pm = [1 << u | 1 << v for u, v in self.ends]
         self.epm = [1 << u | 1 << v for u, v in self.pairs]
@@ -352,7 +352,7 @@ def chromatic_polynomial(g):
         memo[key] = result
         return result
 
-    return rec(frozenset(range(g.n)), frozenset(g.pairs))
+    return rec(frozenset(range(g.n)), frozenset(map(frozenset, g.pairs)))
 
 
 def chromatic_polynomial_whitney(g, order=None):
@@ -379,7 +379,7 @@ def acyclic_orientations(g):
     when b reaches a.
     """
     require_simple(g)
-    pairs = [tuple(sorted(p)) for p in g.pairs]
+    pairs = g.pairs
     arcs = [None] * g.m
     out = []
 

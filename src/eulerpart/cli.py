@@ -100,7 +100,7 @@ def cmd_circuits(args, g):
             bound = 2 * math.prod(math.prod(range(g.degree(v) - 1, 0, -2)) for v in g.vertices())
         if bound > CIRCUITS_CAP:
             if g.directed:
-                rows = len({v for arc in g.arcs for v in arc}) - 1
+                rows = len(g.support_vertices()) - 1
                 if rows > CIRCUITS_COUNT_ROW_CAP:
                     raise CapExceededError(
                         f"digraph circuits are counted up to {CIRCUITS_COUNT_ROW_CAP + 1} vertices"

@@ -197,7 +197,7 @@ def simple_graph_classes(n):
     store = _IsoStore(_pair_matrix)
     out = []
     for parent in simple_graph_classes(n - 1):
-        base_pairs = tuple(tuple(sorted(p)) for p in parent.pairs)
+        base_pairs = parent.pairs
         for mask in range(1 << (n - 1)):
             pairs = base_pairs + tuple(
                 (w, n - 1) for w in range(n - 1) if mask >> w & 1
@@ -397,8 +397,4 @@ def veblen_corpus(max_edges=8, max_host_vertices=5):
 
 def relabeled_copy(g, perm):
     """Apply a vertex permutation; handy for isomorphism self-tests."""
-    if g.directed:
-        return Digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs])
-    return Multigraph(
-        g.n, [tuple(sorted((perm[u], perm[v]))) for u, v in (sorted(p) for p in g.pairs)]
-    )
+    return (Digraph if g.directed else Multigraph)(g.n, [(perm[u], perm[v]) for u, v in g.ends])

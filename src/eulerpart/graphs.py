@@ -4,6 +4,11 @@ Vertices and edges are dense nonnegative integers; original file labels are
 kept in side tables so CLI output can speak the user's names.  Parallel edges
 are first-class (distinct ids, same endpoints); loops are rejected at
 construction time.
+
+Every edge is stored once, as an int tuple: a multigraph's ``pairs[i]`` is
+(u, v) with u < v, a digraph's ``arcs[i]`` is (tail, head).  Both name the
+``ends`` tuple of one private base class, which holds the validation, the
+label tables and what reads edges without their direction.
 """
 
 from __future__ import annotations
@@ -17,11 +22,81 @@ from eulerpart.errors import GraphParseError
 from eulerpart.partition import components
 
 
-class Multigraph:
-    """Undirected multigraph: edge i joins the unordered pair ``pairs[i]``.
+class _Graph:
+    """What Multigraph and Digraph share: ``n`` vertices, the edge tuple
+    ``ends`` (edge i joins the two vertices of ``ends[i]``), and the label
+    tables.  A subclass names ``ends`` as ``pairs`` or ``arcs``; ``noun``
+    words a refusal, and is read only then."""
 
-    >>> g = Multigraph(2, [(0, 1), (0, 1)])
-    >>> g.multiplicity(0, 1)
+    noun = "edge"
+
+    def __init__(self, n, ends, vertex_labels, edge_labels):
+        for u, v in ends:
+            if u == v:
+                raise ValueError(f"loop {self.noun} at vertex {u} is not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"{self.noun} endpoint out of range: ({u}, {v})")
+        self.n = n
+        self.ends = ends
+        self.vertex_labels = tuple(vertex_labels) if vertex_labels else tuple(
+            str(i) for i in range(n)
+        )
+        self.edge_labels = tuple(edge_labels) if edge_labels else tuple(
+            f"e{i}" for i in range(len(ends))
+        )
+        if len(self.vertex_labels) != n or len(self.edge_labels) != len(ends):
+            raise ValueError("label tables must match vertex/edge counts")
+
+    @property
+    def m(self):
+        return len(self.ends)
+
+    def edges(self):
+        return range(len(self.ends))
+
+    def vertices(self):
+        return range(self.n)
+
+    def support_vertices(self, edge_subset=None):
+        edges = self.edges() if edge_subset is None else edge_subset
+        out = set()
+        for e in edges:
+            out.update(self.ends[e])
+        return out
+
+    def edge_support_connected(self, edge_subset=None):
+        """Connectivity of the sub(di)graph on the given edges, arcs read
+        as undirected, ignoring isolated vertices; the empty edge set is not
+        connected."""
+        edges = self.edges() if edge_subset is None else edge_subset
+        return len(components(self.ends[e] for e in edges)) == 1
+
+    def restrict(self, edge_subset):
+        """The sub(di)graph on an edge subset, as a plain Multigraph or
+        Digraph even for a subclass; vertex ids are preserved."""
+        edge_subset = sorted(edge_subset)
+        return (Digraph if self.directed else Multigraph)(
+            self.n,
+            [self.ends[e] for e in edge_subset],
+            self.vertex_labels,
+            [self.edge_labels[e] for e in edge_subset],
+        )
+
+    def _check_vertex(self, u):
+        if not (0 <= u < self.n):
+            raise ValueError(f"unknown vertex {u}")
+
+
+class Multigraph(_Graph):
+    """Undirected multigraph: edge i joins ``pairs[i]`` = (u, v), u < v.
+
+    The constructor sorts each pair it is given, so ``pairs`` compares,
+    hashes and unpacks as the tuple every consumer reads.
+
+    >>> g = Multigraph(2, [(0, 1), (1, 0)])
+    >>> g.pairs
+    ((0, 1), (0, 1))
+    >>> g.multiplicity(1, 0)
     2
     >>> g.degree(0)
     2
@@ -30,42 +105,18 @@ class Multigraph:
     directed = False
 
     def __init__(self, n, pairs, vertex_labels=None, edge_labels=None):
-        pairs = [tuple(p) for p in pairs]
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"loop edge at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge endpoint out of range: ({u}, {v})")
-        self.n = n
-        self.pairs = tuple(frozenset(p) for p in pairs)
-        self.vertex_labels = tuple(vertex_labels) if vertex_labels else tuple(
-            str(i) for i in range(n)
+        super().__init__(
+            n, tuple((u, v) if u < v else (v, u) for u, v in pairs), vertex_labels, edge_labels
         )
-        self.edge_labels = tuple(edge_labels) if edge_labels else tuple(
-            f"e{i}" for i in range(len(pairs))
-        )
-        if len(self.vertex_labels) != n or len(self.edge_labels) != len(pairs):
-            raise ValueError("label tables must match vertex/edge counts")
+        self.pairs = self.ends
         self._adj = [[] for _ in range(n)]
-        for e, pair in enumerate(self.pairs):
-            u, v = sorted(pair)
+        for e, (u, v) in enumerate(self.pairs):
             self._adj[u].append((e, v))
             self._adj[v].append((e, u))
-        for lst in self._adj:
-            lst.sort()
-
-    @property
-    def m(self):
-        return len(self.pairs)
-
-    def edges(self):
-        return range(len(self.pairs))
-
-    def vertices(self):
-        return range(self.n)
 
     def incident(self, u):
-        """Sorted list of (edge id, other endpoint)."""
+        """Sorted list of (edge id, other endpoint): edges are appended in
+        id order."""
         return self._adj[u]
 
     def degree(self, u):
@@ -73,27 +124,13 @@ class Multigraph:
         return len(self._adj[u])
 
     def multiplicity(self, u, v):
-        pair = frozenset((u, v))
-        return sum(1 for p in self.pairs if p == pair)
+        return self.pairs.count((u, v) if u < v else (v, u))
 
     def is_simple(self):
         return len(set(self.pairs)) == len(self.pairs)
 
     def neighbors(self, u):
         return sorted({v for _, v in self._adj[u]})
-
-    def support_vertices(self, edge_subset=None):
-        edges = self.edges() if edge_subset is None else edge_subset
-        out = set()
-        for e in edges:
-            out |= self.pairs[e]
-        return out
-
-    def edge_support_connected(self, edge_subset=None):
-        """Connectivity of the sub(multi)graph on the given edges, ignoring
-        isolated vertices; the empty edge set is not connected."""
-        edges = self.edges() if edge_subset is None else edge_subset
-        return len(components(self.pairs[e] for e in edges)) == 1
 
     @cached_property
     def _neighbor_masks(self):
@@ -123,47 +160,20 @@ class Multigraph:
             frontier |= new
         return inside != 0 and reached == inside
 
-    def restrict(self, edge_subset):
-        """Sub-multigraph on an edge subset; vertex ids are preserved."""
-        edge_subset = sorted(edge_subset)
-        return Multigraph(
-            self.n,
-            [tuple(sorted(self.pairs[e])) for e in edge_subset],
-            self.vertex_labels,
-            [self.edge_labels[e] for e in edge_subset],
-        )
-
-    def _check_vertex(self, u):
-        if not (0 <= u < self.n):
-            raise ValueError(f"unknown vertex {u}")
-
     def __repr__(self):
-        inner = ", ".join("{%d,%d}" % tuple(sorted(p)) for p in self.pairs)
+        inner = ", ".join("{%d,%d}" % p for p in self.pairs)
         return f"Multigraph(n={self.n}, [{inner}])"
 
 
-class Digraph:
+class Digraph(_Graph):
     """Directed multigraph: edge i is the ordered arc ``arcs[i]`` = (tail, head)."""
 
     directed = True
+    noun = "arc"
 
     def __init__(self, n, arcs, vertex_labels=None, edge_labels=None):
-        arcs = [tuple(a) for a in arcs]
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"loop arc at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc endpoint out of range: ({u}, {v})")
-        self.n = n
-        self.arcs = tuple(arcs)
-        self.vertex_labels = tuple(vertex_labels) if vertex_labels else tuple(
-            str(i) for i in range(n)
-        )
-        self.edge_labels = tuple(edge_labels) if edge_labels else tuple(
-            f"e{i}" for i in range(len(arcs))
-        )
-        if len(self.vertex_labels) != n or len(self.edge_labels) != len(arcs):
-            raise ValueError("label tables must match vertex/edge counts")
+        super().__init__(n, tuple(map(tuple, arcs)), vertex_labels, edge_labels)
+        self.arcs = self.ends
 
     @cached_property
     def _out(self):
@@ -182,16 +192,6 @@ class Digraph:
         for e, (u, v) in enumerate(self.arcs):
             into[v].append((e, u))
         return into
-
-    @property
-    def m(self):
-        return len(self.arcs)
-
-    def edges(self):
-        return range(len(self.arcs))
-
-    def vertices(self):
-        return range(self.n)
 
     def head(self, e):
         return self.arcs[e][1]
@@ -212,32 +212,10 @@ class Digraph:
         return self.out_degree(u) + self.in_degree(u)
 
     def multiplicity(self, u, v):
-        return sum(1 for a in self.arcs if a == (u, v))
-
-    def support_vertices(self, edge_subset=None):
-        edges = self.edges() if edge_subset is None else edge_subset
-        out = set()
-        for e in edges:
-            out |= set(self.arcs[e])
-        return out
-
-    def edge_support_connected(self, edge_subset=None):
-        """Weak connectivity of the sub-digraph on the given arcs, ignoring
-        isolated vertices; the empty arc set is not connected."""
-        edges = self.edges() if edge_subset is None else edge_subset
-        return len(components(self.arcs[e] for e in edges)) == 1
+        return self.arcs.count((u, v))
 
     def underlying_multigraph(self):
         return Multigraph(self.n, self.arcs, self.vertex_labels, self.edge_labels)
-
-    def restrict(self, edge_subset):
-        edge_subset = sorted(edge_subset)
-        return Digraph(
-            self.n,
-            [self.arcs[e] for e in edge_subset],
-            self.vertex_labels,
-            [self.edge_labels[e] for e in edge_subset],
-        )
 
     def is_balanced(self):
         """In-degree equals out-degree at every vertex; read from the arc
@@ -247,10 +225,6 @@ class Digraph:
             net[u] = net.get(u, 0) + 1
             net[v] = net.get(v, 0) - 1
         return all(x == 0 for x in net.values())
-
-    def _check_vertex(self, u):
-        if not (0 <= u < self.n):
-            raise ValueError(f"unknown vertex {u}")
 
     def __repr__(self):
         inner = ", ".join("(%d,%d)" % a for a in self.arcs)
@@ -283,9 +257,8 @@ def orientation_arcs(x):
 
     Bit i of the counter flips edge i away from its sorted-pair direction.
     """
-    base = [tuple(sorted(p)) for p in x.pairs]
-    for mask in range(1 << len(base)):
-        yield [(v, u) if mask >> e & 1 else (u, v) for e, (u, v) in enumerate(base)]
+    for mask in range(1 << x.m):
+        yield [(v, u) if mask >> e & 1 else (u, v) for e, (u, v) in enumerate(x.pairs)]
 
 
 def orientations(x):
@@ -309,21 +282,13 @@ class ApproxClass:
 
 
 def approx_class(g):
-    counts = {}
-    if g.directed:
-        for a in g.arcs:
-            counts[a] = counts.get(a, 0) + 1
-    else:
-        for p in g.pairs:
-            key = tuple(sorted(p))
-            counts[key] = counts.get(key, 0) + 1
-    return ApproxClass(g.directed, g.n, tuple(sorted(counts.items())))
+    return ApproxClass(g.directed, g.n, tuple(sorted(Counter(g.ends).items())))
 
 
 def is_orientation_of(o, host):
     if o.n != host.n or o.m != host.m:
         return False
-    return all(frozenset(o.arcs[e]) == host.pairs[e] for e in range(o.m))
+    return all(a == p or a[::-1] == p for a, p in zip(o.arcs, host.pairs))
 
 
 def approx_class_size(o, host):
@@ -335,22 +300,16 @@ def approx_class_size(o, host):
     if not is_orientation_of(o, host):
         raise ValueError("first argument is not an orientation of the host multigraph")
     size = 1
-    for pair in set(host.pairs):
-        u, v = sorted(pair)
-        total = host.multiplicity(u, v)
-        forward = sum(1 for a in o.arcs if a == (u, v))
-        size *= math.comb(total, forward)
+    for u, v in set(host.pairs):
+        size *= math.comb(host.multiplicity(u, v), o.multiplicity(u, v))
     return size
 
 
 def parallel_factorial_product(g):
-    """M_X: product of factorials of edge multiplicities over parallelism classes."""
-    return math.prod(map(math.factorial, Counter(g.pairs).values()))
-
-
-def arc_factorial_product(d):
-    """K_D: product over ordered pairs of m(u, v)! for a digraph."""
-    return math.prod(map(math.factorial, Counter(d.arcs).values()))
+    """The product of m(u, v)! over the parallelism classes: M_X over the
+    unordered pairs of a multigraph, K_D over the ordered pairs of a
+    digraph."""
+    return math.prod(map(math.factorial, Counter(g.ends).values()))
 
 
 def out_degree_factorial_product(d):
@@ -446,10 +405,6 @@ def format_graph(g):
     """Serialise back to the text format (inverse of parse up to labels)."""
     kind = "digraph" if g.directed else "multigraph"
     lines = [f"{kind} {g.n}"]
-    if g.directed:
-        rows = g.arcs
-    else:
-        rows = [tuple(sorted(p)) for p in g.pairs]
-    for e, (u, v) in enumerate(rows):
+    for e, (u, v) in enumerate(g.ends):
         lines.append(f"{g.edge_labels[e]} {g.vertex_labels[u]} {g.vertex_labels[v]}")
     return "\n".join(lines) + "\n"

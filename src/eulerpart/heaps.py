@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Digraph
+from eulerpart.graphs import Digraph, is_orientation_of
 from eulerpart.poset import bits, cover_pairs, maximal_keys
 from eulerpart.trails import (
     Trail,
@@ -68,7 +68,7 @@ class PieceSystem:
         return self.graph.induces_connected(pieces)
 
     def __repr__(self):
-        return f"PieceSystem(k={self.k}, pairs={sorted(tuple(sorted(p)) for p in self.graph.pairs)})"
+        return f"PieceSystem(k={self.k}, pairs={sorted(self.graph.pairs)})"
 
 
 class Heap:
@@ -365,8 +365,7 @@ def pyramid_to_orientation(ps, pyramid):
         raise ValueError("heap has more than one maximal element")
     pos = {pyramid.labels[x]: x for x in pyramid.elements}
     arcs = []
-    for e in ps.graph.edges():
-        u, v = sorted(ps.graph.pairs[e])
+    for u, v in ps.graph.pairs:
         if pyramid.less(pos[u], pos[v]):
             arcs.append((u, v))
         else:
@@ -380,11 +379,8 @@ def orientation_to_pyramid(ps, o):
     Needs an acyclic orientation of the concurrence graph with unique sink;
     inverse of ``pyramid_to_orientation``.
     """
-    if o.n != ps.k or o.m != ps.graph.m:
+    if not is_orientation_of(o, ps.graph):
         raise ValueError("not an orientation of the concurrence graph")
-    for e in o.edges():
-        if frozenset(o.arcs[e]) != ps.graph.pairs[e]:
-            raise ValueError("not an orientation of the concurrence graph")
     sinks = [v for v in range(o.n) if o.out_degree(v) == 0]
     if len(sinks) != 1:
         raise ValueError(f"orientation has {len(sinks)} sinks; need exactly one")

@@ -40,7 +40,7 @@ from eulerpart.errors import NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order, mask_union
+from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
 from eulerpart.trails import (
     _best_from_arcs,
     count_eulerian_circuits,
@@ -142,16 +142,11 @@ def _element_masks(minimal):
     return list(seen)
 
 
-def eulerian_parts(d, minimal):
+def eulerian_parts(d):
     """The partitions of d's arc set into connected Eulerian parts, each
-    once, generated upward from the cycle partitions in ``minimal``, given
-    as ``SetPartition``s."""
-    ends = [1 << u | 1 << v for u, v in d.arcs]
-    masks = []
-    for a in minimal:
-        arc_masks = [sum(1 << e for e in block) for block in a.blocks]
-        masks.append([(arcs, mask_union(ends, arcs)) for arcs in arc_masks])
-    return [SetPartition(map(bits, b)) for b in _element_masks(masks)]
+    once, as ``SetPartition``s, generated upward from d's cycle
+    partitions."""
+    return [SetPartition(map(bits, b)) for b in _element_masks(cycle_partition_masks(d))]
 
 
 def _cycle_partitions_of_eulerian(d):

@@ -41,7 +41,7 @@ class Trail:
                         f"arc {e} is {host.arcs[e]}, trail traverses ({u}, {v})"
                     )
             else:
-                if host.pairs[e] != frozenset((u, v)):
+                if host.pairs[e] not in ((u, v), (v, u)):
                     raise ValueError(
                         f"edge {e} joins {set(host.pairs[e])}, trail visits ({u}, {v})"
                     )
@@ -159,7 +159,7 @@ def eulerian_trails_ending_at(g, e):
         for verts, edges in _open_trails(g, v, u, e):
             out.append(Trail(g, verts + (v,), edges + (e,)))
     else:
-        z1, z2 = sorted(g.pairs[e])
+        z1, z2 = g.pairs[e]
         for (a, b) in ((z1, z2), (z2, z1)):
             # final traversal a -> b, so the closed trail starts at b
             for verts, edges in _open_trails(g, b, a, e):
@@ -241,7 +241,7 @@ def _count_circuits_all_orientations(x):
     balanced; every orientation that reaches the end is balanced and is
     BEST-counted, and the sum is that of the sweep over all 2^(m-1).
     """
-    pairs = [tuple(sorted(p)) for p in x.pairs]
+    pairs = x.pairs
     m = len(pairs)
     closes = _closing_vertices(pairs)
     net = [0] * x.n

@@ -38,7 +38,6 @@ from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import (
     Digraph,
     Multigraph,
-    arc_factorial_product,
     is_eulerian,
     out_degree_factorial_product,
     parallel_factorial_product,
@@ -72,17 +71,12 @@ class VeblenMultigraph(Multigraph):
 
     @classmethod
     def from_multigraph(cls, g):
-        return cls(
-            g.n,
-            [tuple(sorted(p)) for p in g.pairs],
-            g.vertex_labels,
-            g.edge_labels,
-        )
+        return cls(g.n, g.pairs, g.vertex_labels, g.edge_labels)
 
     def parallel_classes(self):
         classes = {}
         for e, pair in enumerate(self.pairs):
-            classes.setdefault(tuple(sorted(pair)), []).append(e)
+            classes.setdefault(pair, []).append(e)
         return classes
 
     @property
@@ -103,7 +97,7 @@ def _host_pairs(host):
     """The host's edges as (u, v) pairs with u < v, in increasing order."""
     if host.directed or not host.is_simple():
         raise ValueError("the host must be a simple undirected graph")
-    return sorted(tuple(sorted(p)) for p in host.pairs)
+    return sorted(host.pairs)
 
 
 def _multiplicity_vectors(pairs, max_edges):
@@ -248,7 +242,7 @@ def connected_veblen_subset_masks(x):
     the sub-multigraph, so blocks of one shape have one coefficient.
     """
     ends = _edge_vertex_masks(x)
-    pairs = [tuple(sorted(p)) for p in x.pairs]
+    pairs = x.pairs
     parity = _parity_table(x)
     blocks = {}
     for mask in range(1, 1 << x.m):
@@ -411,7 +405,7 @@ def associated_coefficient_via_rootings(x):
             continue
         circuits = count_eulerian_circuits(rep)
         n_rootings = Fraction(
-            out_degree_factorial_product(rep), arc_factorial_product(rep)
+            out_degree_factorial_product(rep), parallel_factorial_product(rep)
         )
         total += n_rootings * Fraction(circuits, out_degree_factorial_product(rep))
     return total
@@ -423,7 +417,7 @@ def rooting_class_sizes(x):
     for rep in eulerian_orientation_classes(x):
         if is_eulerian(rep):
             size, remainder = divmod(
-                out_degree_factorial_product(rep), arc_factorial_product(rep)
+                out_degree_factorial_product(rep), parallel_factorial_product(rep)
             )
             assert remainder == 0
             out.append((rep, size))
@@ -745,8 +739,7 @@ def charpoly_determinant_oracle(host):
         raise ValueError("the oracle expects a simple undirected graph")
     n = host.n
     adj = [[0] * n for _ in range(n)]
-    for p in host.pairs:
-        u, v = sorted(p)
+    for u, v in host.pairs:
         adj[u][v] = adj[v][u] = 1
     points = []
     for k in range(n + 1):

@@ -117,7 +117,7 @@ def check_orientation_class_sizes(config):
         split = True
         for o in orientations(host):
             for e in host.edges():
-                u, v = sorted(host.pairs[e])
+                u, v = host.pairs[e]
                 if o.multiplicity(u, v) + o.multiplicity(v, u) != host.multiplicity(u, v):
                     split = False
             groups.setdefault(approx_class(o), []).append(o)
@@ -189,7 +189,7 @@ def check_g_vanishing_and_mobius(config):
 @_check("join-closure")
 def check_join_closure(config):
     for d in _digraphs(config):
-        parts = set(lattice.eulerian_parts(d, trails.cycle_partitions(d)))
+        parts = set(lattice.eulerian_parts(d))
         for a in parts:
             for b in parts:
                 yield d, a.join(b) in parts
@@ -200,7 +200,7 @@ def check_lattice_vs_bell_filter(config):
     for d in _digraphs(config):
         if d.m > 6:
             continue
-        parts = set(lattice.eulerian_parts(d, trails.cycle_partitions(d)))
+        parts = set(lattice.eulerian_parts(d))
         brute = {
             b for b in all_set_partitions(range(d.m)) if lattice.signed_circuit_product(d, b) != 0
         }
@@ -307,11 +307,7 @@ def check_downset_product_law(config):
 def _induced_subgraph(g, block):
     block = sorted(block)
     index = {v: i for i, v in enumerate(block)}
-    pairs = [
-        tuple(sorted((index[u], index[v])))
-        for u, v in (sorted(p) for p in g.pairs)
-        if u in index and v in index
-    ]
+    pairs = [(index[u], index[v]) for u, v in g.pairs if u in index and v in index]
     return Multigraph(len(block), pairs)
 
 
@@ -366,11 +362,7 @@ def check_pyramid_balance_and_mobius(config):
         counts = [heaps.count_full_pyramids(ps, beta) for beta in ps.pieces()]
         lat = bonds.BondLattice(ps.graph)
         mu = lat.mobius(lat.bottom(), lat.top())
-        yield d, (
-            len(set(counts)) == 1
-            and sum(counts) == ps.k * counts[0]
-            and mu == (-1) ** (1 - ps.k) * counts[0]
-        )
+        yield d, len(set(counts)) == 1 and mu == (-1) ** (1 - ps.k) * counts[0]
 
 
 @_check("pyramid-split-identity")

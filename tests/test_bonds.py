@@ -599,7 +599,7 @@ def reference_direct(t, g, x, order):
 
 
 def _reference_edges_within(g, vertex_set):
-    return frozenset(e for e in g.edges() if g.pairs[e] <= vertex_set)
+    return frozenset(e for e in g.edges() if vertex_set.issuperset(g.pairs[e]))
 
 
 def _reference_top_induced(g, vertex_set, rank):
@@ -613,7 +613,7 @@ def _reference_base_pyramid(g, ps, t, vertex_set, x, rank):
     remaining = t - {e_top}
     side = next(c for c in components([{x}, *(g.pairs[e] for e in remaining)]) if x in c)
     other = vertex_set - side
-    u = next(iter(g.pairs[e_top] & other))
+    u = next(iter(set(g.pairs[e_top]) & other))
     p1 = _reference_base_pyramid(
         g, ps, remaining & _reference_edges_within(g, other), other, u, rank
     )

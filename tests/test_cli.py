@@ -13,6 +13,7 @@ import eulerpart.heaps as heaps_module
 import eulerpart.lattice as lattice_module
 import eulerpart.trails as trails_module
 import eulerpart.veblen as veblen_module
+import eulerpart.verify as verify_module
 from eulerpart.cli import main
 from eulerpart.errors import GraphParseError
 from eulerpart.verify import (
@@ -21,7 +22,10 @@ from eulerpart.verify import (
     check_cancellation,
     check_charpoly_three_routes,
     check_chromatic_routes,
+    check_eulerian_balance,
+    check_orientation_class_sizes,
     check_orientation_circuit_partitions,
+    check_pyramid_balance_and_mobius,
     check_rooting_class_sizes,
     check_rota,
     check_weight_multiplicative,
@@ -436,7 +440,7 @@ VEBLEN_MUTATIONS = {
     # class sizes stop dividing by the parallel arc factorials
     "rooting-class-sizes": (
         check_rooting_class_sizes, VerifyConfig(veblen_edges=6),
-        "arc_factorial_product", lambda real: lambda d: 1,
+        "parallel_factorial_product", lambda real: lambda d: 1,
     ),
     # the whole edge set is never taken as one block
     "orientation-circuit-partitions": (
@@ -488,6 +492,36 @@ def test_bonds_check_mutation_is_caught(monkeypatch, name):
     assert not check(config).ok
 
 
+# check name -> (check, config, owner, attribute, fault made from the real
+# one), for checks of the graph core and the heaps
+CORE_MUTATIONS = {
+    # class sizes are one too many on hosts with parallel edges
+    "orientation-class-sizes": (
+        check_orientation_class_sizes, VerifyConfig(veblen_edges=4), verify_module,
+        "approx_class_size", lambda real: lambda o, host: real(o, host) + (not host.is_simple()),
+    ),
+    # in-degrees miscount at vertex 0
+    "eulerian-balance": (
+        check_eulerian_balance, VerifyConfig(max_edges=4), graphs_module.Digraph, "in_degree",
+        lambda real: lambda d, u: real(d, u) + (u == 0),
+    ),
+    # one full pyramid too many at piece 0
+    "pyramid-balance-and-mobius": (
+        check_pyramid_balance_and_mobius, VerifyConfig(max_edges=4), heaps_module,
+        "count_full_pyramids", lambda real: lambda ps, beta: real(ps, beta) + (beta == 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORE_MUTATIONS))
+def test_core_check_mutation_is_caught(monkeypatch, name):
+    check, config, owner, attr, make_fault = CORE_MUTATIONS[name]
+    result = check(config)
+    assert result.name == name and result.ok and result.checked > 0
+    monkeypatch.setattr(owner, attr, make_fault(getattr(owner, attr)))
+    assert not check(config).ok
+
+
 def _negated(real):
     return lambda *args: -real(*args)
 
@@ -523,6 +557,7 @@ PLANTED_FAULTS = {
         name: (check, VerifyConfig(max_vertices=4), bonds_module, attr, make_fault)
         for name, (check, attr, make_fault) in BONDS_MUTATIONS.items()
     },
+    **CORE_MUTATIONS,
 }
 
 

@@ -12,6 +12,7 @@ from eulerpart.graphs import (
     parse_graph,
     parallel_factorial_product,
 )
+from eulerpart.veblen import VeblenMultigraph
 
 
 def test_no_loops():
@@ -19,6 +20,41 @@ def test_no_loops():
         Multigraph(2, [(0, 0)])
     with pytest.raises(ValueError):
         Digraph(2, [(1, 1)])
+
+
+def test_one_constructor_for_both_graph_classes():
+    """Multigraph and Digraph share one constructor: pairs are stored as
+    sorted tuples, arcs as given, and both refuse with the same wording,
+    naming an edge or an arc."""
+    g = Multigraph(3, [(2, 0), (1, 0)])
+    assert g.pairs == ((0, 2), (0, 1)) and g.pairs is g.ends
+    assert g.multiplicity(2, 0) == g.multiplicity(0, 2) == 1
+    d = Digraph(3, [(2, 0), (1, 0)])
+    assert d.arcs == ((2, 0), (1, 0)) and d.arcs is d.ends
+    assert d.multiplicity(2, 0) == 1 and d.multiplicity(0, 2) == 0
+    refusals = [
+        (Multigraph, [(1, 1)], {}, "loop edge at vertex 1 is not allowed"),
+        (Digraph, [(1, 1)], {}, "loop arc at vertex 1 is not allowed"),
+        (Multigraph, [(0, 3)], {}, "edge endpoint out of range: (0, 3)"),
+        (Digraph, [(3, 0)], {}, "arc endpoint out of range: (3, 0)"),
+        (Multigraph, [(0, 1)], {"edge_labels": ["a", "b"]}, "label tables must match vertex/edge counts"),
+        (Digraph, [(0, 1)], {"vertex_labels": ["x"]}, "label tables must match vertex/edge counts"),
+    ]
+    for cls, ends, labels, message in refusals:
+        with pytest.raises(ValueError) as refused:
+            cls(3, ends, **labels)
+        assert str(refused.value) == message
+
+
+def test_restrict_returns_the_plain_class():
+    """The one ``restrict`` keeps edge ids in order and returns a plain
+    Multigraph or Digraph, also for a subclass."""
+    x = VeblenMultigraph(3, [(0, 1), (1, 2), (2, 0)])
+    sub = x.restrict([2, 0])
+    assert type(sub) is Multigraph and sub.pairs == ((0, 1), (0, 2))
+    assert sub.edge_labels == ("e0", "e2")
+    d = Digraph(3, [(0, 1), (1, 2), (2, 0)]).restrict([2, 1])
+    assert type(d) is Digraph and d.arcs == ((1, 2), (2, 0))
 
 
 def test_out_degree_example(example_digraph):
@@ -75,7 +111,7 @@ def _is_acyclic(d):
 def test_orientations_preserve_endpoints(triangle):
     for o in orientations(triangle):
         for e in triangle.edges():
-            assert frozenset(o.arcs[e]) == triangle.pairs[e]
+            assert tuple(sorted(o.arcs[e])) == triangle.pairs[e]
 
 
 def test_approx_class_ignores_parallel_ids():
