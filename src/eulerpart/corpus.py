@@ -9,57 +9,53 @@ multigraphs from the infragraph multiplicity vectors over a complete host.
 Candidates are plain (n, edge tuple) pairs or vectors, and a graph object
 is built only for each class kept.
 
-Isomorphism rejection buckets the candidates by their sorted vertex
-colours and decides each match by backtracking.  The digraph corpus
-refines the colours by one round of colour refinement
-(``_RefiningIsoStore``), since many of its classes share their coarse
-profiles; the other corpora keep the coarse profile, whose buckets
-already hold about one class each.
+Isomorphism rejection runs through one store, ``_IsoStore``.  A
+candidate is a vertex count and a multiplicity map from vertex pairs to
+edge counts; the store buckets candidates by their sorted vertex colours,
+from one round of colour refinement read off the map, and decides each
+match by backtracking on the multiplicity matrices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 from eulerpart.graphs import Digraph, Multigraph
 
 
 # ---------------------------------------------------------------------------
-# isomorphism of multiplicity matrices
+# isomorphism of multiplicity maps
 # ---------------------------------------------------------------------------
 
 
-def _arc_matrix(candidate):
-    """Multiplicity matrix of an (n, arcs) pair."""
-    n, arcs = candidate
-    mat = [[0] * n for _ in range(n)]
-    for u, v in arcs:
-        mat[u][v] += 1
-    return mat
+def _colours(n, mults, directed):
+    """One round of colour refinement, read off a multiplicity map: per
+    vertex, an int that any isomorphism preserves.
 
-
-def _pair_matrix(candidate):
-    """Symmetric multiplicity matrix of an (n, pairs) pair."""
-    n, pairs = candidate
-    mat = [[0] * n for _ in range(n)]
-    for u, v in pairs:
-        mat[u][v] += 1
-        mat[v][u] += 1
-    return mat
-
-
-def _digraph_matrix(d):
-    return _arc_matrix((d.n, d.arcs))
-
-
-def _multigraph_matrix(g):
-    return _pair_matrix((g.n, g.pairs))
-
-
-def _vertex_profile(mat):
-    """Per vertex, its sorted row and sorted column: an invariant that any
-    isomorphism preserves vertex by vertex."""
-    return [(tuple(sorted(row)), tuple(sorted(col))) for row, col in zip(mat, zip(*mat))]
+    Colours are sums of 1 << 4p, so each 4-bit digit p counts something.
+    A vertex's coarse colour counts its out-multiplicities m at p = m and
+    its in-multiplicities at p = 16 + m.  The graph's distinct coarse
+    colours, sorted, get the ranks j = 1, 2, ...; a vertex's colour adds to
+    its coarse colour the count of its out-neighbours w by multiplicity
+    and coarse rank, at p = 32j + m, and of its in-neighbours at
+    p = 32j + 16 + m.  An undirected edge counts at both ends as an
+    out-edge.  Two graphs with the same sorted colours have the same coarse
+    colours, so the ranks read the same on both.  The digits are exact
+    below 16 parallel edges and 16 equal neighbours; past that a carry can
+    merge two colours, which costs extra matching, never a wrong class.
+    """
+    offset = 16 if directed else 0
+    coarse = [0] * n
+    for (u, v), m in mults.items():
+        coarse[u] += 1 << 4 * m
+        coarse[v] += 1 << 4 * (m + offset)
+    rank = {c: 32 * j for j, c in enumerate(sorted(set(coarse)), 1)}
+    colours = coarse[:]
+    for (u, v), m in mults.items():
+        colours[u] += 1 << 4 * (rank[coarse[v]] + m)
+        colours[v] += 1 << 4 * (rank[coarse[u]] + offset + m)
+    return colours
 
 
 def _matrices_isomorphic(a, colours_a, b, groups_b):
@@ -92,43 +88,50 @@ def _matrices_isomorphic(a, colours_a, b, groups_b):
     return assign(0)
 
 
-def digraphs_isomorphic(d1, d2):
-    store = _IsoStore(_digraph_matrix)
-    return store.add(d1) and not store.add(d2)
-
-
 def multigraphs_isomorphic(g1, g2):
-    store = _IsoStore(_multigraph_matrix)
-    return store.add(g1) and not store.add(g2)
+    """Whether two graphs, both directed or both undirected, are isomorphic."""
+    store = _IsoStore(g1.directed)
+    return store.add((g1.n, Counter(g1.ends))) and not store.add((g2.n, Counter(g2.ends)))
+
+
+digraphs_isomorphic = multigraphs_isomorphic
 
 
 class _IsoStore:
-    """One representative per isomorphism class, bucketed by the sorted
-    vertex colours; each graph's colours are computed once, when added.
+    """One representative per isomorphism class of candidates (n, mults),
+    where mults maps each vertex pair (u, v) to its multiplicity; an
+    undirected store takes each pair once, in either order.
 
-    Here a vertex's colour is its coarse profile.  On the simple-graph
-    corpus, ``veblen_corpus`` and the component classes of
-    ``veblen.hs_characteristic_polynomial`` a bucket already holds about
-    one class (4490 isomorphism tests for 3993 candidates), so a finer key
-    would cost more to compute than it saves; ``_RefiningIsoStore`` is for
-    the crowded buckets of the digraph corpus.  The colours only narrow
-    the candidates: every match is decided by ``_matrices_isomorphic``.
+    Candidates are bucketed by their sorted vertex colours, from one round
+    of colour refinement (``_colours``; Babai, Erdos and Selkow, "Random
+    graph isomorphism", SIAM J. Comput. 9, 1980), computed once per
+    candidate and interned as small ints through the store's palette, so
+    keys and groups hold no wide ints.  The colours only narrow the
+    candidates: within a bucket, every match is decided by
+    ``_matrices_isomorphic`` on the multiplicity matrices, which the store
+    builds itself.  On the 4726 candidates of the digraph corpus to 10
+    arcs, refinement cuts the isomorphism tests from 30780 (coarse colours
+    alone) to 5547.
     """
 
-    def __init__(self, matrix_fn):
-        self.matrix_fn = matrix_fn
+    def __init__(self, directed):
+        self.directed = directed
         self.buckets = {}
         self.classes = 0
+        self.palette = {}
 
-    def colours(self, mat):
-        """Per vertex, a colour that any isomorphism preserves."""
-        return _vertex_profile(mat)
-
-    def class_index(self, g):
-        """The index of g's class, numbered in order of first appearance; a
-        graph isomorphic to no stored graph is stored and opens a class."""
-        mat = self.matrix_fn(g)
-        colours = self.colours(mat)
+    def class_index(self, candidate):
+        """The index of a candidate's class, numbered in order of first
+        appearance; a candidate isomorphic to no stored one is stored and
+        opens a class."""
+        n, mults = candidate
+        palette = self.palette
+        colours = [palette.setdefault(c, len(palette)) for c in _colours(n, mults, self.directed)]
+        mat = [[0] * n for _ in range(n)]
+        for (u, v), m in mults.items():
+            mat[u][v] = m
+            if not self.directed:
+                mat[v][u] = m
         bucket = self.buckets.setdefault(tuple(sorted(colours)), [])
         for other_mat, groups, index in bucket:
             if _matrices_isomorphic(mat, colours, other_mat, groups):
@@ -140,46 +143,10 @@ class _IsoStore:
         self.classes += 1
         return self.classes - 1
 
-    def add(self, g):
-        """Insert unless isomorphic to a stored graph; return True if new."""
+    def add(self, candidate):
+        """Insert unless isomorphic to a stored candidate; return True if new."""
         before = self.classes
-        return self.class_index(g) == before
-
-
-class _RefiningIsoStore(_IsoStore):
-    """An ``_IsoStore`` whose colours take one round of colour refinement
-    (one Weisfeiler-Leman step; Babai, Erdos and Selkow, "Random graph
-    isomorphism", SIAM J. Comput. 9, 1980).
-
-    A vertex's colour is its coarse profile with the sorted (multiplicity,
-    profile) pairs over its out-neighbours and over its in-neighbours.
-    Profiles and colours are numbered through palettes kept by the store,
-    so keys and groups are tuples of small ints.  On the 4726 candidates of
-    the digraph corpus to 10 arcs, refinement cuts the isomorphism tests
-    from 30780 to 5547.
-    """
-
-    def __init__(self, matrix_fn):
-        super().__init__(matrix_fn)
-        self.profile_palette = {}
-        self.colour_palette = {}
-
-    def colours(self, mat):
-        profiles = self.profile_palette
-        coarse = [profiles.setdefault(p, len(profiles)) for p in _vertex_profile(mat)]
-        outs = [[] for _ in mat]
-        ins = [[] for _ in mat]
-        for v, row in enumerate(mat):
-            out, cv = outs[v], coarse[v]
-            for w, m in enumerate(row):
-                if m:
-                    out.append((m, coarse[w]))
-                    ins[w].append((m, cv))
-        palette = self.colour_palette
-        return [
-            palette.setdefault((c, tuple(sorted(o)), tuple(sorted(i))), len(palette))
-            for c, o, i in zip(coarse, outs, ins)
-        ]
+        return self.class_index(candidate) == before
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +161,7 @@ def simple_graph_classes(n):
         return ()
     if n == 1:
         return (Multigraph(1, []),)
-    store = _IsoStore(_pair_matrix)
+    store = _IsoStore(directed=False)
     out = []
     for parent in simple_graph_classes(n - 1):
         base_pairs = parent.pairs
@@ -202,7 +169,7 @@ def simple_graph_classes(n):
             pairs = base_pairs + tuple(
                 (w, n - 1) for w in range(n - 1) if mask >> w & 1
             )
-            if store.add((n, pairs)):
+            if store.add((n, dict.fromkeys(pairs, 1))):
                 out.append(Multigraph(n, pairs))
     return tuple(out)
 
@@ -321,17 +288,16 @@ def eulerian_digraph_corpus(max_edges=8):
     Every such digraph is an arc-disjoint union of directed cycles that can
     be glued on in a connected order, so breadth-first gluing with
     isomorphism rejection is exhaustive.  Candidates are (n, arc tuple)
-    pairs in a refining store, and a ``Digraph`` is built only for each
-    class kept, after the final sort.
+    pairs, offered to the store as arc multiplicity maps, and a ``Digraph``
+    is built only for each class kept, after the final sort.
     """
-    store = _RefiningIsoStore(_arc_matrix)
+    store = _IsoStore(directed=True)
     out = []
-    frontier = []
     for length in range(2, max_edges + 1):
-        candidate = (length, tuple((i, (i + 1) % length) for i in range(length)))
-        if store.add(candidate):
-            out.append(candidate)
-            frontier.append(candidate)
+        arcs = tuple((i, (i + 1) % length) for i in range(length))
+        if store.add((length, Counter(arcs))):
+            out.append((length, arcs))
+    frontier = out[:]
     while frontier:
         next_frontier = []
         for n, arcs in frontier:
@@ -339,13 +305,11 @@ def eulerian_digraph_corpus(max_edges=8):
             if budget < 2:
                 continue
             for seq in _attached_cycles(n, budget):
-                candidate = (
-                    max(n, max(seq) + 1),
-                    arcs + tuple(zip(seq, seq[1:] + seq[:1])),
-                )
-                if store.add(candidate):
-                    out.append(candidate)
-                    next_frontier.append(candidate)
+                size = max(n, max(seq) + 1)
+                glued = arcs + tuple(zip(seq, seq[1:] + seq[:1]))
+                if store.add((size, Counter(glued))):
+                    out.append((size, glued))
+                    next_frontier.append((size, glued))
         frontier = next_frontier
     out.sort(key=lambda c: (len(c[1]), c[0], tuple(sorted(c[1]))))
     return tuple(Digraph(n, arcs) for n, arcs in out)
@@ -363,9 +327,9 @@ def veblen_corpus(max_edges=8, max_host_vertices=5):
 
     The infragraphs of the complete host are read as multiplicity vectors,
     in the order of ``enumerate_infragraphs``: by edge count, then by
-    multiplicity key.  Disconnected vectors are dropped, isomorphism is
-    tested on the vector's multiplicity matrix, and a multigraph is built
-    only for the first vector of each class.
+    multiplicity key.  Disconnected vectors are dropped, each vector is
+    offered to the store as its pair multiplicity map, and a multigraph is
+    built only for the first vector of each class.
     """
     # veblen imports this module's isomorphism store at module level
     from eulerpart.veblen import VeblenMultigraph, _vector_components, _infragraph_vectors
@@ -373,25 +337,17 @@ def veblen_corpus(max_edges=8, max_host_vertices=5):
     n = max_host_vertices
     pairs, vectors = _infragraph_vectors(complete_graph(n), max_edges)
     ends = [1 << u | 1 << v for u, v in pairs]
-
-    def matrix(vector):
-        mat = [[0] * n for _ in range(n)]
-        for i, m in vector:
-            u, v = pairs[i]
-            mat[u][v] = mat[v][u] = m
-        return mat
-
     # pair indices follow the sorted pairs, so vectors sort as their keys
     connected = sorted(
         (sum(m for _, m in vector), vector)
         for vector in vectors
         if len(_vector_components(vector, ends)) == 1
     )
-    store = _IsoStore(matrix)
+    store = _IsoStore(directed=False)
     return tuple(
         VeblenMultigraph(n, [pairs[i] for i, m in vector for _ in range(m)])
         for _, vector in connected
-        if store.add(vector)
+        if store.add((n, {pairs[i]: m for i, m in vector}))
     )
 
 

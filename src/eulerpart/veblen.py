@@ -11,10 +11,11 @@ host's sorted pairs, which tracks vertex parity as an int mask.
 ``enumerate_infragraphs`` builds a ``VeblenMultigraph`` per vector; the
 infragraph-weight route reads the vectors directly, splits them into
 components on vertex masks, and weighs one component per isomorphism
-class (``corpus._IsoStore``).  The classes, their weights (ints when
-integral) and the block coefficients by shape live in one module-level
-``_ComponentClasses``, shared by every host in the process; only the
-labelled-key memo lives for one call.
+class: each new component key goes to the one isomorphism store,
+``corpus._IsoStore``, as the multiplicity map read from its code.  The
+classes, their weights (ints when integral) and the block coefficients by
+shape live in one module-level ``_ComponentClasses``, shared by every host
+in the process; only the labelled-key memo lives for one call.
 
 Weights run on edge masks.  One pass over the edge subsets keeps the
 connected even-degree blocks, each with its shape: its sorted (pair,
@@ -622,31 +623,23 @@ def _pair_slots(pairs, vertices):
     }
 
 
-def _key_edges(key):
-    """The edges of a component key, in increasing pair order."""
+def _key_mults(key):
+    """The multiplicity map {(a, b): m} of a component key, in increasing
+    pair order."""
     k, code = key
-    return [
-        (a, b)
-        for a in range(k)
-        for b in range(a + 1, k)
-        for _ in range(code >> 4 * (a * k + b) & 15)
-    ]
-
-
-def _key_matrix(key):
-    """The multiplicity matrix of a component key."""
-    k = key[0]
-    mat = [[0] * k for _ in range(k)]
-    for u, v in _key_edges(key):
-        mat[u][v] += 1
-        mat[v][u] += 1
-    return mat
+    out = {}
+    while code:
+        slot = (code & -code).bit_length() - 1 >> 2
+        out[divmod(slot, k)] = code >> 4 * slot & 15
+        code &= ~(15 << 4 * slot)
+    return out
 
 
 class _ComponentClasses:
     """The component classes of the Harary-Sachs route, kept for the life
-    of the process: an ``_IsoStore`` of component keys, the signed weight
-    of each class by class index (an int when integral), and the
+    of the process: an undirected ``_IsoStore`` of component keys, each
+    offered as its multiplicity map (``_key_mults``), the signed weight of
+    each class by class index (an int when integral), and the
     shape-coefficient dict that ``weight`` reads as its ``_cache``.
 
     A class's weight does not depend on the host it came from, so hosts
@@ -664,16 +657,18 @@ class _ComponentClasses:
     def reset(self, weigh):
         """Empty the store and bind it to the weight function ``weigh``."""
         self.weigh = weigh
-        self.store = _IsoStore(_key_matrix)
+        self.store = _IsoStore(directed=False)
         self.weights = []
         self.shapes = {}
 
     def signed_weight(self, key):
         """-weight of the component a key describes, weighed on the first
         key of its class only."""
-        index = self.store.class_index(key)
+        k = key[0]
+        mults = _key_mults(key)
+        index = self.store.class_index((k, mults))
         if index == len(self.weights):
-            x = VeblenMultigraph(key[0], _key_edges(key))
+            x = VeblenMultigraph(k, [pair for pair, m in mults.items() for _ in range(m)])
             w = -self.weigh(x, _cache=self.shapes)
             self.weights.append(w.numerator if w.denominator == 1 else w)
         return self.weights[index]

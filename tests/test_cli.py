@@ -19,15 +19,18 @@ from eulerpart.errors import GraphParseError
 from eulerpart.verify import (
     VerifyConfig,
     check_associated_coefficient_routes,
+    check_best_oracle,
     check_cancellation,
     check_charpoly_three_routes,
     check_chromatic_routes,
+    check_cycle_sequence_round_trip,
     check_eulerian_balance,
     check_orientation_class_sizes,
     check_orientation_circuit_partitions,
     check_pyramid_balance_and_mobius,
     check_rooting_class_sizes,
     check_rota,
+    check_trail_counts,
     check_weight_multiplicative,
     check_weight_vanishes_on_decomposables,
     check_weight_via_cancellation,
@@ -492,9 +495,42 @@ def test_bonds_check_mutation_is_caught(monkeypatch, name):
     assert not check(config).ok
 
 
+def _drop_one_of_two_or_more(real):
+    def circuits(g):
+        found = real(g)
+        return found[1:] if len(found) >= 2 else found
+
+    return circuits
+
+
+def _first_two_swapped_at_one_base(real):
+    def reassemble(cycles):
+        if len(cycles) >= 2 and cycles[0].start == cycles[1].start:
+            cycles = [cycles[1], cycles[0], *cycles[2:]]
+        return real(cycles)
+
+    return reassemble
+
+
 # check name -> (check, config, owner, attribute, fault made from the real
-# one), for checks of the graph core and the heaps
+# one), for checks of the graph core, the trails and the heaps
 CORE_MUTATIONS = {
+    # one circuit missing wherever there are two or more
+    "trail-counts": (
+        check_trail_counts, VerifyConfig(max_edges=4), trails_module, "eulerian_circuits",
+        _drop_one_of_two_or_more,
+    ),
+    # the first two cycles inserted in the wrong order when they share a base
+    "cycle-sequence-round-trip": (
+        check_cycle_sequence_round_trip, VerifyConfig(max_edges=4), trails_module, "reassemble",
+        _first_two_swapped_at_one_base,
+    ),
+    # one circuit too many at out-degree 3 or more, on the 10-arc corpus
+    "circuit-count-oracle": (
+        check_best_oracle, VerifyConfig(max_edges=4, oracle_edges=10), trails_module,
+        "count_circuits_best",
+        lambda real: lambda d: real(d) + (max(map(d.out_degree, range(d.n))) >= 3),
+    ),
     # class sizes are one too many on hosts with parallel edges
     "orientation-class-sizes": (
         check_orientation_class_sizes, VerifyConfig(veblen_edges=4), verify_module,

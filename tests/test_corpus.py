@@ -2,14 +2,14 @@ import hashlib
 import itertools
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
 from eulerpart import corpus as corpus_module
+from eulerpart import veblen as veblen_module
 from eulerpart.corpus import (
     _IsoStore,
-    _RefiningIsoStore,
-    _digraph_matrix,
     complete_bipartite,
     complete_graph,
     connected_simple_graphs,
@@ -27,6 +27,11 @@ from eulerpart.corpus import (
 )
 from eulerpart.graphs import Digraph, Multigraph, format_graph, is_eulerian
 from eulerpart.veblen import is_veblen
+
+
+def _candidate(g):
+    """A graph as an isomorphism store candidate: (n, multiplicity map)."""
+    return g.n, Counter(g.ends)
 
 
 def test_iso_matcher_basic():
@@ -111,8 +116,8 @@ def test_eulerian_corpus_matches_brute_force_small():
                     rec(i, arcs + list(c), total + len(c))
 
         rec(0, [], 0)
-    store = _IsoStore(_digraph_matrix)
-    brute = [d for d in found.values() if store.add(d)]
+    store = _IsoStore(directed=True)
+    brute = [d for d in found.values() if store.add(_candidate(d))]
     brute_by_m = {}
     for d in brute:
         brute_by_m[d.m] = brute_by_m.get(d.m, 0) + 1
@@ -273,51 +278,83 @@ def test_iso_store_computes_one_profile_per_graph(monkeypatch):
     for d in eulerian_digraph_corpus(6):
         perm = list(range(1, d.n)) + [0]
         graphs += [d, relabeled_copy(d, perm)]
-    # shares its profile with the directed 6-cycle of the corpus
+    # shares its colours with the directed 6-cycle of the corpus
     graphs.append(Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
-    real = corpus_module._vertex_profile
+    real = corpus_module._colours
     calls = []
 
-    def counting(mat):
-        calls.append(mat)
-        return real(mat)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(corpus_module, "_vertex_profile", counting)
-    store = _IsoStore(_digraph_matrix)
-    added = [store.add(g) for g in graphs]
+    monkeypatch.setattr(corpus_module, "_colours", counting)
+    store = _IsoStore(directed=True)
+    added = [store.add(_candidate(g)) for g in graphs]
     assert len(calls) == len(graphs)
     assert added == [True, False] * (len(graphs) // 2) + [True]
 
 
-def _refined_relabelling_misses():
-    """(member, relabelling) pairs of eulerian_digraph_corpus(8) that a
-    refining store loaded with the corpus sends to another class."""
-    members = eulerian_digraph_corpus(8)
-    store = _RefiningIsoStore(_digraph_matrix)
-    assert [store.class_index(d) for d in members] == list(range(len(members)))
+def _component_class_of():
+    """The class index that a fresh ``veblen._ComponentClasses`` gives a
+    candidate, read through its component key: the stored weight of each
+    class is one more than its index."""
+    classes = veblen_module._ComponentClasses()
+    classes.reset(lambda x, _cache: len(classes.weights) + 1)
+
+    def class_of(candidate):
+        k, mults = candidate
+        code = sum(m << 4 * (a * k + b) for (a, b), m in mults.items())
+        return -classes.signed_weight((k, code)) - 1
+
+    return class_of
+
+
+def _refined_relabelling_misses(members, class_of):
+    """(member, relabelling) pairs that class_of, loaded with the members
+    in order, sends to another class."""
+    assert [class_of(_candidate(g)) for g in members] == list(range(len(members)))
     rng = random.Random(20261019)
     misses = []
-    for index, d in enumerate(members):
+    for index, g in enumerate(members):
         for _ in range(3):
-            perm = list(range(d.n))
+            perm = list(range(g.n))
             rng.shuffle(perm)
-            if store.class_index(relabeled_copy(d, perm)) != index:
-                misses.append((format_graph(d), perm))
+            if class_of(_candidate(relabeled_copy(g, perm))) != index:
+                misses.append((format_graph(g), perm))
     return misses
 
 
+# every input the store refines: the corpora, and the component keys of the
+# Harary-Sachs route
+RELABELLING_INPUTS = {
+    "eulerian_digraph_corpus(8)": lambda: _refined_relabelling_misses(
+        eulerian_digraph_corpus(8), _IsoStore(directed=True).class_index
+    ),
+    "connected_simple_graphs(5)": lambda: _refined_relabelling_misses(
+        connected_simple_graphs(5), _IsoStore(directed=False).class_index
+    ),
+    "veblen_corpus(6, 4)": lambda: _refined_relabelling_misses(
+        veblen_corpus(6, 4), _IsoStore(directed=False).class_index
+    ),
+    "component keys of veblen_corpus(6, 4)": lambda: _refined_relabelling_misses(
+        veblen_corpus(6, 4), _component_class_of()
+    ),
+}
+
+
 def test_refined_colours_are_invariant_under_relabelling():
-    assert _refined_relabelling_misses() == []
+    misses = {name: find() for name, find in RELABELLING_INPUTS.items()}
+    assert misses == dict.fromkeys(RELABELLING_INPUTS, [])
 
 
 def test_refined_colours_that_read_vertex_indices_are_caught(monkeypatch):
-    real = _RefiningIsoStore.colours
+    real = corpus_module._colours
 
-    def indexed(self, mat):
-        return [(c, v) for v, c in enumerate(real(self, mat))]
+    def indexed(*args):
+        return [(c, v) for v, c in enumerate(real(*args))]
 
-    monkeypatch.setattr(_RefiningIsoStore, "colours", indexed)
-    assert _refined_relabelling_misses()
+    monkeypatch.setattr(corpus_module, "_colours", indexed)
+    assert [name for name, find in RELABELLING_INPUTS.items() if not find()] == []
 
 
 def test_refined_key_halves_the_isomorphism_tests(monkeypatch):
@@ -333,3 +370,21 @@ def test_refined_key_halves_the_isomorphism_tests(monkeypatch):
     # the profile-keyed store made 4156 tests for this corpus
     assert len(calls) < 4156 // 2
     assert [(d.n, d.arcs) for d in built] == [(d.n, d.arcs) for d in eulerian_digraph_corpus(9)]
+
+
+def test_refined_key_cuts_the_simple_graph_tests(monkeypatch):
+    real = corpus_module._matrices_isomorphic
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(corpus_module, "_matrices_isomorphic", counting)
+    # an empty cache, so the classes on 1 to 6 vertices are all rebuilt
+    fresh = lru_cache(maxsize=None)(simple_graph_classes.__wrapped__)
+    monkeypatch.setattr(corpus_module, "simple_graph_classes", fresh)
+    built = connected_simple_graphs.__wrapped__(6)
+    # the profile-keyed store made 1830 tests for this corpus
+    assert len(calls) < 1830
+    assert [(g.n, g.pairs) for g in built] == [(g.n, g.pairs) for g in connected_simple_graphs(6)]
