@@ -13,9 +13,9 @@ infragraph-weight route reads the vectors directly, splits them into
 components on vertex masks, and weighs one component per isomorphism
 class: each new component key goes to the one isomorphism store,
 ``corpus._IsoStore``, as the multiplicity map read from its code.  The
-classes, their weights (ints when integral) and the block coefficients by
-shape live in one module-level ``_ComponentClasses``, shared by every host
-in the process; only the labelled-key memo lives for one call.
+classes, their weights (ints when integral), the block coefficients by
+shape and the signed weight of each labelled component key live in one
+module-level ``_ComponentClasses``, shared by every host in the process.
 
 Weights run on edge masks.  One pass over the edge subsets keeps the
 connected even-degree blocks, each with its shape: its sorted (pair,
@@ -552,11 +552,11 @@ def hs_characteristic_polynomial(host):
     generator behind ``enumerate_infragraphs`` and split into components
     on vertex masks; no multigraph is built per infragraph.  The weight is
     multiplicative over components, so each component is looked up in two
-    levels: first in a memo local to the call, by its multiplicity key
-    relabelled in increasing vertex order, and on a miss by its
-    isomorphism class in ``_COMPONENT_CLASSES``, which lives for the
-    process.  ``weight`` runs once per class of component in the process,
-    so the number of calls does not depend on how the host is labelled.
+    levels of ``_COMPONENT_CLASSES``, which lives for the process: first by
+    its multiplicity key relabelled in increasing vertex order, and on a
+    miss by its isomorphism class.  ``weight`` runs once per class of
+    component in the process, so the number of calls does not depend on
+    how the host is labelled.
     A vector's product stops at its first zero weight; each of its
     components is itself a vector within the budget, so every class is
     still weighed when it comes up alone.  Weights and sums are ints;
@@ -573,7 +573,7 @@ def hs_characteristic_polynomial(host):
     if classes.weigh is not weight:
         classes.reset(weight)
     slots = {}  # vertex mask -> {pair index: its slot in a component key}
-    signed = {}  # component key -> -weight
+    signed = classes.signed
     for vector in _multiplicity_vectors(pairs, n):
         product = 1
         for vertices, entries in _vector_components(vector, ends):
@@ -639,13 +639,15 @@ class _ComponentClasses:
     """The component classes of the Harary-Sachs route, kept for the life
     of the process: an undirected ``_IsoStore`` of component keys, each
     offered as its multiplicity map (``_key_mults``), the signed weight of
-    each class by class index (an int when integral), and the
-    shape-coefficient dict that ``weight`` reads as its ``_cache``.
+    each class by class index (an int when integral), the signed weight of
+    each labelled key met (``signed``, so a repeated key skips the
+    colours and the match), and the shape-coefficient dict that ``weight``
+    reads as its ``_cache``.
 
     A class's weight does not depend on the host it came from, so hosts
-    share it.  The store is bounded by the classes of connected even
+    share it.  The store is bounded by the labelled connected even
     multigraphs with at most ``HOST_VERTEX_CAP`` edges: after K8 it holds
-    77 classes and 196 shapes.  It holds the values of one weight
+    77 classes, 196 shapes and 12028 labelled keys.  It holds the values of one weight
     function, ``weigh``; the route empties it when the module's ``weight``
     is another, so a replaced ``weight`` (a planted fault) is always
     called and its values never outlive it.
@@ -660,6 +662,7 @@ class _ComponentClasses:
         self.store = _IsoStore(directed=False)
         self.weights = []
         self.shapes = {}
+        self.signed = {}  # component key -> -weight of its class
 
     def signed_weight(self, key):
         """-weight of the component a key describes, weighed on the first

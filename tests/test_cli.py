@@ -23,8 +23,11 @@ from eulerpart.verify import (
     check_cancellation,
     check_charpoly_three_routes,
     check_chromatic_routes,
+    check_counts_vs_direct_enumeration,
     check_cycle_sequence_round_trip,
     check_eulerian_balance,
+    check_g_vanishing_and_mobius,
+    check_martin_evaluations,
     check_orientation_class_sizes,
     check_orientation_circuit_partitions,
     check_pyramid_balance_and_mobius,
@@ -512,8 +515,20 @@ def _first_two_swapped_at_one_base(real):
     return reassemble
 
 
+def _one_too_many_off_cycles(real):
+    def best(arcs):
+        return real(arcs) + (len(arcs) > len({v for arc in arcs for v in arc}))
+
+    return best
+
+
+# the semilattice's block kernel is one circuit too many on any block with
+# more arcs than touched vertices
+_LATTICE_KERNEL_FAULT = (lattice_module, "_best_from_arcs", _one_too_many_off_cycles)
+
 # check name -> (check, config, owner, attribute, fault made from the real
-# one), for checks of the graph core, the trails and the heaps
+# one), for checks of the graph core, the trails, the Martin route and the
+# heaps; each check runs clean first, so the fault meets a warm shape store
 CORE_MUTATIONS = {
     # one circuit missing wherever there are two or more
     "trail-counts": (
@@ -535,6 +550,15 @@ CORE_MUTATIONS = {
     "orientation-class-sizes": (
         check_orientation_class_sizes, VerifyConfig(veblen_edges=4), verify_module,
         "approx_class_size", lambda real: lambda o, host: real(o, host) + (not host.is_simple()),
+    ),
+    "martin-evaluations": (
+        check_martin_evaluations, VerifyConfig(max_edges=4), *_LATTICE_KERNEL_FAULT,
+    ),
+    "counts-vs-direct-enumeration": (
+        check_counts_vs_direct_enumeration, VerifyConfig(max_edges=4), *_LATTICE_KERNEL_FAULT,
+    ),
+    "downset-sums-and-mobius-inversion": (
+        check_g_vanishing_and_mobius, VerifyConfig(max_edges=4), *_LATTICE_KERNEL_FAULT,
     ),
     # in-degrees miscount at vertex 0
     "eulerian-balance": (

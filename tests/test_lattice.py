@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,12 @@ from eulerpart.lattice import (
 from eulerpart.partition import SetPartition, all_set_partitions
 from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset, refinement_order
-from eulerpart.trails import count_circuits_best, cycle_partitions, intersection_graph
+from eulerpart.trails import (
+    count_circuits_best,
+    cycle_partition_masks,
+    cycle_partitions,
+    intersection_graph,
+)
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "graphs" / "example_digraph.txt")
 
@@ -202,27 +209,112 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_block_counts_memoised_within_one_call(monkeypatch):
-    """Each distinct block's circuits are counted once per call, and the memo
-    does not outlive the call: a second call counts them all again."""
+def test_block_counts_kept_once_per_shape(monkeypatch):
+    """Each block shape's circuits are counted once per process: a second
+    call, the semilattice and a relabelled copy make no kernel call.  The
+    store holds the values of one kernel: a replaced kernel is called
+    although every shape is stored, and its values go when it does."""
     calls = []
     real = lattice_module._best_from_arcs
-    monkeypatch.setattr(
-        lattice_module, "_best_from_arcs", lambda arcs: calls.append(arcs) or real(arcs)
-    )
+
+    def counting(arcs):
+        calls.append(arcs)
+        return real(arcs)
+
+    store = lattice_module._ShapeCounts()
+    monkeypatch.setattr(lattice_module, "_SHAPE_COUNTS", store)
+    monkeypatch.setattr(lattice_module, "_best_from_arcs", counting)
     d = parse_graph_file(EXAMPLE)
+    # 18 distinct blocks of 13 shapes; the four 2-cycles, for one, share a shape
     assert circuit_partition_counts(d) == (6, 11, 6, 1)
-    assert len(calls) == 18
+    assert len(calls) == len(store) == 13
     assert circuit_partition_counts(d) == (6, 11, 6, 1)
-    assert len(calls) == 36
-    calls.clear()
     lattice = build_eulerian_semilattice(d)
-    assert len(calls) == 18
+    relabelled = Digraph(d.n, [(3 - u, 3 - v) for u, v in d.arcs])
+    assert circuit_partition_counts(relabelled) == (6, 11, 6, 1)
+    assert len(calls) == 13
     assert len(lattice) == 16
     assert all(lattice.products[b] == signed_circuit_product(d, b) for b in lattice.elements)
     calls.clear()
     assert circuit_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 5))[0] == 2880
-    assert len(calls) == 251
+    assert len(calls) == len(store) - 13 == 27
+
+    faulty = []
+    monkeypatch.setattr(
+        lattice_module, "_best_from_arcs", lambda arcs: faulty.append(arcs) or real(arcs) + 1
+    )
+    assert circuit_partition_counts(d) != (6, 11, 6, 1)
+    assert len(faulty) == len(store) == 13
+    monkeypatch.setattr(lattice_module, "_best_from_arcs", counting)
+    calls.clear()
+    assert circuit_partition_counts(d) == (6, 11, 6, 1)
+    assert len(calls) == len(store) == 13
+
+
+def _closed_walk_digraph(rng, max_arcs):
+    """A connected Eulerian digraph with at most max_arcs arcs, as a union
+    of closed walks, each after the first starting at a vertex already
+    touched; parallel arcs come from walks that repeat a step."""
+    arcs = []
+    n = 1
+    while len(arcs) < max_arcs - 1:
+        length = rng.randint(2, min(4, max_arcs - len(arcs)))
+        walk = [rng.randrange(n)]
+        top = n  # each step goes to a vertex below top, or to top itself
+        for _ in range(length - 1):
+            walk.append(rng.choice([v for v in range(top + 1) if v != walk[-1]]))
+            top = max(top, walk[-1] + 1)
+        if walk[-1] == walk[0]:
+            continue
+        arcs += zip(walk, walk[1:] + walk[:1])
+        n = top
+        if rng.random() < 0.3:
+            break
+    return Digraph(n, arcs)
+
+
+def _shuffled(d, rng):
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    arcs = [(perm[u], perm[v]) for u, v in d.arcs]
+    rng.shuffle(arcs)
+    return Digraph(d.n, arcs)
+
+
+def test_shape_key_is_injective_on_seeded_closed_walks():
+    """Seeded unions of closed walks, shuffled in vertex labels and arc
+    order, give the same f_k as their unshuffled copies with the store
+    warm, with f_1 the BEST count and the f_k summing to the out-degree
+    factorials.  Over every block met, including blocks on 33 and 40
+    vertices, equal shape codes mean equal relabelled arc lists."""
+    rng = random.Random(20261019)
+    digraphs = [_closed_walk_digraph(rng, 9) for _ in range(200)]
+    first = [(i, (i + 1) % 17) for i in range(17)]
+    second = [(0, 17), *((i, i + 1) for i in range(17, 32)), (32, 0)]
+    digraphs += [Digraph(33, first + second), Digraph(40, [(i, (i + 1) % 40) for i in range(40)])]
+    assert max(d.m for d in digraphs[:-2]) <= 9
+    assert any(max(Counter(d.arcs).values()) > 1 for d in digraphs)
+    lists = {}
+    for d in digraphs:
+        f = circuit_partition_counts(d)
+        assert circuit_partition_counts(_shuffled(d, rng)) == f
+        assert f[0] == count_circuits_best(d)
+        assert sum(f) == out_degree_factorial_product(d)
+        for element in lattice_module._element_masks(cycle_partition_masks(d)):
+            for block in element:
+                index = {}
+                relabelled = tuple(
+                    (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+                    for u, v in (d.arcs[e] for e in poset_module.bits(block))
+                )
+                lists.setdefault(lattice_module._shape_code(d.arcs, block), set()).add(relabelled)
+    assert all(len(found) == 1 for found in lists.values())
+    assert {34, 40} <= {len(next(iter(found))) for found in lists.values()}
+    # fixed 4-bit fields would fold index 16 into the field before it, and
+    # give the 17-cycle the code of this 17-arc list on 16 vertices
+    folded = [(i, i + 1) for i in range(15)] + [(15, 1), (0, 0)]
+    full = (1 << 17) - 1
+    assert lattice_module._shape_code(first, full) != lattice_module._shape_code(folded, full)
 
 
 def test_five_parallel_two_cycles():

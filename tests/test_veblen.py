@@ -330,6 +330,21 @@ def test_hs_component_classes_are_shared_across_hosts(monkeypatch):
     assert calls == []
 
 
+def test_hs_repeated_component_keys_skip_the_match(monkeypatch):
+    """The labelled component keys are kept with the classes, so a second
+    run on the same host asks the isomorphism store nothing."""
+    store = veblen._ComponentClasses()
+    monkeypatch.setattr(veblen, "_COMPONENT_CLASSES", store)
+    host = _relabelled(wheel_graph(6), 3)
+    expected = charpoly_determinant_oracle(host)
+    assert hs_characteristic_polynomial(host) == expected
+    real = store.store.class_index
+    asked = []
+    monkeypatch.setattr(store.store, "class_index", lambda key: asked.append(key) or real(key))
+    assert hs_characteristic_polynomial(host) == expected
+    assert asked == []
+
+
 def test_hs_store_follows_a_replaced_weight(monkeypatch):
     """The process store holds the values of one weight function: a
     replaced ``weight`` is called although every class is stored, and its
