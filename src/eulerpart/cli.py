@@ -282,16 +282,14 @@ def cmd_weight(args, g):
         raise ValueError("weights need every vertex degree even")
     if g.m > WEIGHT_EDGE_CAP:
         raise CapExceededError(f"weights are computed up to {WEIGHT_EDGE_CAP} edges")
-    x = veblen.VeblenMultigraph.from_multigraph(g)
-    value = veblen.weight(x, args.n)
+    value = veblen.weight(g, args.n)
+    connected = g.edge_support_connected()
     return {
         "n": args.n,
         "weight": str(value),
         "weight_fraction": [value.numerator, value.denominator],
-        "connected": x.edge_support_connected(),
-        "decomposable": (
-            veblen.is_decomposable(x) if x.edge_support_connected() else None
-        ),
+        "connected": connected,
+        "decomposable": veblen.is_decomposable(g) if connected else None,
     }
 
 

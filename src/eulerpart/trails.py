@@ -227,11 +227,12 @@ def count_eulerian_circuits(g):
         return _best_from_arcs(g.arcs) if g.is_balanced() else 0
     if not is_eulerian(g):
         return 0
-    return _count_circuits_all_orientations(g)
+    return _count_circuits_all_orientations(g.pairs)
 
 
-def _count_circuits_all_orientations(x):
-    """Sum of circuit counts over all balanced orientations.
+def _count_circuits_all_orientations(pairs):
+    """Sum of circuit counts over all balanced orientations of the edges
+    ``pairs``, read with the vertex count from them alone.
 
     Reversing every arc is a count-preserving involution without fixed
     points, so the first edge is pinned and the total doubled.  The other
@@ -241,10 +242,9 @@ def _count_circuits_all_orientations(x):
     balanced; every orientation that reaches the end is balanced and is
     BEST-counted, and the sum is that of the sweep over all 2^(m-1).
     """
-    pairs = x.pairs
     m = len(pairs)
     closes = _closing_vertices(pairs)
-    net = [0] * x.n
+    net = [0] * (max(map(max, pairs)) + 1)
     arcs = [None] * m
 
     def rec(e):
@@ -285,10 +285,7 @@ def _best_from_arcs(arcs):
     any root when it is not weakly connected, so the root is the first
     vertex seen and a list that is not weakly connected counts 0.  Vertices
     are indexed in first-seen order, and the minor without the root's row
-    and column is built directly and eliminated in place.  With as many arcs
-    as touched vertices, every out-degree is 1: the list is one circuit when
-    the successor orbit of the first tail has every vertex, and none
-    otherwise.
+    and column is built directly and eliminated in place.
     """
     index = {}
     for u, v in arcs:
@@ -299,14 +296,6 @@ def _best_from_arcs(arcs):
     k = len(index)
     if k <= 1:
         return 0
-    if len(arcs) == k:
-        successor = dict(arcs)
-        v = start = arcs[0][0]
-        for _ in range(k - 1):
-            v = successor[v]
-            if v == start:
-                return 0
-        return 1 if successor[v] == start else 0
     # the root has index -1, so row and column i of the minor are vertex i
     minor = [[0] * (k - 1) for _ in range(k - 1)]
     outdeg = [0] * k

@@ -12,19 +12,21 @@ host's sorted pairs, which tracks vertex parity as an int mask.
 infragraph-weight route reads the vectors directly, splits them into
 components on vertex masks, and weighs one component per isomorphism
 class: each new component key goes to the one isomorphism store,
-``corpus._IsoStore``, as the multiplicity map read from its code.  The
-classes, their weights (ints when integral), the block coefficients by
-shape and the signed weight of each labelled component key live in one
-module-level ``_ComponentClasses``, shared by every host in the process.
+``corpus._IsoStore``, as the multiplicity map built from the entries and
+slots the route already holds.  The classes, their weights (ints when
+integral), the block coefficients by shape and the signed weight of each
+labelled component key live in one module-level ``_ComponentClasses``,
+shared by every host in the process.
 
-Weights run on edge masks.  One pass over the edge subsets keeps the
-connected even-degree blocks, each with its shape: its sorted (pair,
-multiplicity) tuple.  A block's coefficient is read from a memo by shape
-(the call's own, or the one passed as ``_cache``), so each shape is
-counted once per memo; the decompositions come as block-mask tuples,
-grouped by their sorted shapes, and no ``Decomposition`` is built.
-``decompositions`` wraps the same masks in ``Decomposition`` objects for
-the full-sum oracle and the tests.
+Weights run on edge masks of the multigraph they are given.  One pass over
+the edge subsets keeps the connected even-degree blocks, each with its
+shape: its sorted (pair, multiplicity) tuple.  A block's coefficient is
+read from a memo by shape (the call's own, or the one passed as
+``_cache``), so each shape is counted once per memo, by the orientation
+sweep over the shape's own pairs; no sub-multigraph is built.  The
+decompositions come as block-mask tuples, grouped by their sorted shapes,
+and no ``Decomposition`` is built.  ``decompositions`` wraps the same
+masks in ``Decomposition`` objects for the full-sum oracle and the tests.
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ class VeblenMultigraph(Multigraph):
         bad = [v for v in range(n) if self.degree(v) % 2]
         if bad:
             raise ValueError(f"odd degree at vertices {bad}; not even-degree")
-
-    @classmethod
-    def from_multigraph(cls, g):
-        return cls(g.n, g.pairs, g.vertex_labels, g.edge_labels)
 
     def parallel_classes(self):
         classes = {}
@@ -201,7 +199,7 @@ def enumerate_infragraphs(host, max_edges):
 
 
 def _edge_vertex_masks(x):
-    return [1 << u | 1 << v for u, v in x.pairs]
+    return [1 << u | 1 << v for u, v in x.ends]
 
 
 def _parity_table(x):
@@ -240,10 +238,12 @@ def connected_veblen_subset_masks(x):
     from edge mask to shape, in increasing mask order.
 
     A block's shape is its sorted tuple of (pair, multiplicity); it fixes
-    the sub-multigraph, so blocks of one shape have one coefficient.
+    the sub-multigraph, so blocks of one shape have one coefficient.  The
+    edges are read without their direction, so a digraph's blocks are those
+    of its underlying multigraph, with its arcs in the shapes.
     """
     ends = _edge_vertex_masks(x)
-    pairs = x.pairs
+    pairs = x.ends
     parity = _parity_table(x)
     blocks = {}
     for mask in range(1, 1 << x.m):
@@ -280,12 +280,15 @@ def _decomposition_masks(blocks, m):
 
 def is_decomposable(x):
     """A connected even-degree multigraph with a proper nonempty even-degree
-    edge subset."""
+    edge subset.
+
+    An even-degree multigraph is an edge-disjoint union of cycles, so a
+    connected one has such a subset exactly when it is not one cycle: when
+    some vertex degree is above 2.
+    """
     if not x.edge_support_connected():
         raise ValueError("decomposability is defined for connected multigraphs")
-    parity = _parity_table(x)
-    full = (1 << x.m) - 1
-    return any(parity[mask] == 0 for mask in range(1, full))
+    return any(x.degree(v) > 2 for v in range(x.n))
 
 
 def _symmetry_factor(shapes):
@@ -401,14 +404,8 @@ def associated_coefficient_via_rootings(x):
     if not x.edge_support_connected():
         raise ValueError("associated coefficient needs a connected multigraph")
     total = Fraction(0)
-    for rep in eulerian_orientation_classes(x):
-        if not is_eulerian(rep):
-            continue
-        circuits = count_eulerian_circuits(rep)
-        n_rootings = Fraction(
-            out_degree_factorial_product(rep), parallel_factorial_product(rep)
-        )
-        total += n_rootings * Fraction(circuits, out_degree_factorial_product(rep))
+    for rep, size in rooting_class_sizes(x):
+        total += Fraction(size * count_eulerian_circuits(rep), out_degree_factorial_product(rep))
     return total
 
 
@@ -446,17 +443,17 @@ def count_rooting_tuples(d):
 # ---------------------------------------------------------------------------
 
 
-def _shape_coefficient(x, edges, shape, cache):
-    """Circuit count over parallel factorial product of the block on the
-    given edges of x, read from cache by the block's shape; the
-    sub-multigraph is built only on a miss.  A block is connected and
-    even by construction, so it goes straight to the orientation sweep,
-    without the Eulerian test of ``count_eulerian_circuits``."""
+def _shape_coefficient(shape, cache):
+    """Circuit count over parallel factorial product of a block, read from
+    cache by its shape, the sorted (pair, multiplicity) tuple.  A miss
+    sends the shape's pairs, each repeated m times, straight to the
+    orientation sweep, with no multigraph and no Eulerian test: a block is
+    connected and even by construction."""
     coeff = cache.get(shape)
     if coeff is None:
-        sub = x.restrict(edges)
         coeff = cache[shape] = Fraction(
-            _count_circuits_all_orientations(sub), parallel_factorial_product(sub)
+            _count_circuits_all_orientations([pair for pair, m in shape for _ in range(m)]),
+            math.prod(math.factorial(m) for _, m in shape),
         )
     return coeff
 
@@ -475,14 +472,9 @@ def weight(x, n=0, _cache=None):
     """
     if not is_veblen(x):
         raise ValueError("weights are defined for even-degree multigraphs")
-    if not isinstance(x, VeblenMultigraph):
-        x = VeblenMultigraph.from_multigraph(x)
     cache = _cache if _cache is not None else {}
     blocks = connected_veblen_subset_masks(x)
-    coeffs = {
-        shape: _shape_coefficient(x, bits(mask), shape, cache)
-        for mask, shape in blocks.items()
-    }
+    coeffs = {shape: _shape_coefficient(shape, cache) for shape in blocks.values()}
     classes = {
         tuple(sorted(blocks[b] for b in dec))
         for dec in _decomposition_masks(blocks, x.m)
@@ -492,25 +484,20 @@ def weight(x, n=0, _cache=None):
         total += Fraction((-1) ** len(shapes), _symmetry_factor(shapes)) * math.prod(
             coeffs[shape] for shape in shapes
         )
-    return Fraction((-1) ** x.component_count()) * total
+    return Fraction((-1) ** len(components(x.pairs))) * total
 
 
-def weight_via_all_decompositions(x, n=0):
+def weight_via_all_decompositions(x):
     """Same value from the unquotiented sum: per decomposition, the block
-    factorial product over the full factorial product replaces 1/alpha."""
-    if not isinstance(x, VeblenMultigraph):
-        x = VeblenMultigraph.from_multigraph(x)
+    factorial product over the full factorial product replaces 1/alpha.
+    ``decompositions`` refuses an input with an odd degree."""
     cache = {}
-    m_x = x.factorial_product
+    m_x = parallel_factorial_product(x)
     total = Fraction(0)
     for dec in decompositions(x):
-        coeff = Fraction(1)
-        for block, shape in zip(dec.blocks, dec.shapes):
-            coeff *= _shape_coefficient(x, block, shape, cache)
-        total += (
-            Fraction((-1) ** dec.block_count * dec.factorial_product, m_x) * coeff
-        )
-    return Fraction((-1) ** x.component_count()) * total
+        coeff = math.prod(_shape_coefficient(shape, cache) for shape in dec.shapes)
+        total += Fraction((-1) ** dec.block_count * dec.factorial_product, m_x) * coeff
+    return Fraction((-1) ** len(components(x.pairs))) * total
 
 
 def circuit_partitions_of_orientation(o, t):
@@ -518,13 +505,13 @@ def circuit_partitions_of_orientation(o, t):
     an Eulerian circuit, via decompositions of the underlying multigraph.
 
     Each underlying decomposition whose blocks stay balanced in o
-    contributes the product of the blocks' circuit counts.
+    contributes the product of the blocks' circuit counts; ``decompositions``
+    reads o's arcs as undirected edges.
     """
     if not is_eulerian(o):
         raise NotEulerianError("circuit partitions need an Eulerian orientation")
-    x = VeblenMultigraph.from_multigraph(o.underlying_multigraph())
     total = 0
-    for dec in decompositions(x):
+    for dec in decompositions(o):
         if dec.block_count != t:
             continue
         product = 1
@@ -554,9 +541,10 @@ def hs_characteristic_polynomial(host):
     multiplicative over components, so each component is looked up in two
     levels of ``_COMPONENT_CLASSES``, which lives for the process: first by
     its multiplicity key relabelled in increasing vertex order, and on a
-    miss by its isomorphism class.  ``weight`` runs once per class of
-    component in the process, so the number of calls does not depend on
-    how the host is labelled.
+    miss by its isomorphism class, with the multiplicity map read off the
+    component's entries and their slots.  ``weight`` runs once per class
+    of component in the process, so the number of calls does not depend
+    on how the host is labelled.
     A vector's product stops at its first zero weight; each of its
     components is itself a vector within the budget, so every class is
     still weighed when it comes up alone.  Weights and sums are ints;
@@ -583,10 +571,12 @@ def hs_characteristic_polynomial(host):
             code = 0
             for i, m in entries:
                 code |= m << slot[i]
-            key = (vertices.bit_count(), code)
+            k = vertices.bit_count()
+            key = (k, code)
             w = signed.get(key)
             if w is None:
-                w = signed[key] = classes.signed_weight(key)
+                mults = {divmod(slot[i] >> 2, k): m for i, m in entries}
+                w = signed[key] = classes.signed_weight(k, mults)
             if not w:
                 break
             product *= w
@@ -623,26 +613,14 @@ def _pair_slots(pairs, vertices):
     }
 
 
-def _key_mults(key):
-    """The multiplicity map {(a, b): m} of a component key, in increasing
-    pair order."""
-    k, code = key
-    out = {}
-    while code:
-        slot = (code & -code).bit_length() - 1 >> 2
-        out[divmod(slot, k)] = code >> 4 * slot & 15
-        code &= ~(15 << 4 * slot)
-    return out
-
-
 class _ComponentClasses:
     """The component classes of the Harary-Sachs route, kept for the life
-    of the process: an undirected ``_IsoStore`` of component keys, each
-    offered as its multiplicity map (``_key_mults``), the signed weight of
-    each class by class index (an int when integral), the signed weight of
-    each labelled key met (``signed``, so a repeated key skips the
-    colours and the match), and the shape-coefficient dict that ``weight``
-    reads as its ``_cache``.
+    of the process: an undirected ``_IsoStore`` of components, each offered
+    as its multiplicity map {(a, b): m} on vertices 0..k-1, the signed
+    weight of each class by class index (an int when integral), the signed
+    weight of each labelled key met (``signed``, so a repeated key skips
+    the colours and the match), and the shape-coefficient dict that
+    ``weight`` reads as its ``_cache``.
 
     A class's weight does not depend on the host it came from, so hosts
     share it.  The store is bounded by the labelled connected even
@@ -664,11 +642,9 @@ class _ComponentClasses:
         self.shapes = {}
         self.signed = {}  # component key -> -weight of its class
 
-    def signed_weight(self, key):
-        """-weight of the component a key describes, weighed on the first
-        key of its class only."""
-        k = key[0]
-        mults = _key_mults(key)
+    def signed_weight(self, k, mults):
+        """-weight of the component on vertices 0..k-1 with multiplicity map
+        ``mults``, weighed on the first component of its class only."""
         index = self.store.class_index((k, mults))
         if index == len(self.weights):
             x = VeblenMultigraph(k, [pair for pair, m in mults.items() for _ in range(m)])

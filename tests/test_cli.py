@@ -11,6 +11,7 @@ import eulerpart.cli as cli_module
 import eulerpart.graphs as graphs_module
 import eulerpart.heaps as heaps_module
 import eulerpart.lattice as lattice_module
+import eulerpart.poset as poset_module
 import eulerpart.trails as trails_module
 import eulerpart.veblen as veblen_module
 import eulerpart.verify as verify_module
@@ -25,11 +26,16 @@ from eulerpart.verify import (
     check_chromatic_routes,
     check_counts_vs_direct_enumeration,
     check_cycle_sequence_round_trip,
+    check_downset_product_law,
     check_eulerian_balance,
     check_g_vanishing_and_mobius,
+    check_join_closure,
+    check_lattice_vs_bell_filter,
+    check_martin_chromatic_identity,
     check_martin_evaluations,
     check_orientation_class_sizes,
     check_orientation_circuit_partitions,
+    check_orientation_count_pattern,
     check_pyramid_balance_and_mobius,
     check_rooting_class_sizes,
     check_rota,
@@ -582,6 +588,76 @@ def test_core_check_mutation_is_caught(monkeypatch, name):
     assert not check(config).ok
 
 
+def _without_one_block_elements(real):
+    def elements(minimal):
+        return [x for x in real(minimal) if len(x) > 1]
+
+    return elements
+
+
+def _without_last_edge(real):
+    def graph(d, a):
+        g = real(d, a)
+        return graphs_module.Multigraph(g.n, g.pairs[:-1])
+
+    return graph
+
+
+def _covers_only(real):
+    def order(elements, touches):
+        elements, down = real(elements, touches)
+        covers = [1 << k for k in range(len(down))]
+        for i, k in poset_module.cover_pairs(down, range(len(down))):
+            covers[k] |= 1 << i
+        return elements, covers
+
+    return order
+
+
+# check name -> (check, config, owner, attribute, fault made from the real
+# one), as in CORE_MUTATIONS, for the checks of the two lattices: the
+# Eulerian-part semilattice T(D) with its chromatic identity, and the bond
+# lattice with its orientation counts
+LATTICE_MUTATIONS = {
+    # T(D) loses its one-block elements, so a join that reaches the whole
+    # arc set of a connected digraph falls outside it
+    "join-closure": (
+        check_join_closure, VerifyConfig(max_edges=4), lattice_module, "_element_masks",
+        _without_one_block_elements,
+    ),
+    # T(D) is generated from every cycle partition but the last
+    "lattice-vs-bell-filter": (
+        check_lattice_vs_bell_filter, VerifyConfig(max_edges=4), lattice_module,
+        "cycle_partition_masks", lambda real: lambda d, *cap: real(d, *cap)[:-1],
+    ),
+    # each intersection graph of a cycle partition loses its last edge
+    "martin-chromatic-identity": (
+        check_martin_chromatic_identity, VerifyConfig(max_edges=4), lattice_module,
+        "intersection_graph", _without_last_edge,
+    ),
+    # the acyclic orientations lose their last one
+    "orientation-count-pattern": (
+        check_orientation_count_pattern, VerifyConfig(max_vertices=4), bonds_module,
+        "acyclic_orientations", lambda real: lambda g: real(g)[:-1],
+    ),
+    # the bond lattice's order keeps its covers but not their transitive
+    # closure
+    "downset-product-law": (
+        check_downset_product_law, VerifyConfig(max_vertices=4), bonds_module,
+        "coarsening_order", _covers_only,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_MUTATIONS))
+def test_lattice_check_mutation_is_caught(monkeypatch, name):
+    check, config, owner, attr, make_fault = LATTICE_MUTATIONS[name]
+    result = check(config)
+    assert result.name == name and result.ok and result.checked > 0
+    monkeypatch.setattr(owner, attr, make_fault(getattr(owner, attr)))
+    assert not check(config).ok
+
+
 def _negated(real):
     return lambda *args: -real(*args)
 
@@ -618,6 +694,7 @@ PLANTED_FAULTS = {
         for name, (check, attr, make_fault) in BONDS_MUTATIONS.items()
     },
     **CORE_MUTATIONS,
+    **LATTICE_MUTATIONS,
 }
 
 
@@ -708,7 +785,6 @@ def test_charpoly_checks_every_route_cap_before_any_route(tmp_path, monkeypatch,
 def test_weight_refuses_over_the_edge_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(veblen_module, "weight", _refuse)
     monkeypatch.setattr(veblen_module, "is_decomposable", _refuse)
-    monkeypatch.setattr(veblen_module.VeblenMultigraph, "from_multigraph", _refuse)
     for m in (12, 30):
         text = "multigraph 2\n" + "".join(f"e{i} 1 2\n" for i in range(m))
         bundle = _write(tmp_path, f"b{m}.txt", text)

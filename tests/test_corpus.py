@@ -303,8 +303,7 @@ def _component_class_of():
 
     def class_of(candidate):
         k, mults = candidate
-        code = sum(m << 4 * (a * k + b) for (a, b), m in mults.items())
-        return -classes.signed_weight((k, code)) - 1
+        return -classes.signed_weight(k, mults) - 1
 
     return class_of
 

@@ -404,7 +404,7 @@ def _sweep_mismatches():
     inputs = list(veblen_corpus(8, 5))
     rng = random.Random(17)
     inputs += [_random_eulerian_multigraph(rng, 12) for _ in range(40)]
-    return [x for x in inputs if _count_circuits_all_orientations(x) != _orientation_sum(x)]
+    return [x for x in inputs if _count_circuits_all_orientations(x.pairs) != _orientation_sum(x)]
 
 
 def test_pruned_orientation_sweep_matches_all_orientations():

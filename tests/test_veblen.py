@@ -143,6 +143,47 @@ def test_is_decomposable():
     assert is_decomposable(figure_eight)
 
 
+def _has_proper_even_subset(x):
+    """Decomposability by its definition, over all 2^m edge subsets: some
+    proper nonempty subset leaves every degree even.  parity[mask] is the
+    xor of the endpoint masks of the edges in mask."""
+    ends = [1 << u | 1 << v for u, v in x.pairs]
+    parity = [0] * (1 << x.m)
+    for mask in range(1, len(parity) - 1):
+        low = mask & -mask
+        parity[mask] = parity[mask ^ low] ^ ends[low.bit_length() - 1]
+        if not parity[mask]:
+            return True
+    return False
+
+
+def _closed_walk_multigraph(rng, max_edges):
+    """The edges of a closed walk of 2..max_edges steps on at most 6
+    vertices, no step staying put: connected, even and often parallel."""
+    n = rng.randint(2, 6)
+    while True:
+        walk = [rng.randrange(n)]
+        for _ in range(rng.randint(2, max_edges) - 1):
+            walk.append(rng.choice([v for v in range(n) if v != walk[-1]]))
+        if walk[-1] != walk[0]:
+            return Multigraph(n, list(zip(walk, walk[1:] + walk[:1])))
+
+
+def test_decomposable_exactly_when_a_degree_passes_two():
+    """An even multigraph is an edge-disjoint union of cycles, so the degree
+    test of is_decomposable must agree with the subset definition."""
+    rng = random.Random(2025)
+    inputs = list(veblen_corpus(8, 5)) + [_closed_walk_multigraph(rng, 12) for _ in range(60)]
+    found = [is_decomposable(x) for x in inputs]
+    assert found == [_has_proper_even_subset(x) for x in inputs]
+    assert found.count(False) >= 5 and found.count(True) >= 5
+
+
+def test_weight_via_all_decompositions_refuses_odd_degrees():
+    with pytest.raises(ValueError):
+        weight_via_all_decompositions(k2())
+
+
 def test_associated_coefficient_examples():
     assert associated_coefficient(doubled()) == 1
     assert associated_coefficient(triangle_v()) == 2
@@ -501,7 +542,7 @@ def test_shape_coefficient_counts_every_block_as_the_eulerian_count():
         for mask, shape in veblen.connected_veblen_subset_masks(x).items():
             sub = x.restrict(bits(mask))
             expected = Fraction(count_eulerian_circuits(sub), parallel_factorial_product(sub))
-            assert veblen._shape_coefficient(x, bits(mask), shape, {}) == expected
+            assert veblen._shape_coefficient(shape, {}) == expected
             blocks += 1
     assert blocks > len(veblen_corpus(8, 5))
 
