@@ -38,12 +38,19 @@ The recursive dictionary and its inverse pass through a full pyramid over
 the vertices.  It is labelled by the identity, so it is held as a list
 ``down[v]`` of vertex masks, the vertices below v with v included: the
 recursive map composes the two halves of each split on those masks, and the
-inverse reads them from one pass over the orientation in topological order.
+inverse reads them in topological order from each vertex's in-neighbour
+mask, gathered in one pass over the orientation's arcs.
 Each split is at the largest edge induced on its vertices, which crosses
 between the halves, so every edge inside a half ranks below it: both maps
 search a half's split edge downward from its parent's.
 No ``heaps.PieceSystem`` or ``heaps.Heap`` is built per call; the ``Heap``
 forms of the three maps remain in the tests as their oracle.
+
+Every orientation built here, by ``acyclic_orientations`` and by both
+forward maps, comes from the multigraph's own constructor,
+``Multigraph.orientation``: its arc i is ``pairs[i]`` one way or the other,
+so the per-arc checks of ``Digraph.__init__`` are not run again.  Only the
+inverse, which is handed orientations from outside, checks its input.
 """
 
 from __future__ import annotations
@@ -54,7 +61,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Digraph
 from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
@@ -385,7 +391,7 @@ def acyclic_orientations(g):
 
     def grow(e, reach):
         if e < 0:
-            out.append(Digraph(g.n, arcs, g.vertex_labels, g.edge_labels))
+            out.append(g.orientation(arcs))
             return
         u, v = pairs[e]
         for a, b in ((u, v), (v, u)):
@@ -491,15 +497,6 @@ def _check_nbc_base(g, table, t, root):
     return tree, path
 
 
-def _top_induced(pm, inside, hi):
-    """The highest rank below hi of an edge with both ends in the vertex mask
-    inside, or -1 when there is none."""
-    r = hi - 1
-    while r >= 0 and pm[r] & ~inside:
-        r -= 1
-    return r
-
-
 def base_to_orientation_direct(t, g, x, order):
     """Root-path comparison orientation of an NBC base.
 
@@ -514,8 +511,7 @@ def base_to_orientation_direct(t, g, x, order):
     """
     table = _rank_table(g, order)
     _, path = _check_nbc_base(g, table, t, x)
-    arcs = [(i, j) if path[i] > path[j] else (j, i) for i, j in table.pairs]
-    return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
+    return g.orientation([(i, j) if path[i] > path[j] else (j, i) for i, j in table.pairs])
 
 
 def _pyramid_masks(conc, pm, tree, inside, x, down, hi):
@@ -534,7 +530,9 @@ def _pyramid_masks(conc, pm, tree, inside, x, down, hi):
     if inside & (inside - 1) == 0:
         down[x] = 1 << x
         return
-    top = _top_induced(pm, inside, hi)
+    top = hi - 1
+    while top >= 0 and pm[top] & ~inside:
+        top -= 1
     assert top >= 0, "connected induced subgraph with >= 2 vertices has an edge"
     assert tree >> top & 1, "an NBC base always contains the largest induced edge"
     # grow x's side over the other tree edges; what is left lies on the far side
@@ -581,16 +579,16 @@ def base_to_orientation_recursive(t, g, x, order):
     tree, _ = _check_nbc_base(g, table, t, x)
     down = [0] * g.n
     _pyramid_masks(g._neighbor_masks, table.pm, tree, (1 << g.n) - 1, x, down, len(table.pm))
-    arcs = [(u, v) if down[v] >> u & 1 else (v, u) for u, v in table.pairs]
-    return Digraph(g.n, arcs, g.vertex_labels, g.edge_labels)
+    return g.orientation([(u, v) if down[v] >> u & 1 else (v, u) for u, v in table.pairs])
 
 
-def _down_masks(below, into):
+def _down_masks(below):
     """down[v]: the mask of the vertices with a directed path to v, v
-    included, from below[v] and into[v], v's in-neighbours as a mask and as
-    a list.  A vertex is peeled once all its in-neighbours are, so the masks
-    are filled in a topological order; a sweep over the vertices left that
-    peels none means a directed cycle, and raises ValueError."""
+    included, from below[v], the mask of v's in-neighbours.  A vertex is
+    peeled once all its in-neighbours are, and its mask is then its own bit
+    with the masks of the set bits of below[v], so the masks are filled in a
+    topological order; a sweep over the vertices left that peels none means
+    a directed cycle, and raises ValueError."""
     down = [0] * len(below)
     left = (1 << len(below)) - 1
     while left:
@@ -599,11 +597,14 @@ def _down_masks(below, into):
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if not below[v] & left:
+            into = below[v]
+            if not into & left:
                 left ^= low
                 mask = low
-                for u in into[v]:
-                    mask |= down[u]
+                while into:
+                    u = into & -into
+                    into ^= u
+                    mask |= down[u.bit_length() - 1]
                 down[v] = mask
         if left == before:
             raise ValueError("orientation is cyclic")
@@ -616,20 +617,22 @@ def orientation_to_base(o, g, x, order):
     levels are vertex masks cut straight from the pyramid's down-sets,
     which are the orientation's down-sets.
 
-    One pass over the arcs gathers the tails for the sink test, compares
-    each arc's ends with its edge's for the orientation test, and records
-    the in-neighbours the down-sets are read from."""
+    The input is validated in full: one pass over the arcs gathers the
+    tails for the sink test, compares each arc's ends with its edge's for
+    the orientation test, and records each vertex's in-neighbours as a mask,
+    from which ``_down_masks`` reads the down-sets and refuses a cycle.  A
+    level's top edge is searched downward from its parent's and never below
+    rank 0: a level of two or more vertices of a unique-sink orientation
+    always induces an edge."""
     table = _rank_table(g, order)
     epm, n = table.epm, o.n
     oriented = n == g.n and len(o.arcs) == len(epm)
     tails = 0
     in_mask = [0] * n
-    into = [[] for _ in range(n)]
     for e, (u, v) in enumerate(o.arcs):
         bit = 1 << u
         tails |= bit
         in_mask[v] |= bit
-        into[v].append(u)
         if oriented and bit | 1 << v != epm[e]:
             oriented = False
     # the sinks as a mask: exactly one bit, at x
@@ -639,7 +642,7 @@ def orientation_to_base(o, g, x, order):
         raise ValueError(f"orientation does not have unique sink {x}")
     if not oriented:
         raise ValueError("not an orientation of the concurrence graph")
-    down = _down_masks(in_mask, into)
+    down = _down_masks(in_mask)
     pm, ends = table.pm, table.ends
     edges = []
     # (vertex mask, rank bound): a level's top edge ranks below its parent's;
@@ -647,7 +650,10 @@ def orientation_to_base(o, g, x, order):
     levels = [(full, len(pm))] if full & full - 1 else []
     while levels:
         inside, hi = levels.pop()
-        top = _top_induced(pm, inside, hi)
+        top = hi - 1
+        while top >= 0 and pm[top] & ~inside:
+            top -= 1
+        assert top >= 0, "a level of a unique-sink orientation induces an edge"
         p, q = ends[top]
         below = down[p if down[q] >> p & 1 else q] & inside
         edges.append(table.order[top])

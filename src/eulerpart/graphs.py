@@ -132,6 +132,23 @@ class Multigraph(_Graph):
     def neighbors(self, u):
         return sorted({v for _, v in self._adj[u]})
 
+    def orientation(self, arcs):
+        """The Digraph whose arc i is ``arcs[i]``, with this multigraph's
+        vertex count and label tables.
+
+        Precondition, not checked: ``arcs[i]`` is ``pairs[i]`` in one of its
+        two directions.  The pairs passed the loop and range checks when this
+        multigraph was built, so its orientations skip ``Digraph.__init__``
+        and set the attributes it sets directly; ``is_orientation_of`` tests
+        the precondition.  The arcs are copied, so the caller may reuse its
+        list."""
+        d = Digraph.__new__(Digraph)
+        d.n = self.n
+        d.ends = d.arcs = tuple(arcs)
+        d.vertex_labels = self.vertex_labels
+        d.edge_labels = self.edge_labels
+        return d
+
     @cached_property
     def _neighbor_masks(self):
         """Bit w of entry u is set when some edge joins u and w; built on the
@@ -263,9 +280,9 @@ def orientation_arcs(x):
 
 def orientations(x):
     """All 2^m orientations of a multigraph, as digraphs in the order of
-    ``orientation_arcs``."""
+    ``orientation_arcs``, built by ``x.orientation``."""
     for arcs in orientation_arcs(x):
-        yield Digraph(x.n, arcs, x.vertex_labels, x.edge_labels)
+        yield x.orientation(arcs)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Digraph, is_orientation_of
+from eulerpart.graphs import is_orientation_of
 from eulerpart.poset import bits, cover_pairs, maximal_keys
 from eulerpart.trails import (
     Trail,
@@ -370,7 +370,7 @@ def pyramid_to_orientation(ps, pyramid):
             arcs.append((u, v))
         else:
             arcs.append((v, u))
-    return Digraph(ps.k, arcs, ps.graph.vertex_labels, ps.graph.edge_labels)
+    return ps.graph.orientation(arcs)
 
 
 def orientation_to_pyramid(ps, o):

@@ -369,28 +369,36 @@ def associated_coefficient(x):
 def eulerian_orientation_classes(x):
     """One representative digraph per vertex-fixing class of balanced
     orientations: choose how many copies of each parallel class point from
-    the smaller endpoint to the larger."""
+    the smaller endpoint to the larger.
+
+    The classes are placed in sorted order, and ``last[v]`` is the index of
+    v's last class: once it is placed, v's net out-degree is final, so a
+    branch that leaves it nonzero is cut there.  Every leaf is balanced."""
     classes = sorted(x.parallel_classes().items())
+    last = [None] * x.n
+    for i, ((u, v), _) in enumerate(classes):
+        last[u] = last[v] = i
+    net = [0] * x.n
     reps = []
 
-    def rec(i, net, arcs):
+    def rec(i, arcs):
         if i == len(classes):
-            if not any(net.values()):
-                reps.append(Digraph(x.n, list(arcs), x.vertex_labels))
+            reps.append(Digraph(x.n, list(arcs), x.vertex_labels))
             return
         (u, v), members = classes[i]
         m = len(members)
         for forward in range(m + 1):
             delta = 2 * forward - m  # out-minus-in change at u
-            net[u] = net.get(u, 0) + delta
-            net[v] = net.get(v, 0) - delta
-            arcs.extend([(u, v)] * forward + [(v, u)] * (m - forward))
-            rec(i + 1, net, arcs)
-            del arcs[-m:]
+            net[u] += delta
+            net[v] -= delta
+            if not (last[u] == i and net[u] or last[v] == i and net[v]):
+                arcs.extend([(u, v)] * forward + [(v, u)] * (m - forward))
+                rec(i + 1, arcs)
+                del arcs[-m:]
             net[u] -= delta
             net[v] += delta
 
-    rec(0, {}, [])
+    rec(0, [])
     return reps
 
 

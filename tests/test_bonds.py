@@ -7,7 +7,7 @@ import eulerpart.bonds as bonds_module
 import eulerpart.heaps as heaps_module
 from eulerpart.corpus import connected_simple_graphs
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Digraph, Multigraph, orientations
+from eulerpart.graphs import Digraph, Multigraph, is_orientation_of, orientations
 from eulerpart.bonds import (
     _is_forest,
     _tree_contains_broken_circuit,
@@ -37,6 +37,7 @@ from eulerpart.heaps import (
     Heap,
     PieceSystem,
     compose,
+    full_pyramids,
     orientation_to_pyramid,
     pyramid_to_orientation,
 )
@@ -781,5 +782,57 @@ def test_maps_build_no_heap_objects(monkeypatch):
                 assert direct.arcs == recursive.arcs
                 assert orientation_to_base(recursive, g, x, order) == t
             for o in by_sink[x]:
+                t = orientation_to_base(o, g, x, order)
+                assert base_to_orientation_recursive(t, g, x, order).arcs == o.arcs
+
+
+def _as_checked(o, g):
+    """Whether o meets the precondition of ``g.orientation``, carries g's
+    label tables, and holds the attributes, arcs included, that the checked
+    ``Digraph`` constructor sets from the same arcs."""
+    built = Digraph(g.n, o.arcs, g.vertex_labels, g.edge_labels)
+    return (
+        is_orientation_of(o, g)
+        and o.vertex_labels is g.vertex_labels
+        and o.edge_labels is g.edge_labels
+        and vars(o) == vars(built)
+    )
+
+
+def test_orientation_builders_meet_the_constructor_precondition():
+    """The acyclic orientations and both forward maps, on every connected
+    simple graph with <= 5 vertices at every sink, and the pyramid map on
+    the full pyramids of a labelled K4, all build through
+    ``Multigraph.orientation`` and hand it arcs that orient the host."""
+    rng = random.Random(17)
+    for g in connected_simple_graphs(5):
+        order = edge_orders(g, 2, rng)[1]
+        assert all(_as_checked(o, g) for o in acyclic_orientations(g))
+        for x in range(g.n):
+            for t in nbc_bases(g, order):
+                assert _as_checked(base_to_orientation_direct(t, g, x, order), g)
+                assert _as_checked(base_to_orientation_recursive(t, g, x, order), g)
+    g = Multigraph(4, k4().pairs, list("abcd"), [f"c{e}" for e in range(6)])
+    ps = PieceSystem(g)
+    pyramids = [p for beta in ps.pieces() for p in full_pyramids(ps, beta)]
+    assert len(pyramids) == 4 * 6
+    assert all(_as_checked(pyramid_to_orientation(ps, p), g) for p in pyramids)
+
+
+def test_inverse_map_on_every_acyclic_orientation():
+    """On every connected simple graph with <= 5 vertices, under a seeded
+    edge order, orientation_to_base at every vertex x and on every acyclic
+    orientation refuses with ValueError exactly when x is not the only sink,
+    and otherwise returns a base the recursive map sends back to the
+    orientation.  Any other exception fails the test."""
+    rng = random.Random(2026)
+    for g in connected_simple_graphs(5):
+        order = edge_orders(g, 2, rng)[1]
+        for o in acyclic_orientations(g):
+            for x in range(g.n):
+                if sinks(o) != [x]:
+                    with pytest.raises(ValueError, match=f"unique sink {x}"):
+                        orientation_to_base(o, g, x, order)
+                    continue
                 t = orientation_to_base(o, g, x, order)
                 assert base_to_orientation_recursive(t, g, x, order).arcs == o.arcs

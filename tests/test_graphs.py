@@ -8,6 +8,7 @@ from eulerpart.graphs import (
     approx_class_size,
     format_graph,
     is_eulerian,
+    is_orientation_of,
     orientations,
     parse_graph,
     parallel_factorial_product,
@@ -44,6 +45,32 @@ def test_one_constructor_for_both_graph_classes():
         with pytest.raises(ValueError) as refused:
             cls(3, ends, **labels)
         assert str(refused.value) == message
+
+
+def test_orientations_come_from_the_multigraph_constructor():
+    """``graphs.orientations`` builds through ``Multigraph.orientation``,
+    which skips the per-arc checks.  On a labelled doubled edge and the
+    triangle, every result is an orientation of its host carrying the
+    host's label tables, and holds the attributes and adjacency of the
+    Digraph the checked constructor builds from its arcs."""
+    hosts = [Multigraph(2, [(0, 1), (1, 0)], ["a", "b"], ["p", "q"]), Multigraph(3, [(0, 1), (1, 2), (2, 0)])]
+    for g in hosts:
+        seen = set()
+        for o in orientations(g):
+            built = Digraph(g.n, o.arcs, g.vertex_labels, g.edge_labels)
+            assert vars(o) == vars(built) and o.arcs is o.ends
+            assert type(o) is Digraph and o.directed and is_orientation_of(o, g)
+            assert o.vertex_labels is g.vertex_labels and o.edge_labels is g.edge_labels
+            for v in range(g.n):
+                assert o.out_arcs(v) == built.out_arcs(v)
+                assert o.in_degree(v) == built.in_degree(v)
+            seen.add(o.arcs)
+        assert len(seen) == 2**g.m
+    # the arcs are copied, so the caller may reuse its list
+    arcs = [(1, 0), (0, 1)]
+    o = hosts[0].orientation(arcs)
+    arcs[0] = (0, 1)
+    assert o.arcs == ((1, 0), (0, 1))
 
 
 def test_restrict_returns_the_plain_class():

@@ -31,6 +31,7 @@ from eulerpart.veblen import (
     decompositions,
     elementary_subgraph_formula,
     enumerate_infragraphs,
+    eulerian_orientation_classes,
     hs_characteristic_polynomial,
     is_decomposable,
     is_veblen,
@@ -177,6 +178,39 @@ def test_decomposable_exactly_when_a_degree_passes_two():
     found = [is_decomposable(x) for x in inputs]
     assert found == [_has_proper_even_subset(x) for x in inputs]
     assert found.count(False) >= 5 and found.count(True) >= 5
+
+
+def _unpruned_orientation_classes(x):
+    """Every vector of forward counts over the sorted parallel classes, in
+    lexicographic order, kept when the orientation it spells is balanced."""
+    classes = sorted(x.parallel_classes().items())
+    reps = []
+    for counts in itertools.product(*(range(len(members) + 1) for _, members in classes)):
+        arcs = []
+        for ((u, v), members), forward in zip(classes, counts):
+            arcs += [(u, v)] * forward + [(v, u)] * (len(members) - forward)
+        net = Counter()
+        for u, v in arcs:
+            net[u] += 1
+            net[v] -= 1
+        if not any(net.values()):
+            reps.append(tuple(arcs))
+    return reps
+
+
+def test_orientation_classes_prune_only_unbalanced_branches():
+    """The pruned sweep of eulerian_orientation_classes keeps the same
+    representatives, in the same order, as the sweep over every vector of
+    forward counts, on the Veblen corpus and on seeded closed walks."""
+    rng = random.Random(17)
+    walks = [_closed_walk_multigraph(rng, 12) for _ in range(40)]
+    inputs = list(veblen_corpus(8, 5)) + [VeblenMultigraph(w.n, w.pairs) for w in walks]
+    total = 0
+    for x in inputs:
+        found = [d.arcs for d in eulerian_orientation_classes(x)]
+        assert found == _unpruned_orientation_classes(x)
+        total += len(found)
+    assert total > len(inputs)
 
 
 def test_weight_via_all_decompositions_refuses_odd_degrees():
