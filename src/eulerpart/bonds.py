@@ -1,8 +1,9 @@
 """Bond lattices, broken circuits, NBC bases, chromatic polynomials, and the
 two explicit dictionaries from NBC bases to acyclic unique-sink orientations.
 
-The chromatic polynomial has two independent routes (deletion-contraction
-in production, the broken-circuit subset sum for verification), so the
+The chromatic polynomial has three independent routes: deletion-contraction
+on vertex and edge masks in production; the broken-circuit subset sum and
+the bond lattice's characteristic polynomial for verification.  So the
 downstream Martin-polynomial identity is a genuine cross-check.
 
 The NBC work runs on int masks in rank space.  Under an edge order, bit r of
@@ -103,12 +104,13 @@ class BondLattice(FinitePoset):
     Rank of a partition is n minus its block count; for connected graphs the
     top is the one-block partition.  The order is read from the covers, each
     a merge of two blocks joined by an edge, as in the Eulerian semilattice.
+    ``masks[i]`` is ``elements[i]`` as a frozenset of block vertex masks.
     """
 
     def __init__(self, graph):
         require_simple(graph)
-        elements, down = coarsening_order(*_connected_masks(graph))
-        super().__init__((SetPartition(map(bits, x)) for x in elements), down)
+        self.masks, down = coarsening_order(*_connected_masks(graph))
+        super().__init__((SetPartition(map(bits, x)) for x in self.masks), down)
         self.graph = graph
 
     def closed_edge_set(self, x):
@@ -315,15 +317,15 @@ class RotaReport:
 def rota_check(lattice, order):
     """Möbius values from the bottom against signed NBC-set counts, at
     every lattice element.  The NBC search hands over each set's element as
-    its component masks, so the sets are counted by those."""
+    its component masks, so the sets are counted by the lattice's masks."""
     counts = Counter(frozenset(comp) for comp in _nbc_forests(lattice.graph, order).values())
     bottom = lattice.bottom()
-    ranks = lattice.rank_function()
+    n = lattice.graph.n
     failures = []
-    for x in lattice.elements:
+    for x, blocks in zip(lattice.elements, lattice.masks):
         mu = lattice.mobius(bottom, x)
-        count = counts[frozenset(sum(1 << v for v in block) for block in x.blocks)]
-        if mu != (-1) ** ranks[x] * count:
+        count = counts[blocks]
+        if mu != (-1) ** (n - len(blocks)) * count:
             failures.append((x, mu, count))
     return RotaReport(len(lattice.elements), tuple(failures))
 
@@ -334,31 +336,33 @@ def rota_check(lattice, order):
 
 
 def chromatic_polynomial(g):
-    """Deletion-contraction with memoisation on the labeled edge set."""
+    """Deletion-contraction of the least edge on masks, memoised on (vertex
+    mask, edge set), with each edge the mask of its two ends."""
     require_simple(g)
     memo = {}
 
     def rec(vertices, edges):
         key = (vertices, edges)
-        if key in memo:
-            return memo[key]
-        if not edges:
-            result = IntPoly.monomial(len(vertices))
-        else:
-            u, v = sorted(min(edges, key=sorted))
-            deleted = edges - {frozenset((u, v))}
-            # contract v into u: rename v-endpoints, drop the loop, merge parallels
-            contracted = frozenset(
-                frozenset(u if w == v else w for w in pair)
-                for pair in deleted
-                if pair != frozenset((u, v))
-            )
-            contracted = frozenset(pair for pair in contracted if len(pair) == 2)
-            result = rec(vertices, deleted) - rec(vertices - {v}, contracted)
-        memo[key] = result
+        result = memo.get(key)
+        if result is None:
+            if not edges:
+                result = IntPoly.monomial(vertices.bit_count())
+            else:
+                edge = min(edges)
+                high = 1 << edge.bit_length() - 1
+                deleted = edges - {edge}
+                contracted = _contract(deleted, high, edge ^ high)
+                result = rec(vertices, deleted) - rec(vertices ^ high, contracted)
+            memo[key] = result
         return result
 
-    return rec(frozenset(range(g.n)), frozenset(map(frozenset, g.pairs)))
+    return rec((1 << g.n) - 1, frozenset(1 << u | 1 << v for u, v in g.pairs))
+
+
+def _contract(edges, high, low):
+    """Rename vertex bit high to low in edges, which lack high | low;
+    parallel edges merge."""
+    return frozenset(e ^ high | low if e & high else e for e in edges)
 
 
 def chromatic_polynomial_whitney(g, order=None):
@@ -411,12 +415,24 @@ def sinks(d):
     return [v for v in range(d.n) if not tails >> v & 1]
 
 
+def _unique_sink_groups(g):
+    """Per vertex, the acyclic orientations with it as their only sink, in
+    ``acyclic_orientations`` order; and the count of all of them."""
+    groups = [[] for _ in range(g.n)]
+    acyclic = acyclic_orientations(g)
+    for o in acyclic:
+        s = sinks(o)
+        if len(s) == 1:
+            groups[s[0]].append(o)
+    return groups, len(acyclic)
+
+
 def unique_sink_orientations(g, x):
     """Acyclic orientations whose only sink is x, in deterministic order."""
     require_simple(g)
     if not (0 <= x < g.n):
         raise ValueError(f"unknown vertex {x}")
-    return [o for o in acyclic_orientations(g) if sinks(o) == [x]]
+    return _unique_sink_groups(g)[0][x]
 
 
 # ---------------------------------------------------------------------------
@@ -709,14 +725,10 @@ def check_nbc_dictionaries(g, orders):
         bases = nbc_bases(g, order)
         if by_sink is None:
             # the NBC bases meet the cycle-enumeration cap before the 2^m sweep
-            by_sink = {}
-            for o in acyclic_orientations(g):
-                s = sinks(o)
-                if len(s) == 1:
-                    by_sink.setdefault(s[0], []).append(o)
+            by_sink, _ = _unique_sink_groups(g)
         base_counts.add(len(bases))
         for x in range(g.n):
-            usos = by_sink.get(x, [])
+            usos = by_sink[x]
             if len(usos) != len(bases):
                 failures.append(f"count mismatch at sink {g.vertex_labels[x]}")
             image = {}  # base -> the arcs of its recursive image
@@ -772,17 +784,11 @@ class OrientationCountReport:
 def orientation_counts_vs_chromatic(g):
     """Count acyclic orientations (total and per unique sink) and report
     which chromatic-polynomial statistic each one matches."""
-    require_simple(g)
-    acyclic = acyclic_orientations(g)
-    per_vertex = [0] * g.n
-    for o in acyclic:
-        s = sinks(o)
-        if len(s) == 1:
-            per_vertex[s[0]] += 1
+    by_sink, total = _unique_sink_groups(g)
     chrom = chromatic_polynomial(g)
     return OrientationCountReport(
-        total_acyclic=len(acyclic),
-        unique_sink_counts=tuple(per_vertex),
+        total_acyclic=total,
+        unique_sink_counts=tuple(map(len, by_sink)),
         chromatic=chrom,
         abs_value_at_minus_one=abs(chrom(-1)),
         abs_linear_coefficient=abs(chrom.coeff(1)),

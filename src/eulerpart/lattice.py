@@ -48,7 +48,7 @@ from eulerpart.errors import NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
+from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order, mask_sum
 from eulerpart.trails import (
     _best_from_arcs,
     count_eulerian_circuits,
@@ -167,23 +167,11 @@ class EulerianSemilattice(FinitePoset):
 
     def downset_sum(self, b):
         """Sum of signed circuit products over the down-set of b, read by
-        index from b's down mask.
-
-        A down mask is as wide as the semilattice, and each step of ``bits``
-        costs that width, so the set bits are found in the mask's binary
-        string instead: the character at index i is bit ``last - i``.
-        """
+        index from b's down mask."""
         if b not in self:
             raise ValueError("element does not belong to the semilattice")
         if b not in self._sums:
-            digits = bin(self.down[self.index[b]])
-            last = len(digits) - 1
-            total = 0
-            at = digits.find("1", 2)
-            while at >= 0:
-                total += self._values[last - at]
-                at = digits.find("1", at + 1)
-            self._sums[b] = total
+            self._sums[b] = mask_sum(self._values, self.down[self.index[b]])
         return self._sums[b]
 
 

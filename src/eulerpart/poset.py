@@ -4,7 +4,10 @@ The order relation is materialised as per-element bitmasks, which keeps
 down-set scans cheap for the lattice sizes this package works at (tens of
 thousands of elements at most).  The covers and maximal-element routines read
 such masks whether they are kept by position or by value, so heaps of pieces
-share them.
+share them.  Möbius values come in rows mu(a, .), each made in one sweep up
+the elements by down-set size, summing over down masks with ``mask_sum``.  A
+poset with a bottom here is one of set partitions whose covers merge two
+blocks, so its ranks are read from block counts.
 
 Both lattices of the package, the Eulerian-part semilattice and the bond
 lattice, are the closure of their minimal elements under one step: merge two
@@ -33,9 +36,9 @@ class FinitePoset:
         if len(self.index) != len(self.elements):
             raise ValueError("poset elements must be distinct")
         self.down = list(down)
-        self._mu = {}
+        self._mu = {}  # index of a -> the row mu(a, .)
+        self._sweep = None
         self._covers = None
-        self._ranks = None
 
     @classmethod
     def from_leq(cls, elements, leq):
@@ -96,65 +99,43 @@ class FinitePoset:
         return self._covers
 
     def mobius(self, a, b):
-        """Standard Möbius recursion over the interval [a, b]; cached."""
-        i, j = self.index[a], self.index[b]
-        if not self.down[j] >> i & 1:
-            return 0
-        return self._mobius_idx(i, j)
+        """mu(a, b), read from the row mu(a, .)."""
+        return self._mobius_row(self.index[a])[self.index[b]]
 
-    def _mobius_idx(self, i, j):
-        key = (i, j)
-        cached = self._mu.get(key)
-        if cached is not None:
-            return cached
-        if i == j:
-            value = 1
-        else:
-            interval = self.down[j] & ~(1 << j)
-            value = 0
-            for k in bits(interval):
-                if self.down[k] >> i & 1:
-                    value -= self._mobius_idx(i, k)
-        self._mu[key] = value
-        return value
+    def _mobius_row(self, i):
+        """mu(element i, x) for every x, by index; made on first use, in one
+        pass up the elements by down-set size.  An entry is minus the sum of
+        the entries of x's strict down-set, and 0 unless i lies below x."""
+        row = self._mu.get(i)
+        if row is None:
+            down = self.down
+            if self._sweep is None:
+                self._sweep = sorted(range(len(down)), key=lambda x: down[x].bit_count())
+            row = self._mu[i] = [0] * len(down)
+            row[i] = 1
+            for x in self._sweep:
+                if x != i and down[x] >> i & 1:
+                    row[x] = -mask_sum(row, down[x] ^ 1 << x)
+        return row
 
     def rank_function(self):
-        """Ranks from the unique bottom; raises if the poset is not ranked."""
-        if self._ranks is None:
-            bottom = self.bottom()
-            ranks = {bottom: 0}
-            order = sorted(range(len(self.elements)), key=lambda j: bin(self.down[j]).count("1"))
-            cover_up = {}
-            for x, y in self.covers():
-                cover_up.setdefault(y, []).append(x)
-            for j in order:
-                y = self.elements[j]
-                if y == bottom:
-                    continue
-                below = cover_up.get(y, [])
-                if not below:
-                    raise ValueError("element unreachable from the bottom; poset not ranked")
-                candidates = {ranks[x] + 1 for x in below if x in ranks}
-                if len(candidates) != 1:
-                    raise ValueError("poset is not ranked")
-                ranks[y] = candidates.pop()
-            self._ranks = ranks
-        return self._ranks
+        """Ranks as block counts below the bottom's: every poset here with a
+        bottom is one of set partitions whose covers merge two blocks."""
+        blocks = len(self.bottom())
+        return {x: blocks - len(x) for x in self.elements}
 
     def rank(self, x=None):
         ranks = self.rank_function()
-        if x is None:
-            return max(ranks.values())
-        return ranks[x]
+        return max(ranks.values()) if x is None else ranks[x]
 
     def characteristic_polynomial(self):
-        """sum_x mu(0, x) t^(rk(poset) - rk(x)); needs bottom and a rank function."""
-        ranks = self.rank_function()
-        total = self.rank()
+        """sum_x mu(0, x) t^(rk(poset) - rk(x)): with ranks by block count,
+        x's exponent is its block count minus the least one."""
         bottom = self.bottom()
-        coeffs = [0] * (total + 1)
-        for x in self.elements:
-            coeffs[total - ranks[x]] += self.mobius(bottom, x)
+        least = min(map(len, self.elements))
+        coeffs = [0] * (len(bottom) - least + 1)
+        for x, mu in zip(self.elements, self._mobius_row(self.index[bottom])):
+            coeffs[len(x) - least] += mu
         return IntPoly(coeffs)
 
 
@@ -254,6 +235,20 @@ def coarsening_order(elements, touches):
             merged = x - {blocks[a], blocks[b]} | {blocks[a] | blocks[b]}
             down[index[merged]] |= down[i]
     return elements, down
+
+
+def mask_sum(values, mask):
+    """The sum of values[i] over the set bits i of mask, found in its binary
+    string (index j is bit ``last - j``): a step of ``bits`` costs the
+    mask's width, which is the poset's."""
+    digits = bin(mask)
+    last = len(digits) - 1
+    total = 0
+    at = digits.find("1", 2)
+    while at >= 0:
+        total += values[last - at]
+        at = digits.find("1", at + 1)
+    return total
 
 
 def mask_union(masks, mask):

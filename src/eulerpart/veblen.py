@@ -409,8 +409,6 @@ def associated_coefficient_via_rootings(x):
     vertex-fixing classes of its balanced orientations; each contributes
     its class size N/K times circuits-over-N.
     """
-    if not x.edge_support_connected():
-        raise ValueError("associated coefficient needs a connected multigraph")
     total = Fraction(0)
     for rep, size in rooting_class_sizes(x):
         total += Fraction(size * count_eulerian_circuits(rep), out_degree_factorial_product(rep))
@@ -418,15 +416,16 @@ def associated_coefficient_via_rootings(x):
 
 
 def rooting_class_sizes(x):
-    """(representative orientation, class size N/K) per Eulerian class."""
+    """(representative orientation, class size N/K) per Eulerian class.  Each
+    class is balanced and spans x's edges, so once x is connected, each one
+    is Eulerian."""
+    if not x.edge_support_connected():
+        raise ValueError("associated coefficient needs a connected multigraph")
     out = []
     for rep in eulerian_orientation_classes(x):
-        if is_eulerian(rep):
-            size, remainder = divmod(
-                out_degree_factorial_product(rep), parallel_factorial_product(rep)
-            )
-            assert remainder == 0
-            out.append((rep, size))
+        size, remainder = divmod(out_degree_factorial_product(rep), parallel_factorial_product(rep))
+        assert remainder == 0
+        out.append((rep, size))
     return out
 
 

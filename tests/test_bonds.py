@@ -361,6 +361,38 @@ def test_chromatic_polynomials():
     assert chromatic_polynomial(p3()) == t * (t - 1) ** 2
 
 
+def _relabelled(n, pairs, rng):
+    """The graph on n vertices with the given edges, its vertices renamed
+    by a random permutation and its edges shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [(perm[u], perm[v]) for u, v in pairs]
+    rng.shuffle(pairs)
+    return Multigraph(n, pairs)
+
+
+def test_chromatic_polynomial_closed_forms():
+    """The mask recursion against the closed forms of paths, cycles and
+    complete graphs on up to 10 vertices, each also under a relabelling."""
+    t = IntPoly.t()
+    rng = random.Random(27)
+    for n in range(1, 11):
+        falling = IntPoly.one()
+        for i in range(n):
+            falling = falling * (t - i)
+        families = [
+            ([(i, i + 1) for i in range(n - 1)], t * (t - 1) ** (n - 1)),
+            ([(u, v) for u, v in combinations(range(n), 2)], falling),
+        ]
+        if n >= 3:
+            families.append(
+                ([(i, (i + 1) % n) for i in range(n)], (t - 1) ** n + (-1) ** n * (t - 1))
+            )
+        for pairs, expected in families:
+            assert chromatic_polynomial(Multigraph(n, pairs)) == expected
+            assert chromatic_polynomial(_relabelled(n, pairs, rng)) == expected
+
+
 def test_chromatic_whitney_agreement():
     rng = random.Random(11)
     for g in (k3(), k4(), p3(), star(5), Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])):

@@ -29,6 +29,8 @@ from eulerpart.verify import (
     check_downset_product_law,
     check_eulerian_balance,
     check_g_vanishing_and_mobius,
+    check_heap_axioms_vs_sandwich,
+    check_heap_monoid_laws,
     check_join_closure,
     check_lattice_vs_bell_filter,
     check_martin_chromatic_identity,
@@ -37,12 +39,17 @@ from eulerpart.verify import (
     check_orientation_circuit_partitions,
     check_orientation_count_pattern,
     check_pyramid_balance_and_mobius,
+    check_pyramid_orientation_round_trip,
+    check_pyramid_split_identity,
     check_rooting_class_sizes,
     check_rota,
     check_trail_counts,
+    check_trail_fibers_vs_pyramids,
+    check_trail_pyramid_round_trip,
     check_weight_multiplicative,
     check_weight_vanishes_on_decomposables,
     check_weight_via_cancellation,
+    ALL_CHECKS,
     run_verification_suite,
 )
 
@@ -528,6 +535,24 @@ def _one_too_many_off_cycles(real):
     return best
 
 
+def _upper_first_over_two_or_more(real):
+    def compose(ps, h1, h2):
+        return real(ps, h2, h1) if len(h1) >= 2 else real(ps, h1, h2)
+
+    return compose
+
+
+def _one_trail_per_partition(real):
+    folded = {}
+
+    def pyramid_to_trail(d, a, pyramid, e):
+        if a not in folded:
+            folded[a] = real(d, a, pyramid, e)
+        return folded[a]
+
+    return pyramid_to_trail
+
+
 # the semilattice's block kernel is one circuit too many on any block with
 # more arcs than touched vertices
 _LATTICE_KERNEL_FAULT = (lattice_module, "_best_from_arcs", _one_too_many_off_cycles)
@@ -575,6 +600,39 @@ CORE_MUTATIONS = {
     "pyramid-balance-and-mobius": (
         check_pyramid_balance_and_mobius, VerifyConfig(max_edges=4), heaps_module,
         "count_full_pyramids", lambda real: lambda ps, beta: real(ps, beta) + (beta == 0),
+    ),
+    # the sandwich route accepts every heap
+    "heap-axioms-vs-sandwich": (
+        check_heap_axioms_vs_sandwich, VerifyConfig(max_edges=4), heaps_module,
+        "sandwich_check", lambda real: lambda ps, heap: True,
+    ),
+    # a lower heap of two or more elements is put on top of the upper one
+    "heap-monoid-laws": (
+        check_heap_monoid_laws, VerifyConfig(max_edges=6), heaps_module, "compose",
+        _upper_first_over_two_or_more,
+    ),
+    # the full pyramids over the whole piece system lose their last one
+    "pyramid-split-identity": (
+        check_pyramid_split_identity, VerifyConfig(max_edges=4), heaps_module, "full_pyramids",
+        lambda real: lambda ps, beta, subset=None: (
+            real(ps, beta)[:-1] if subset is None else real(ps, beta, subset)
+        ),
+    ),
+    # each fiber of trails over a cycle partition loses its last trail
+    "trail-fibers-vs-pyramids": (
+        check_trail_fibers_vs_pyramids, VerifyConfig(max_edges=4), trails_module,
+        "trails_with_cycle_partition", lambda real: lambda d, e, a: real(d, e, a)[:-1],
+    ),
+    # the fold back to a trail is kept per cycle partition alone
+    "trail-pyramid-round-trip": (
+        check_trail_pyramid_round_trip, VerifyConfig(max_edges=4), heaps_module,
+        "pyramid_to_trail", _one_trail_per_partition,
+    ),
+    # the pyramid read back from an orientation puts each head below its tail
+    "pyramid-orientation-round-trip": (
+        check_pyramid_orientation_round_trip, VerifyConfig(max_edges=4), heaps_module,
+        "orientation_to_pyramid",
+        lambda real: lambda ps, o: heaps_module.Heap(range(ps.k), [(v, u) for u, v in o.arcs]),
     ),
 }
 
@@ -696,6 +754,47 @@ PLANTED_FAULTS = {
     **CORE_MUTATIONS,
     **LATTICE_MUTATIONS,
 }
+
+
+def test_every_check_has_a_planted_fault():
+    """The nbc-bijection-suite's faults are planted in tests/test_bonds.py;
+    every other check has its fault here."""
+    assert set(PLANTED_FAULTS) | {"nbc-bijection-suite"} == {c.name for c in ALL_CHECKS}
+
+
+# a fault in one routine that several checks share -> (owner, attribute,
+# fault made from the real one, the checks that must each fail under it)
+SHARED_FAULTS = {
+    # each Möbius row entry is plus, not minus, the sum of the entries below
+    "mobius-row-sign": (
+        poset_module, "mask_sum", _negated, [
+            (check_rota, VerifyConfig(max_vertices=4)),
+            (check_chromatic_routes, VerifyConfig(max_vertices=4)),
+            (check_downset_product_law, VerifyConfig(max_vertices=4)),
+            (check_pyramid_balance_and_mobius, VerifyConfig(max_edges=4)),
+            (check_g_vanishing_and_mobius, VerifyConfig(max_edges=4)),
+        ],
+    ),
+    # the contraction renames the lower end to the higher one, whose bit the
+    # vertex mask then drops
+    "contraction-keeps-higher": (
+        bonds_module, "_contract", lambda real: lambda edges, high, low: real(edges, low, high), [
+            (check_chromatic_routes, VerifyConfig(max_vertices=4)),
+            (check_orientation_count_pattern, VerifyConfig(max_vertices=4)),
+            (check_martin_chromatic_identity, VerifyConfig(max_edges=6)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FAULTS))
+def test_shared_fault_fails_each_check_that_reads_it(monkeypatch, name):
+    owner, attr, make_fault, checks = SHARED_FAULTS[name]
+    for check, config in checks:
+        assert check(config).ok
+    monkeypatch.setattr(owner, attr, make_fault(getattr(owner, attr)))
+    for check, config in checks:
+        assert not check(config).ok, check.name
 
 
 @pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerpart.bonds import _is_forest
+from eulerpart.bonds import BondLattice, _is_forest
+from eulerpart.corpus import connected_simple_graphs
 from eulerpart.graphs import Digraph, Multigraph
 from eulerpart.partition import SetPartition, all_set_partitions, components
 from eulerpart.poset import FinitePoset, partition_lattice, subposet
@@ -218,20 +219,57 @@ def test_covers_of_pi3():
     assert len(covers) == 6  # three atoms over bottom, top over three atoms
 
 
-def test_unranked_poset_raises():
-    # top covers both a rank-2 and a rank-1 element: no rank function exists
-    elements = ["0", "a", "b", "c", "t"]
-    pairs = {
-        ("0", "a"), ("a", "b"), ("0", "b"), ("0", "c"),
-        ("b", "t"), ("c", "t"), ("a", "t"), ("0", "t"),
-    }
+def _bond_lattices(max_vertices):
+    return [BondLattice(g) for g in connected_simple_graphs(max_vertices)]
 
-    def leq(x, y):
-        return x == y or (x, y) in pairs
 
-    poset = FinitePoset.from_leq(elements, leq)
-    with pytest.raises(ValueError):
-        poset.rank_function()
+def _assert_mobius_rows_invert_zeta(poset):
+    """sum over a <= y <= b of mu(a, y) is 1 when a = b and 0 otherwise,
+    for every a <= b.  The sum runs over all y <= b, so mu(a, y) must also
+    read 0 where a and y are incomparable."""
+    for a in poset.elements:
+        for b in poset.elements:
+            if poset.leq(a, b):
+                total = sum(poset.mobius(a, y) for y in poset.down_set(b))
+                assert total == (a == b), (a, b)
+
+
+def test_mobius_rows_invert_the_zeta_function():
+    """On Pi_4, on every bond lattice with at most 5 vertices, and on a
+    poset whose index order is not a linear extension: the top comes first
+    and the bottom last, so a sweep in index order would read the top's
+    down-set before it is filled."""
+    _assert_mobius_rows_invert_zeta(partition_lattice([1, 2, 3, 4]))
+    for lat in _bond_lattices(5):
+        _assert_mobius_rows_invert_zeta(lat)
+    elements = ["t", "b", "a", "c", "0"]
+    below = {"a": {"0"}, "b": {"0", "a"}, "c": {"0"}, "t": {"0", "a", "b", "c"}}
+    poset = FinitePoset.from_leq(elements, lambda x, y: x == y or x in below.get(y, ()))
+    _assert_mobius_rows_invert_zeta(poset)
+    assert [poset.mobius("0", x) for x in elements] == [1, 0, -1, -1, 1]
+
+
+def _cover_walk_ranks(poset):
+    """Ranks by the definition: the bottom has rank 0, and an element is
+    one above each element it covers, which must all agree.  Elements are
+    taken by down-set size, so what they cover comes first."""
+    below = {}
+    for x, y in poset.covers():
+        below.setdefault(y, []).append(x)
+    ranks = {}
+    for y in sorted(poset.elements, key=lambda y: len(poset.down_set(y))):
+        (ranks[y],) = {ranks[x] + 1 for x in below.get(y, [])} or {0}
+    return ranks
+
+
+def test_block_count_ranks_match_a_cover_walk():
+    """Ranks by block count equal ranks walked up the covers, on Pi_4 and on
+    every bond lattice with at most 6 vertices."""
+    for lat in [partition_lattice([1, 2, 3, 4]), *_bond_lattices(6)]:
+        ranks = _cover_walk_ranks(lat)
+        assert lat.rank_function() == ranks
+        assert lat.rank() == max(ranks.values())
+        assert all(lat.rank(x) == ranks[x] for x in lat.elements)
 
 
 def _brute_covers(poset):

@@ -15,7 +15,13 @@ from eulerpart.corpus import (
     wheel_graph,
 )
 from eulerpart.errors import CapExceededError
-from eulerpart.graphs import Multigraph, orientations, parallel_factorial_product
+from eulerpart.graphs import (
+    Multigraph,
+    is_eulerian,
+    orientations,
+    out_degree_factorial_product,
+    parallel_factorial_product,
+)
 from eulerpart.lattice import circuit_partition_counts
 from eulerpart.poly import IntPoly
 from eulerpart.poset import bits
@@ -233,6 +239,29 @@ def test_rooting_class_sizes_against_exhaustive_tuples():
     for x in (doubled(), doubled(4), triangle_v()):
         for rep, size in rooting_class_sizes(x):
             assert size == count_rooting_tuples(rep)
+
+
+def test_rooting_class_sizes_refuse_a_disconnected_multigraph():
+    """Two doubled edges on disjoint vertices: every degree is even, but the
+    edges are not connected, so no class is Eulerian; both rooting routines
+    refuse it before the sweep."""
+    x = VeblenMultigraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
+    for route in (rooting_class_sizes, associated_coefficient_via_rootings):
+        with pytest.raises(ValueError, match="connected multigraph"):
+            route(x)
+
+
+def test_rooting_class_sizes_keep_only_eulerian_classes():
+    """On the Veblen corpus, the classes listed with no per-class test are
+    exactly the Eulerian ones among the orientation classes."""
+    for x in veblen_corpus(8, 5):
+        expected = [rep for rep in eulerian_orientation_classes(x) if is_eulerian(rep)]
+        found = rooting_class_sizes(x)
+        assert [rep.arcs for rep, _ in found] == [rep.arcs for rep in expected]
+        assert [size for _, size in found] == [
+            out_degree_factorial_product(rep) // parallel_factorial_product(rep)
+            for rep in expected
+        ]
 
 
 def test_rooting_classes_partition_eulerian_orientations():
