@@ -16,10 +16,13 @@ its endpoints, each edge's sorted pair and vertex mask, and per vertex its
 (rank bit, neighbour) list.  The graph and the order are validated once, when
 the table is built; one slot keeps the table of the last (graph, order) pair,
 so the many calls the dictionaries make under one order share it.  The table
-in turn keeps the last NBC base it accepted, with its sink: the direct and
-the recursive map, asked in turn for one (base, sink), validate it once.
-The base is matched by identity, as a frozenset, never by equality, so an
-equal set of other edge objects is still refused.
+in turn keeps the work that does not depend on the sink: each NBC base it
+has accepted, with its tree mask and root paths, so a base is validated once
+under the pair and not once per sink; and each answer of the inverse, so an
+orientation equal to one already mapped back is not peeled again.  A base is
+matched by identity, as a frozenset, never by equality, so an equal set of
+other edge objects is still refused.  Only successes are kept, and a new
+graph or order empties both stores with the slot.
 
 The NBC sets come from one depth-first search, ``_nbc_forests``, over the
 broken-circuit complex (Whitney 1932; Björner 1992).  It adds edges in rank
@@ -30,10 +33,10 @@ which are the bond-lattice elements Rota's theorem groups the sets by.
 ``simple_cycles``, ``broken_circuits`` and ``spanning_trees`` stay as the
 tests' oracle for it.
 
-One search from the root over an NBC base gives ``path[v]``, the rank mask of
-the tree edges from v to the root; the tree part of the fundamental cycle of
-{u, v} is ``path[u] ^ path[v]``, and the tree edges from i down to the meet
-of the root paths of i and j are ``path[i] & ~path[j]``.
+One search from vertex 0 over an NBC base gives ``path[v]``, the rank mask
+of the tree edges from v to vertex 0; the tree path from i to any vertex x
+is ``path[i] ^ path[x]``, so the tree part of the fundamental cycle of
+{u, v} is ``path[u] ^ path[v]``, and one search serves every sink.
 
 The recursive dictionary and its inverse pass through a full pyramid over
 the vertices.  It is labelled by the identity, so it is held as a list
@@ -134,15 +137,16 @@ class _RankTable:
     position of edge e in it; ``pairs[e]``, edge e's endpoints ascending;
     ``ends[r]`` and ``pm[r]``, the endpoints and vertex mask of ``order[r]``;
     ``epm[e]``, the vertex mask of edge e; ``adj[v]``, the (rank bit,
-    neighbour) list of vertex v; and ``checked``, the last NBC base that
-    ``_check_nbc_base`` accepted under this pair, as (root, base, rank mask,
-    root paths), or None."""
+    neighbour) list of vertex v.  ``bases`` maps each NBC base that
+    ``_check_nbc_base`` accepted under this pair to (base, rank mask, root
+    paths toward vertex 0), and ``inverse`` maps (sink, n, arcs) to the base
+    ``orientation_to_base`` returned for them; neither keeps a refusal."""
 
-    __slots__ = ("graph", "order", "rank", "pairs", "ends", "pm", "epm", "adj", "checked")
+    __slots__ = ("graph", "order", "rank", "pairs", "ends", "pm", "epm", "adj", "bases", "inverse")
 
     def __init__(self, g, order):
         self.graph, self.order = g, order
-        self.checked = None
+        self.bases, self.inverse = {}, {}
         self.rank = {e: r for r, e in enumerate(order)}
         self.pairs = g.pairs
         self.ends = [self.pairs[e] for e in order]
@@ -160,8 +164,9 @@ _last_table = None
 def _rank_table(g, order):
     """The rank table of g under order.  One slot keeps the table of the
     last (graph, order) pair; a new pair is validated and its table built in
-    its place.  Callers work one pair at a time, so repeated calls validate
-    and build nothing, and no more than one table is ever kept."""
+    its place, with empty stores.  Callers work one pair at a time, so
+    repeated calls validate and build nothing, and no more than one table is
+    ever kept."""
     global _last_table
     table = _last_table
     if table is None or table.graph is not g or table.order != order:
@@ -487,29 +492,34 @@ def _tree_contains_broken_circuit(g, t, order):
     return _has_broken_circuit(table, tree, _root_paths(table, tree, 0))
 
 
-def _check_nbc_base(g, table, t, root):
-    """The rank mask of the NBC base t and its root paths toward root, from
-    one search; raises ValueError when t is not an NBC base.
+def _check_nbc_base(g, table, t, x):
+    """The rank mask of the NBC base t and its root paths toward vertex 0,
+    from one search; raises ValueError when x is no vertex or t is not an
+    NBC base.
 
-    The table keeps the last base accepted, so the direct and the recursive
-    map, asked in turn for one (base, sink), validate it once.  The base is
-    matched by identity, and only as a frozenset, which cannot change: an
-    equal set of other edge objects (``True`` for edge 1) or a list the
-    caller has since edited is validated afresh, and refused as before."""
-    last = table.checked
-    if last is not None and last[1] is t and last[0] == root and type(root) is int:
-        return last[2], last[3]
-    if not 0 <= root < g.n:
-        raise ValueError(f"unknown vertex {root}")
+    Whether t is an NBC base does not depend on the sink, so the table keeps
+    each base it accepts, and a base is validated once under its (graph,
+    order) pair.  The sink is range-checked on every call.  A base is keyed
+    by its value but matched by identity, and only as a frozenset, which
+    cannot change: an equal set of other edge objects (``True`` for edge 1)
+    or a list the caller has since edited is validated afresh, and refused
+    as before."""
+    if not 0 <= x < g.n:
+        raise ValueError(f"unknown vertex {x}")
+    stored = type(t) is frozenset
+    if stored:
+        entry = table.bases.get(t)
+        if entry is not None and entry[0] is t:
+            return entry[1], entry[2]
     tree = _base_mask(table, t)
-    path = _root_paths(table, tree, root)
+    path = _root_paths(table, tree, 0)
     # n - 1 edges reaching all n vertices form a spanning tree
     if tree.bit_count() != g.n - 1 or None in path:
         raise ValueError("not a spanning tree")
     if _has_broken_circuit(table, tree, path):
         raise ValueError("spanning tree contains a broken circuit")
-    if type(t) is frozenset:
-        table.checked = root, t, tree, path
+    if stored:
+        table.bases[t] = t, tree, path
     return tree, path
 
 
@@ -517,17 +527,21 @@ def base_to_orientation_direct(t, g, x, order):
     """Root-path comparison orientation of an NBC base.
 
     For each ordered pair, the largest tree edge between the vertex and the
-    meet of the two root paths decides the linear order, the null edge
+    meet of the two paths to x decides the linear order, the null edge
     ranking below all; every graph edge is oriented toward its smaller
-    endpoint, so x is the unique sink.  The tree edges from i down to the
-    meet are ``path[i] & ~path[j]``, the largest of them its top bit.  The
-    two such masks of a pair are disjoint, so the one with the higher top
-    bit is the larger, and adding the common part ``path[i] & path[j]`` to
-    both keeps that: the comparison is ``path[i] > path[j]``.
+    endpoint, so x is the unique sink.  With ``to_x[v]`` the rank mask of
+    the tree path from v to x, ``path[v] ^ path[x]``, the tree edges from i
+    down to the meet are ``to_x[i] & ~to_x[j]``, the largest of them its top
+    bit.  The two such masks of a pair are disjoint, so the one with the
+    higher top bit is the larger, and adding the common part
+    ``to_x[i] & to_x[j]`` to both keeps that: the comparison is
+    ``to_x[i] > to_x[j]``.
     """
     table = _rank_table(g, order)
     _, path = _check_nbc_base(g, table, t, x)
-    return g.orientation([(i, j) if path[i] > path[j] else (j, i) for i, j in table.pairs])
+    px = path[x]
+    to_x = [p ^ px for p in path]
+    return g.orientation([(i, j) if to_x[i] > to_x[j] else (j, i) for i, j in table.pairs])
 
 
 def _pyramid_masks(conc, pm, tree, inside, x, down, hi):
@@ -633,6 +647,10 @@ def orientation_to_base(o, g, x, order):
     levels are vertex masks cut straight from the pyramid's down-sets,
     which are the orientation's down-sets.
 
+    The answer depends only on (x, n, arcs), so the rank table keeps each
+    answer under that key and an equal orientation built elsewhere is
+    answered from there.  A refusal is never kept, but raised again.
+
     The input is validated in full: one pass over the arcs gathers the
     tails for the sink test, compares each arc's ends with its edge's for
     the orientation test, and records each vertex's in-neighbours as a mask,
@@ -641,6 +659,10 @@ def orientation_to_base(o, g, x, order):
     rank 0: a level of two or more vertices of a unique-sink orientation
     always induces an edge."""
     table = _rank_table(g, order)
+    key = x, o.n, o.arcs
+    answer = table.inverse.get(key)
+    if answer is not None:
+        return answer
     epm, n = table.epm, o.n
     oriented = n == g.n and len(o.arcs) == len(epm)
     tails = 0
@@ -678,7 +700,8 @@ def orientation_to_base(o, g, x, order):
         rest = inside ^ below
         if rest & rest - 1:
             levels.append((rest, top))
-    return frozenset(edges)
+    answer = table.inverse[key] = frozenset(edges)
+    return answer
 
 
 def edge_orders(g, count, rng):
@@ -711,6 +734,10 @@ def check_nbc_dictionaries(g, orders):
     comparison, the number of (order, sink, base) triples pushed through
     both dictionaries, and the NBC-base count under the last order.  Refuses
     an empty list of orders before any work.
+
+    One rank table serves every map call under an order, so each base is
+    validated once per order, and each orientation equal to a recursive
+    image is answered from the inverse's store.
     """
     orders = list(orders)
     if not orders:
@@ -720,8 +747,6 @@ def check_nbc_dictionaries(g, orders):
     checked = 0
     base_counts = set()
     for order in orders:
-        # one order at a time, so the rank table built here serves every map
-        # call under it
         bases = nbc_bases(g, order)
         if by_sink is None:
             # the NBC bases meet the cycle-enumeration cap before the 2^m sweep
@@ -732,7 +757,6 @@ def check_nbc_dictionaries(g, orders):
             if len(usos) != len(bases):
                 failures.append(f"count mismatch at sink {g.vertex_labels[x]}")
             image = {}  # base -> the arcs of its recursive image
-            inverse = {}  # arcs -> the inverse map's answer, None if it refused
             for t in bases:
                 mu_o = base_to_orientation_direct(t, g, x, order)
                 phi_o = base_to_orientation_recursive(t, g, x, order)
@@ -740,18 +764,13 @@ def check_nbc_dictionaries(g, orders):
                 if mu_o.arcs != phi_o.arcs:
                     failures.append("explicit and recursive maps disagree")
                 image[t] = phi_o.arcs
-                inverse[phi_o.arcs] = back = _unless_refused(orientation_to_base, phi_o, g, x, order)
-                if back != t:
+                if _unless_refused(orientation_to_base, phi_o, g, x, order) != t:
                     failures.append("inverse map failed on a base")
             if set(image.values()) != {o.arcs for o in usos}:
                 failures.append(f"images differ from the orientations at sink {g.vertex_labels[x]}")
-            # the maps are functions, so an input already mapped above keeps
-            # its answer; only an orientation or base not seen there is mapped
+            # a base mapped above keeps its image; only a new one is mapped
             for o in usos:
-                if o.arcs in inverse:
-                    t = inverse[o.arcs]
-                else:
-                    t = _unless_refused(orientation_to_base, o, g, x, order)
+                t = _unless_refused(orientation_to_base, o, g, x, order)
                 if t is not None and t not in image:
                     phi_o = _unless_refused(base_to_orientation_recursive, t, g, x, order)
                     image[t] = None if phi_o is None else phi_o.arcs

@@ -306,6 +306,67 @@ def cmd_verify(args, _g=None):
     return report, status
 
 
+def _json_scalar(value):
+    """A non-container JSON value as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value):
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` takes the stdlib's pure-Python
+    encoder; this one walk writes the same text into one list, with every
+    string through the stdlib's C string encoder and every dict in sorted
+    key order.  A non-string key is written as its scalar text in quotes,
+    as ``json.dumps`` does; any non-JSON value raises TypeError."""
+    parts = []
+    put = parts.append
+    quote = json.encoder.encode_basestring_ascii
+
+    def walk(v, pad):
+        if isinstance(v, str):
+            put(quote(v))
+        elif isinstance(v, dict):
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, item in sorted(v.items()):
+                put(sep)
+                put(quote(key if isinstance(key, str) else _json_scalar(key)))
+                put(": ")
+                walk(item, inner)
+                sep = "," + inner
+            put(pad + "}" if v else "{}")
+        elif isinstance(v, (list, tuple)):
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in v:
+                put(sep)
+                walk(item, inner)
+                sep = "," + inner
+            put(pad + "]" if v else "[]")
+        else:
+            put(_json_scalar(v))
+
+    walk(value, "\n")
+    return "".join(parts)
+
+
 def _render_text(payload, out):
     """Stable plain-text rendering: sorted keys, one line per scalar."""
 
@@ -396,7 +457,7 @@ def main(argv=None):
         envelope["input"] = args.file
     envelope["result"] = payload
     if args.format == "json":
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(_json_text(envelope))
     else:
         _render_text(envelope, sys.stdout)
     return status

@@ -291,15 +291,23 @@ def check_orientation_count_pattern(config):
 
 @_check("downset-product-law")
 def check_downset_product_law(config):
+    lattices = {}  # (n, pairs) -> its bond lattice, built once per run
+
+    def bond_lattice(h):
+        key = h.n, h.pairs
+        if key not in lattices:
+            lattices[key] = bonds.BondLattice(h)
+        return lattices[key]
+
     for g in _graphs(config):
         if g.n > 5:
             continue
-        lat = bonds.BondLattice(g)
+        lat = bond_lattice(g)
         bottom = lat.bottom()
         for b in lat.elements:
             product = 1
             for block in b.blocks:
-                sub_lat = bonds.BondLattice(_induced_subgraph(g, block))
+                sub_lat = bond_lattice(_induced_subgraph(g, block))
                 product *= sub_lat.mobius(sub_lat.bottom(), sub_lat.top())
             yield g, lat.mobius(bottom, b) == product
 

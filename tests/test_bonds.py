@@ -311,11 +311,10 @@ def test_dictionary_check_refuses_no_orders_before_any_work(monkeypatch):
 
 
 def test_base_validated_once_is_matched_by_identity():
-    """The slot that lets the recursive map skip a base the direct map has
-    just validated answers only for the same frozenset at the same sink: an
-    equal set of other edge objects, a list edited in place and another
-    base are each validated as if the slot were empty, and refused where
-    they are no NBC base."""
+    """The store that lets the maps skip a base already validated answers
+    only for the same frozenset: an equal set of other edge objects, a list
+    edited in place and another base are each validated as if the store
+    were empty, and refused where they are no NBC base."""
     g = k4()
     order = tuple(g.edges())
     t = next(b for b in nbc_bases(g, order) if 1 in b)
@@ -345,12 +344,114 @@ def test_base_validated_once_is_matched_by_identity():
     base_to_orientation_direct(t, g, 0, order)
     with pytest.raises(ValueError, match="contains a broken circuit"):
         base_to_orientation_recursive(broken, g, 0, order)
-    # the same frozenset at another sink is validated toward that sink
+    # the same frozenset is answered at another sink, toward that sink
     assert base_to_orientation_recursive(t, g, 0, order).arcs == expected
     assert base_to_orientation_direct(t, g, 3, order).arcs == (
         base_to_orientation_recursive(t, g, 3, order).arcs
     )
     assert sinks(base_to_orientation_recursive(t, g, 3, order)) == [3]
+
+
+def _counted(monkeypatch, name):
+    """Patch bonds' routine name to count its calls; returns the counter."""
+    real = getattr(bonds_module, name)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(bonds_module, name, counted)
+    return calls
+
+
+def test_dictionary_check_validates_each_base_once_per_order(monkeypatch):
+    """On K4 under three orders, the 6 NBC bases of each order are searched
+    once each, at the first of the 4 sinks, and not once per sink."""
+    searches = _counted(monkeypatch, "_root_paths")
+    g = k4()
+    orders = edge_orders(g, 3, random.Random(4))
+    failures, checked, base_count = check_nbc_dictionaries(g, orders)
+    assert failures == [] and checked == 3 * 4 * 6 and base_count == 6
+    assert searches[0] == 3 * 6
+
+
+def test_inverse_answers_an_equal_orientation_from_the_store(monkeypatch):
+    """A second orientation_to_base on an equal orientation, another object
+    with the same arcs, peels nothing and gives the same base."""
+    peels = _counted(monkeypatch, "_down_masks")
+    g = k4()
+    order = tuple(g.edges())
+    t = nbc_bases(g, order)[2]
+    o = base_to_orientation_recursive(t, g, 1, order)
+    assert orientation_to_base(o, g, 1, order) == t and peels[0] == 1
+    twin = Digraph(o.n, list(o.arcs))
+    assert twin is not o and twin.arcs == o.arcs
+    assert orientation_to_base(twin, g, 1, order) == t and peels[0] == 1
+
+
+def test_inverse_refusals_are_never_stored(monkeypatch):
+    """A cycle, a wrong sink, and arcs that were mapped back but now come
+    with another vertex count are each refused on every call, and the
+    cycle is peeled again each time."""
+    peels = _counted(monkeypatch, "_down_masks")
+    g = k4()
+    order = tuple(g.edges())
+    cyclic = Digraph(4, [(1, 0), (2, 0), (3, 0), (1, 2), (3, 1), (2, 3)])
+    o = unique_sink_orientations(g, 0)[0]
+    t = orientation_to_base(o, g, 0, order)
+    grown = Digraph(5, o.arcs)
+    for round_ in (1, 2):
+        with pytest.raises(ValueError, match="orientation is cyclic"):
+            orientation_to_base(cyclic, g, 0, order)
+        assert peels[0] == 1 + round_
+        with pytest.raises(ValueError, match="unique sink 1"):
+            orientation_to_base(o, g, 1, order)
+        with pytest.raises(ValueError, match="unique sink 0"):
+            orientation_to_base(grown, g, 0, order)
+        assert orientation_to_base(o, g, 0, order) == t
+    assert peels[0] == 3
+
+
+def test_stored_int_base_does_not_admit_a_bool_twin():
+    """Once the int base holding edge 1 has been accepted, at two sinks and
+    with other bases accepted after it, frozenset({True, ...}) is still
+    refused by both maps."""
+    g = k4()
+    order = tuple(g.edges())
+    bases = nbc_bases(g, order)
+    t = next(b for b in bases if 1 in b)
+    for x in (0, 2):
+        base_to_orientation_direct(t, g, x, order)
+    for b in bases:
+        base_to_orientation_recursive(b, g, 3, order)
+    twin = frozenset(True if e == 1 else e for e in t)
+    assert twin == t
+    for forward in (base_to_orientation_direct, base_to_orientation_recursive):
+        with pytest.raises(ValueError, match="unknown edge True"):
+            forward(twin, g, 0, order)
+    assert base_to_orientation_direct(t, g, 0, order).arcs == (
+        base_to_orientation_recursive(t, g, 0, order).arcs
+    )
+
+
+def _up_sets(real):
+    """Down masks read the other way: bit u of entry v when v <= u."""
+
+    def masks(below):
+        down = real(below)
+        return [sum(1 << u for u, d in enumerate(down) if d >> v & 1) for v in range(len(down))]
+
+    return masks
+
+
+def test_dictionary_check_catches_a_peel_fault_planted_between_runs(monkeypatch):
+    """After a clean run has filled the stores, a fault planted in
+    _down_masks fails the check on a fresh (graph, order) pair."""
+    orders = edge_orders(k4(), 3, random.Random(4))
+    assert check_nbc_dictionaries(k4(), orders)[0] == []
+    monkeypatch.setattr(bonds_module, "_down_masks", _up_sets(bonds_module._down_masks))
+    assert "inverse map failed on a base" in check_nbc_dictionaries(k4(), orders)[0]
 
 
 def test_chromatic_polynomials():

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import eulerpart.cli as cli_module
 from eulerpart.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -73,6 +74,23 @@ def test_cli_matches_golden(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     got = {"status": status, "stdout": captured.out, "stderr": captured.err}
     assert got == _load_golden()[_case_id(argv)]
+
+
+def test_json_renderer_matches_json_dumps(capsys, monkeypatch):
+    """The CLI's renderer writes what ``json.dumps(sort_keys=True,
+    indent=2)`` writes, on the envelope of every golden case that prints
+    one and of the default ``verify`` run."""
+    monkeypatch.chdir(REPO)
+    real = cli_module._json_text
+    envelopes = []
+    monkeypatch.setattr(cli_module, "_json_text", lambda v: envelopes.append(v) or real(v))
+    for argv in CASES + [["verify", "--format", "json"]]:
+        main(list(argv))
+    capsys.readouterr()
+    printed = [case for case in _load_golden().values() if case["stdout"]]
+    assert len(envelopes) == len(printed) + 1
+    for envelope in envelopes:
+        assert real(envelope) == json.dumps(envelope, sort_keys=True, indent=2)
 
 
 if __name__ == "__main__":
