@@ -16,13 +16,14 @@ its endpoints, each edge's sorted pair and vertex mask, and per vertex its
 (rank bit, neighbour) list.  The graph and the order are validated once, when
 the table is built; one slot keeps the table of the last (graph, order) pair,
 so the many calls the dictionaries make under one order share it.  The table
-in turn keeps the work that does not depend on the sink: each NBC base it
-has accepted, with its tree mask and root paths, so a base is validated once
-under the pair and not once per sink; and each answer of the inverse, so an
-orientation equal to one already mapped back is not peeled again.  A base is
-matched by identity, as a frozenset, never by equality, so an equal set of
-other edge objects is still refused.  Only successes are kept, and a new
-graph or order empties both stores with the slot.
+in turn keeps the work that does not depend on the sink: the root paths of
+each NBC base it has accepted, under the base's rank mask, so a base is
+validated once under the pair and not once per sink; and each answer of the
+inverse, so an orientation equal to one already mapped back is not peeled
+again.  The rank mask of a base is read on every call, which checks each
+edge id, so an equal set of other edge objects is still refused.  Only
+successes are kept, and a new graph or order empties both stores with the
+slot.
 
 The NBC sets come from one depth-first search, ``_nbc_forests``, over the
 broken-circuit complex (Whitney 1932; Björner 1992).  It adds edges in rank
@@ -39,11 +40,14 @@ is ``path[i] ^ path[x]``, so the tree part of the fundamental cycle of
 {u, v} is ``path[u] ^ path[v]``, and one search serves every sink.
 
 The recursive dictionary and its inverse pass through a full pyramid over
-the vertices.  It is labelled by the identity, so it is held as a list
-``down[v]`` of vertex masks, the vertices below v with v included: the
-recursive map composes the two halves of each split on those masks, and the
-inverse reads them in topological order from each vertex's in-neighbour
-mask, gathered in one pass over the orientation's arcs.
+the vertices, labelled by the identity.  In a heap every two concurrent
+pieces are comparable, so the recursive map needs only an order of the
+vertices that extends the pyramid's: it lists each split's far half before
+x's half, which is how the two compose, and orients each edge from the
+earlier vertex to the later.  The inverse holds the pyramid as a list
+``down[v]`` of vertex masks, the vertices below v with v included, read in
+topological order from each vertex's in-neighbour mask, gathered in one
+pass over the orientation's arcs.
 Each split is at the largest edge induced on its vertices, which crosses
 between the halves, so every edge inside a half ranks below it: both maps
 search a half's split edge downward from its parent's.
@@ -127,7 +131,8 @@ class BondLattice(FinitePoset):
 
 def check_edge_order(g, order):
     order = tuple(order)
-    if sorted(order) != sorted(g.edges()):
+    # an edge id is an int: True or 1.0 would sort as edge 1
+    if any(type(e) is not int for e in order) or sorted(order) != sorted(g.edges()):
         raise ValueError("edge order must be a permutation of the edge ids")
     return order
 
@@ -137,9 +142,9 @@ class _RankTable:
     position of edge e in it; ``pairs[e]``, edge e's endpoints ascending;
     ``ends[r]`` and ``pm[r]``, the endpoints and vertex mask of ``order[r]``;
     ``epm[e]``, the vertex mask of edge e; ``adj[v]``, the (rank bit,
-    neighbour) list of vertex v.  ``bases`` maps each NBC base that
-    ``_check_nbc_base`` accepted under this pair to (base, rank mask, root
-    paths toward vertex 0), and ``inverse`` maps (sink, n, arcs) to the base
+    neighbour) list of vertex v.  ``bases`` maps the rank mask of each NBC
+    base that ``_check_nbc_base`` accepted under this pair to its root paths
+    toward vertex 0, and ``inverse`` maps (sink, n, arcs) to the base
     ``orientation_to_base`` returned for them; neither keeps a refusal."""
 
     __slots__ = ("graph", "order", "rank", "pairs", "ends", "pm", "epm", "adj", "bases", "inverse")
@@ -287,7 +292,7 @@ def nbc_sets(g, order):
 def nbc_bases(g, order):
     """NBC spanning trees of a connected simple graph, by sorted edge ids."""
     _rank_table(g, order)  # the graph and the order are checked first
-    if not g.edge_support_connected() and g.n > 1:
+    if not g.induces_connected(g.vertices()):
         raise ValueError("NBC bases are defined here for connected graphs")
     return sorted((s for s in _nbc_forests(g, order) if len(s) == g.n - 1), key=sorted)
 
@@ -498,28 +503,24 @@ def _check_nbc_base(g, table, t, x):
     NBC base.
 
     Whether t is an NBC base does not depend on the sink, so the table keeps
-    each base it accepts, and a base is validated once under its (graph,
-    order) pair.  The sink is range-checked on every call.  A base is keyed
-    by its value but matched by identity, and only as a frozenset, which
-    cannot change: an equal set of other edge objects (``True`` for edge 1)
-    or a list the caller has since edited is validated afresh, and refused
-    as before."""
+    the root paths of each base it accepts under the base's rank mask, and a
+    base is validated once under its (graph, order) pair.  The sink is
+    range-checked and the rank mask read on every call, so every edge id is
+    checked each time: an equal set of other edge objects (``True`` for
+    edge 1) is refused as unknown, and a list the caller has since edited
+    is looked up as what it now holds."""
     if not 0 <= x < g.n:
         raise ValueError(f"unknown vertex {x}")
-    stored = type(t) is frozenset
-    if stored:
-        entry = table.bases.get(t)
-        if entry is not None and entry[0] is t:
-            return entry[1], entry[2]
     tree = _base_mask(table, t)
-    path = _root_paths(table, tree, 0)
-    # n - 1 edges reaching all n vertices form a spanning tree
-    if tree.bit_count() != g.n - 1 or None in path:
-        raise ValueError("not a spanning tree")
-    if _has_broken_circuit(table, tree, path):
-        raise ValueError("spanning tree contains a broken circuit")
-    if stored:
-        table.bases[t] = t, tree, path
+    path = table.bases.get(tree)
+    if path is None:
+        path = _root_paths(table, tree, 0)
+        # n - 1 edges reaching all n vertices form a spanning tree
+        if tree.bit_count() != g.n - 1 or None in path:
+            raise ValueError("not a spanning tree")
+        if _has_broken_circuit(table, tree, path):
+            raise ValueError("spanning tree contains a broken circuit")
+        table.bases[tree] = path
     return tree, path
 
 
@@ -544,21 +545,20 @@ def base_to_orientation_direct(t, g, x, order):
     return g.orientation([(i, j) if to_x[i] > to_x[j] else (j, i) for i, j in table.pairs])
 
 
-def _pyramid_masks(conc, pm, tree, inside, x, down, hi):
-    """Fill in the pyramid of the NBC base on the vertex mask inside, apex x;
+def _pyramid_order(pm, tree, inside, x, hi, out):
+    """Append to out the vertices of the pyramid of the NBC base on the
+    vertex mask inside, apex x, in an order that extends the pyramid's;
     tree is the rank mask of the base edges within inside, and every edge
     induced on inside ranks below hi.
 
     The split is at the largest induced edge, which crosses between the two
     halves, so each half's edges rank below it: it is the halves' bound.
-    The pyramid is full and labelled by the identity, so it is held as
-    ``down[v]``, the mask of the vertices below v, v included.  The two
-    halves of the split are composed as ``heaps.compose`` does: below each
-    y of x's side go the down-sets of the far-side vertices concurrent
-    (``conc``, the neighbour masks) with some z <= y.
+    The far half's pyramid goes under x's, and composing two heaps relates
+    only lower pieces to upper ones, so the far half's order followed by
+    x's half's extends the composition's, with x last.
     """
     if inside & (inside - 1) == 0:
-        down[x] = 1 << x
+        out.append(x)
         return
     top = hi - 1
     while top >= 0 and pm[top] & ~inside:
@@ -582,34 +582,24 @@ def _pyramid_masks(conc, pm, tree, inside, x, down, hi):
                 grown = True
     other = inside & ~side
     u = (pm[top] & other).bit_length() - 1
-    _pyramid_masks(conc, pm, far, other, u, down, top)
-    _pyramid_masks(conc, pm, tree ^ 1 << top ^ far, side, x, down, top)
-    # down[y] & touch reads only the side part of down[y], which this loop
-    # leaves as it was
-    while other:
-        low = other & -other
-        other ^= low
-        w = low.bit_length() - 1
-        touch = conc[w] & side
-        if touch:
-            below = down[w]
-            rest = side
-            while rest:
-                y = rest & -rest
-                rest ^= y
-                y = y.bit_length() - 1
-                if down[y] & touch:
-                    down[y] |= below
+    _pyramid_order(pm, far, other, u, top, out)
+    _pyramid_order(pm, tree ^ 1 << top ^ far, side, x, top, out)
 
 
 def base_to_orientation_recursive(t, g, x, order):
-    """Recursive twin of ``base_to_orientation_direct``: split the NBC base at the largest
-    induced edge, compose the two pyramids, then orient lower-to-higher."""
+    """Recursive twin of ``base_to_orientation_direct``: split the NBC base
+    at the largest induced edge, put the far half's pyramid under x's, then
+    orient each edge from its lower end to its upper one.  In a heap every
+    two concurrent pieces are comparable, so any order that extends the
+    pyramid's decides each edge, and x, last, is the sink."""
     table = _rank_table(g, order)
     tree, _ = _check_nbc_base(g, table, t, x)
-    down = [0] * g.n
-    _pyramid_masks(g._neighbor_masks, table.pm, tree, (1 << g.n) - 1, x, down, len(table.pm))
-    return g.orientation([(u, v) if down[v] >> u & 1 else (v, u) for u, v in table.pairs])
+    out = []
+    _pyramid_order(table.pm, tree, (1 << g.n) - 1, x, len(table.pm), out)
+    pos = [0] * g.n
+    for i, v in enumerate(out):
+        pos[v] = i
+    return g.orientation([(u, v) if pos[u] < pos[v] else (v, u) for u, v in table.pairs])
 
 
 def _down_masks(below):

@@ -151,8 +151,9 @@ class Multigraph(_Graph):
 
     @cached_property
     def _neighbor_masks(self):
-        """Bit w of entry u is set when some edge joins u and w; built on the
-        first connectivity query, so graphs never asked pay nothing."""
+        """Bit w of entry u is set when some edge joins u and w; built on
+        first use, by a connectivity query or a piece system, so graphs
+        never asked pay nothing."""
         masks = [0] * self.n
         for u, v in self.pairs:
             masks[u] |= 1 << v

@@ -43,10 +43,7 @@ class PieceSystem:
             raise ValueError("a concurrence graph carries no parallel edges")
         self.graph = graph
         self.k = graph.n
-        self.concurrence = [1 << a for a in range(self.k)]
-        for u, v in graph.pairs:
-            self.concurrence[u] |= 1 << v
-            self.concurrence[v] |= 1 << u
+        self.concurrence = [m | 1 << a for a, m in enumerate(graph._neighbor_masks)]
 
     @classmethod
     def from_cycle_partition(cls, d, a):

@@ -666,8 +666,7 @@ _COMPONENT_CLASSES = _ComponentClasses()
 def elementary_subgraph_formula(host):
     """Classical route: disjoint unions of single edges and cycles of
     length >= 3 contribute (-1)^components 2^cycles at codegree |V(U)|."""
-    if host.directed or not host.is_simple():
-        raise ValueError("the host must be a simple undirected graph")
+    _host_pairs(host)  # refuses a host that is not simple and undirected
     n = host.n
     coeffs = [0] * (n + 1)
     adjacency = {v: set(host.neighbors(v)) for v in range(n)}
@@ -716,11 +715,10 @@ def _cycle_paths(adjacency, v, available):
 def charpoly_determinant_oracle(host):
     """det(tI - A) via exact integer determinants at n+1 interpolation
     points; independent of the combinatorial routes."""
-    if host.directed or not host.is_simple():
-        raise ValueError("the oracle expects a simple undirected graph")
+    pairs = _host_pairs(host)
     n = host.n
     adj = [[0] * n for _ in range(n)]
-    for u, v in host.pairs:
+    for u, v in pairs:
         adj[u][v] = adj[v][u] = 1
     points = []
     for k in range(n + 1):

@@ -162,6 +162,28 @@ def test_nbc_bases_check_the_order_on_one_vertex():
     assert nbc_sets(g, ()) == [frozenset()]
 
 
+def test_edge_order_refuses_ids_that_only_equal_ints():
+    """On a fresh triangle each time, an order holding True or 1.0 for edge
+    1 is refused as no permutation of the edge ids, by the NBC routines and
+    by the dictionary check, before any base is built from it."""
+    for stand_in in (True, 1.0):
+        order = (0, stand_in, 2)
+        calls = [nbc_bases, nbc_sets, broken_circuits, lambda g, o: check_nbc_dictionaries(g, [o])]
+        for call in calls:
+            with pytest.raises(ValueError, match="edge order must be a permutation"):
+                call(k3(), order)
+
+
+def test_nbc_bases_refuse_a_graph_with_an_isolated_vertex():
+    """An edge set that is connected but misses a vertex is refused, as two
+    edge components are, by nbc_bases and by the dictionary check."""
+    for g in (Multigraph(3, [(0, 1)]), Multigraph(4, [(0, 1), (2, 3)]), Multigraph(2, [])):
+        order = tuple(g.edges())
+        for call in (nbc_bases, lambda g, o: check_nbc_dictionaries(g, [o])):
+            with pytest.raises(ValueError, match="defined here for connected graphs"):
+                call(g, order)
+
+
 # -- the NBC search against the filter route ------------------------------------
 
 
@@ -311,10 +333,11 @@ def test_dictionary_check_refuses_no_orders_before_any_work(monkeypatch):
 
 
 def test_base_validated_once_is_matched_by_identity():
-    """The store that lets the maps skip a base already validated answers
-    only for the same frozenset: an equal set of other edge objects, a list
-    edited in place and another base are each validated as if the store
-    were empty, and refused where they are no NBC base."""
+    """The store that lets the maps skip a base already validated is keyed
+    by the base's rank mask, read on every call: an equal set of other edge
+    objects is refused as unknown edges, and a list edited in place and
+    another base are each looked up as what they hold, and refused where
+    they are no NBC base."""
     g = k4()
     order = tuple(g.edges())
     t = next(b for b in nbc_bases(g, order) if 1 in b)
@@ -829,6 +852,32 @@ def test_dictionaries_match_reference_forms_on_dense_graphs():
     assert checked == (2 * 6 * (120 + 96),) * 2
 
 
+def test_pyramid_order_extends_the_reference_pyramid():
+    """For every NBC base and sink of the connected simple graphs with <= 5
+    vertices, under the identity order and one seeded shuffle, the pyramid
+    order lists each vertex once, ends at the sink, and puts each vertex
+    after every vertex below it in the ``Heap`` reference pyramid."""
+    rng = random.Random(29)
+    checked = 0
+    for g in connected_simple_graphs(5):
+        ps = PieceSystem(g)
+        everything = frozenset(range(g.n))
+        for order in edge_orders(g, 2, rng):
+            rank = {e: i for i, e in enumerate(order)}
+            table = bonds_module._rank_table(g, order)
+            for t in nbc_bases(g, order):
+                tree = bonds_module._base_mask(table, t)
+                for x in range(g.n):
+                    out = []
+                    bonds_module._pyramid_order(table.pm, tree, (1 << g.n) - 1, x, g.m, out)
+                    assert sorted(out) == list(range(g.n)) and out[-1] == x, (g, order, t, x)
+                    pos = {v: i for i, v in enumerate(out)}
+                    pyramid = _reference_base_pyramid(g, ps, t, everything, x, rank)
+                    assert all(pos[a] < pos[b] for a, b in pyramid.relation()), (g, order, t, x)
+                    checked += 1
+    assert checked == 1570
+
+
 def _reverse_arc(d, index):
     arcs = list(d.arcs)
     arcs[index] = arcs[index][::-1]
@@ -851,17 +900,30 @@ def _inverse_drops_top_edge(real):
     return dropped
 
 
+def _pyramid_order_reversed(real):
+    """Each call's part of the list reversed, so the sink comes first."""
+
+    def reversed_order(pm, tree, inside, x, hi, out):
+        start = len(out)
+        real(pm, tree, inside, x, hi, out)
+        out[start:] = reversed(out[start:])
+
+    return reversed_order
+
+
 @pytest.mark.parametrize(
     "name, fault",
     [
         ("base_to_orientation_direct", _direct_reverses_first_arc),
         ("base_to_orientation_recursive", _recursive_reverses_last_arc),
         ("orientation_to_base", _inverse_drops_top_edge),
+        ("_pyramid_order", _pyramid_order_reversed),
     ],
 )
 def test_bijection_checks_catch_a_faulty_map(monkeypatch, name, fault):
-    """A fault in any one of the three maps fails the dictionary check on K4
-    and the nbc-bijection-suite on the graphs with <= 4 vertices."""
+    """A fault in any one of the three maps, or in the pyramid order the
+    recursive map reads, fails the dictionary check on K4 and the
+    nbc-bijection-suite on the graphs with <= 4 vertices."""
     orders = edge_orders(k4(), 3, random.Random(4))
     config = VerifyConfig(max_vertices=4)
     assert check_nbc_dictionaries(k4(), orders)[0] == []

@@ -121,6 +121,18 @@ def test_bijection_check(capsys):
     assert status == 0 and payload["result"]["ok"]
 
 
+def test_nbc_commands_refuse_an_isolated_vertex(tmp_path, capsys):
+    """A file whose one edge leaves a vertex alone is refused by both NBC
+    subcommands with exit 2, as two edge components are."""
+    for name, text in (("isolated", "multigraph 3\na 1 2\n"), ("split", "multigraph 4\na 1 2\nb 3 4\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        for command in ("nbc", "bijection-check"):
+            status, out, err = run_cli([command, str(path), "--format", "json"], capsys)
+            assert status == 2 and out == ""
+            assert "NBC bases are defined here for connected graphs" in err
+
+
 def test_charpoly_methods(capsys):
     status, out, _ = run_cli(
         ["charpoly", TRIANGLE, "--method", "det", "--format", "json"], capsys

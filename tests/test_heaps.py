@@ -45,6 +45,10 @@ def test_heap_validation_basics():
     antichain = Heap((0, 1), [])
     ok, witness = is_heap(ps, antichain)
     assert not ok and "incomparable" in witness
+    # each piece is concurrent with itself, even one with no neighbour
+    twins = Heap((0, 1), [], labels={0: 0, 1: 0})
+    ok, witness = is_heap(PieceSystem(Multigraph(1, [])), twins)
+    assert not ok and "incomparable" in witness
 
 
 def test_antichain_of_non_concurrent_pieces_is_a_heap():
