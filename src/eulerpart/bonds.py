@@ -18,10 +18,11 @@ the table is built; one slot keeps the table of the last (graph, order) pair,
 so the many calls the dictionaries make under one order share it.  The table
 in turn keeps the work that does not depend on the sink: the root paths of
 each NBC base it has accepted, under the base's rank mask, so a base is
-validated once under the pair and not once per sink; and each answer of the
-inverse, so an orientation equal to one already mapped back is not peeled
-again.  The rank mask of a base is read on every call, which checks each
-edge id, so an equal set of other edge objects is still refused.  Only
+validated once under the pair and not once per sink, and next to them the
+base's split tree once the recursive map has built it; and each answer of
+the inverse, so an orientation equal to one already mapped back is not
+peeled again.  The rank mask of a base is read on every call, which checks
+each edge id, so an equal set of other edge objects is still refused.  Only
 successes are kept, and a new graph or order empties both stores with the
 slot.
 
@@ -50,7 +51,11 @@ topological order from each vertex's in-neighbour mask, gathered in one
 pass over the orientation's arcs.
 Each split is at the largest edge induced on its vertices, which crosses
 between the halves, so every edge inside a half ranks below it: both maps
-search a half's split edge downward from its parent's.
+search a half's split edge downward from its parent's.  The two halves of
+a split are the same whatever the sink; only which of them goes under the
+other depends on it.  So the recursive map builds a base's split tree
+(``_split_tree``) once per (graph, order), on its first call for the base,
+and each call walks it for its sink (``_pyramid_order``).
 No ``heaps.PieceSystem`` or ``heaps.Heap`` is built per call; the ``Heap``
 forms of the three maps remain in the tests as their oracle.
 
@@ -143,9 +148,11 @@ class _RankTable:
     ``ends[r]`` and ``pm[r]``, the endpoints and vertex mask of ``order[r]``;
     ``epm[e]``, the vertex mask of edge e; ``adj[v]``, the (rank bit,
     neighbour) list of vertex v.  ``bases`` maps the rank mask of each NBC
-    base that ``_check_nbc_base`` accepted under this pair to its root paths
-    toward vertex 0, and ``inverse`` maps (sink, n, arcs) to the base
-    ``orientation_to_base`` returned for them; neither keeps a refusal."""
+    base that ``_check_nbc_base`` accepted under this pair to the list [root
+    paths toward vertex 0, split tree], the split tree None until
+    ``base_to_orientation_recursive`` first builds it; ``inverse`` maps
+    (sink, n, arcs) to the base ``orientation_to_base`` returned for them;
+    neither keeps a refusal."""
 
     __slots__ = ("graph", "order", "rank", "pairs", "ends", "pm", "epm", "adj", "bases", "inverse")
 
@@ -171,10 +178,15 @@ def _rank_table(g, order):
     last (graph, order) pair; a new pair is validated and its table built in
     its place, with empty stores.  Callers work one pair at a time, so
     repeated calls validate and build nothing, and no more than one table is
-    ever kept."""
+    ever kept.  The slot is reused for the table's own order object, or for
+    an equal order of ints: an equal one holding ``True`` or ``1.0`` is
+    validated afresh, and refused, as on a fresh graph."""
     global _last_table
     table = _last_table
-    if table is None or table.graph is not g or table.order != order:
+    if table is None or table.graph is not g or (
+        table.order is not order
+        and (table.order != order or any(type(e) is not int for e in order))
+    ):
         require_simple(g)
         table = _last_table = _RankTable(g, check_edge_order(g, order))
     return table
@@ -498,12 +510,13 @@ def _tree_contains_broken_circuit(g, t, order):
 
 
 def _check_nbc_base(g, table, t, x):
-    """The rank mask of the NBC base t and its root paths toward vertex 0,
-    from one search; raises ValueError when x is no vertex or t is not an
-    NBC base.
+    """The rank mask of the NBC base t and its entry in the table's store,
+    the list [root paths toward vertex 0, split tree or None until the
+    recursive map builds it]; raises ValueError when x is no vertex or t is
+    not an NBC base.
 
     Whether t is an NBC base does not depend on the sink, so the table keeps
-    the root paths of each base it accepts under the base's rank mask, and a
+    an entry for each base it accepts under the base's rank mask, and a
     base is validated once under its (graph, order) pair.  The sink is
     range-checked and the rank mask read on every call, so every edge id is
     checked each time: an equal set of other edge objects (``True`` for
@@ -512,16 +525,16 @@ def _check_nbc_base(g, table, t, x):
     if not 0 <= x < g.n:
         raise ValueError(f"unknown vertex {x}")
     tree = _base_mask(table, t)
-    path = table.bases.get(tree)
-    if path is None:
+    entry = table.bases.get(tree)
+    if entry is None:
         path = _root_paths(table, tree, 0)
         # n - 1 edges reaching all n vertices form a spanning tree
         if tree.bit_count() != g.n - 1 or None in path:
             raise ValueError("not a spanning tree")
         if _has_broken_circuit(table, tree, path):
             raise ValueError("spanning tree contains a broken circuit")
-        table.bases[tree] = path
-    return tree, path
+        entry = table.bases[tree] = [path, None]
+    return tree, entry
 
 
 def base_to_orientation_direct(t, g, x, order):
@@ -539,51 +552,74 @@ def base_to_orientation_direct(t, g, x, order):
     ``to_x[i] > to_x[j]``.
     """
     table = _rank_table(g, order)
-    _, path = _check_nbc_base(g, table, t, x)
+    _, (path, _) = _check_nbc_base(g, table, t, x)
     px = path[x]
     to_x = [p ^ px for p in path]
     return g.orientation([(i, j) if to_x[i] > to_x[j] else (j, i) for i, j in table.pairs])
 
 
-def _pyramid_order(pm, tree, inside, x, hi, out):
-    """Append to out the vertices of the pyramid of the NBC base on the
-    vertex mask inside, apex x, in an order that extends the pyramid's;
-    tree is the rank mask of the base edges within inside, and every edge
-    induced on inside ranks below hi.
+def _split_tree(table, tree):
+    """The split tree of the NBC base with rank mask tree over all the
+    vertices: ``()`` for a single vertex, and otherwise ``(half, p, q,
+    below_p, below_q)`` for the split at the largest induced edge (p, q),
+    with half the vertex mask of p's half and below_p, below_q the split
+    trees of p's and q's halves.
 
-    The split is at the largest induced edge, which crosses between the two
-    halves, so each half's edges rank below it: it is the halves' bound.
-    The far half's pyramid goes under x's, and composing two heaps relates
-    only lower pieces to upper ones, so the far half's order followed by
-    x's half's extends the composition's, with x last.
+    The largest induced edge crosses between the two halves, so each half's
+    edges rank below it: it is the halves' bound, and each half's split edge
+    is searched downward from it.  The halves are the two components of the
+    level's tree edges without the split edge, which the apex does not
+    choose, so the tree does not depend on the sink.
     """
-    if inside & (inside - 1) == 0:
-        out.append(x)
-        return
-    top = hi - 1
-    while top >= 0 and pm[top] & ~inside:
-        top -= 1
-    assert top >= 0, "connected induced subgraph with >= 2 vertices has an edge"
-    assert tree >> top & 1, "an NBC base always contains the largest induced edge"
-    # grow x's side over the other tree edges; what is left lies on the far side
-    far = tree ^ 1 << top
-    side = 1 << x
-    grown = True
-    while grown:
-        grown = False
-        rest = far
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p = pm[low.bit_length() - 1]
-            if p & side:
-                side |= p
-                far ^= low
-                grown = True
-    other = inside & ~side
-    u = (pm[top] & other).bit_length() - 1
-    _pyramid_order(pm, far, other, u, top, out)
-    _pyramid_order(pm, tree ^ 1 << top ^ far, side, x, top, out)
+    pm, ends = table.pm, table.ends
+
+    def split(tree, inside, hi):
+        if inside & (inside - 1) == 0:
+            return ()
+        top = hi - 1
+        while top >= 0 and pm[top] & ~inside:
+            top -= 1
+        assert top >= 0, "connected induced subgraph with >= 2 vertices has an edge"
+        assert tree >> top & 1, "an NBC base always contains the largest induced edge"
+        p, q = ends[top]
+        # grow p's side over the other tree edges; what is left lies on q's side
+        far = tree ^ 1 << top
+        half = 1 << p
+        grown = True
+        while grown:
+            grown = False
+            rest = far
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                e = pm[low.bit_length() - 1]
+                if e & half:
+                    half |= e
+                    far ^= low
+                    grown = True
+        return half, p, q, split(tree ^ 1 << top ^ far, half, top), split(far, inside & ~half, top)
+
+    return split(tree, (1 << len(table.adj)) - 1, len(pm))
+
+
+def _pyramid_order(split, x, out):
+    """Append to out the vertices of the pyramid with apex x whose split
+    tree is split, in an order that extends the pyramid's, with x last.
+
+    At each split the half without x goes under x's half, with the split
+    edge's end inside it as its apex; composing two heaps relates only
+    lower pieces to upper ones, so the lower half's order followed by x's
+    half's extends the composition's.
+    """
+    while split:
+        half, p, q, below_p, below_q = split
+        if half >> x & 1:
+            _pyramid_order(below_q, q, out)
+            split = below_p
+        else:
+            _pyramid_order(below_p, p, out)
+            split = below_q
+    out.append(x)
 
 
 def base_to_orientation_recursive(t, g, x, order):
@@ -591,11 +627,18 @@ def base_to_orientation_recursive(t, g, x, order):
     at the largest induced edge, put the far half's pyramid under x's, then
     orient each edge from its lower end to its upper one.  In a heap every
     two concurrent pieces are comparable, so any order that extends the
-    pyramid's decides each edge, and x, last, is the sink."""
+    pyramid's decides each edge, and x, last, is the sink.
+
+    The splits do not depend on the sink, so the base's split tree is built
+    on the first call for it and kept with its root paths in the rank
+    table; each call walks it only for its sink."""
     table = _rank_table(g, order)
-    tree, _ = _check_nbc_base(g, table, t, x)
+    tree, entry = _check_nbc_base(g, table, t, x)
+    split = entry[1]
+    if split is None:
+        split = entry[1] = _split_tree(table, tree)
     out = []
-    _pyramid_order(table.pm, tree, (1 << g.n) - 1, x, len(table.pm), out)
+    _pyramid_order(split, x, out)
     pos = [0] * g.n
     for i, v in enumerate(out):
         pos[v] = i

@@ -8,8 +8,6 @@ characteristic polynomials without drift.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 def _normalize(coeffs):
     coeffs = list(coeffs)
@@ -224,33 +222,29 @@ def poly_from_roots(roots):
 def interpolate_int_poly(points):
     """Exact polynomial through ``points`` [(x0, y0), ...], integer coefficients.
 
-    Newton divided differences over Fractions; raises ValueError if the
-    interpolant is not integral.  Used by the determinant charpoly oracle.
+    Newton divided differences in ints: with integer nodes and values, the
+    interpolant has integer coefficients exactly when every divided
+    difference is an integer, so each step is an exact ``divmod`` and the
+    first non-zero remainder raises ValueError.  Nodes and values must be
+    ints and the nodes distinct.  Used by the determinant charpoly oracle.
     """
-    xs = [Fraction(x) for x, _ in points]
+    xs = [x for x, _ in points]
+    coefs = [y for _, y in points]
+    if not all(isinstance(v, int) for v in xs + coefs):
+        raise ValueError("interpolation nodes and values must be ints")
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    coefs = [Fraction(y) for _, y in points]
     for level in range(1, len(points)):
         for i in range(len(points) - 1, level - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (xs[i] - xs[i - level])
-    # expand the Newton form sum coefs[k] * prod_{i<k} (t - xs[i])
-    acc = [Fraction(0)]
-    basis = [Fraction(1)]
-    for k, c in enumerate(coefs):
-        while len(acc) < len(basis):
-            acc.append(Fraction(0))
-        for i, b in enumerate(basis):
-            acc[i] += c * b
-        # basis *= (t - xs[k])
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for i, b in enumerate(basis):
-            nxt[i] -= xs[k] * b
-            nxt[i + 1] += b
-        basis = nxt
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise ValueError("interpolant has non-integer coefficients")
-        out.append(c.numerator)
-    return IntPoly(out)
+            coefs[i], rem = divmod(coefs[i] - coefs[i - 1], xs[i] - xs[i - level])
+            if rem:
+                raise ValueError("interpolant has non-integer coefficients")
+    # expand the Newton form by Horner: acc = acc * (t - xs[k]) + coefs[k]
+    acc = []
+    for k in range(len(coefs) - 1, -1, -1):
+        nxt = [0] + acc
+        for i, c in enumerate(acc):
+            nxt[i] -= xs[k] * c
+        nxt[0] += coefs[k]
+        acc = nxt
+    return IntPoly(acc)

@@ -174,6 +174,17 @@ def test_edge_order_refuses_ids_that_only_equal_ints():
                 call(k3(), order)
 
 
+def test_edge_order_is_refused_after_its_int_twin():
+    """On one triangle, an order holding True for edge 1 is refused right
+    after the int order, as on a fresh triangle, and the int order is still
+    answered after the refusal."""
+    g = k3()
+    bases = nbc_bases(g, (0, 1, 2))
+    with pytest.raises(ValueError, match="edge order must be a permutation"):
+        nbc_bases(g, (0, True, 2))
+    assert nbc_bases(g, (0, 1, 2)) == bases
+
+
 def test_nbc_bases_refuse_a_graph_with_an_isolated_vertex():
     """An edge set that is connected but misses a vertex is refused, as two
     edge components are, by nbc_bases and by the dictionary check."""
@@ -397,6 +408,34 @@ def test_dictionary_check_validates_each_base_once_per_order(monkeypatch):
     failures, checked, base_count = check_nbc_dictionaries(g, orders)
     assert failures == [] and checked == 3 * 4 * 6 and base_count == 6
     assert searches[0] == 3 * 6
+
+
+def test_dictionary_check_builds_each_split_tree_once_per_order(monkeypatch):
+    """On K4 under three orders, the split tree of each of the 6 NBC bases
+    of an order is built once, at the first of the 4 sinks, and not once
+    per sink."""
+    builds = _counted(monkeypatch, "_split_tree")
+    g = k4()
+    orders = edge_orders(g, 3, random.Random(4))
+    failures, checked, base_count = check_nbc_dictionaries(g, orders)
+    assert failures == [] and checked == 3 * 4 * 6 and base_count == 6
+    assert builds[0] == 3 * 6
+
+
+def test_direct_map_builds_no_split_tree(monkeypatch):
+    """The root-path map never builds a split tree, on every base and sink
+    of K4, and the recursive map built after it still agrees with it."""
+    builds = _counted(monkeypatch, "_split_tree")
+    g = k4()
+    order = tuple(g.edges())
+    bases = nbc_bases(g, order)
+    direct = {
+        (t, x): base_to_orientation_direct(t, g, x, order).arcs for t in bases for x in range(4)
+    }
+    assert builds[0] == 0
+    for (t, x), arcs in direct.items():
+        assert base_to_orientation_recursive(t, g, x, order).arcs == arcs
+    assert builds[0] == len(bases)
 
 
 def test_inverse_answers_an_equal_orientation_from_the_store(monkeypatch):
@@ -867,9 +906,10 @@ def test_pyramid_order_extends_the_reference_pyramid():
             table = bonds_module._rank_table(g, order)
             for t in nbc_bases(g, order):
                 tree = bonds_module._base_mask(table, t)
+                split = bonds_module._split_tree(table, tree)
                 for x in range(g.n):
                     out = []
-                    bonds_module._pyramid_order(table.pm, tree, (1 << g.n) - 1, x, g.m, out)
+                    bonds_module._pyramid_order(split, x, out)
                     assert sorted(out) == list(range(g.n)) and out[-1] == x, (g, order, t, x)
                     pos = {v: i for i, v in enumerate(out)}
                     pyramid = _reference_base_pyramid(g, ps, t, everything, x, rank)
@@ -903,12 +943,24 @@ def _inverse_drops_top_edge(real):
 def _pyramid_order_reversed(real):
     """Each call's part of the list reversed, so the sink comes first."""
 
-    def reversed_order(pm, tree, inside, x, hi, out):
+    def reversed_order(split, x, out):
         start = len(out)
-        real(pm, tree, inside, x, hi, out)
+        real(split, x, out)
         out[start:] = reversed(out[start:])
 
     return reversed_order
+
+
+def _swap_halves(split):
+    """The split tree with p's and q's subtrees swapped at every node."""
+    if not split:
+        return split
+    half, p, q, below_p, below_q = split
+    return half, p, q, _swap_halves(below_q), _swap_halves(below_p)
+
+
+def _split_tree_swaps_halves(real):
+    return lambda table, tree: _swap_halves(real(table, tree))
 
 
 @pytest.mark.parametrize(
@@ -918,12 +970,14 @@ def _pyramid_order_reversed(real):
         ("base_to_orientation_recursive", _recursive_reverses_last_arc),
         ("orientation_to_base", _inverse_drops_top_edge),
         ("_pyramid_order", _pyramid_order_reversed),
+        ("_split_tree", _split_tree_swaps_halves),
     ],
 )
 def test_bijection_checks_catch_a_faulty_map(monkeypatch, name, fault):
-    """A fault in any one of the three maps, or in the pyramid order the
-    recursive map reads, fails the dictionary check on K4 and the
-    nbc-bijection-suite on the graphs with <= 4 vertices."""
+    """A fault in any one of the three maps, in the pyramid order the
+    recursive map reads, or in the split tree it walks, fails the dictionary
+    check on K4 and the nbc-bijection-suite on the graphs with <= 4
+    vertices."""
     orders = edge_orders(k4(), 3, random.Random(4))
     config = VerifyConfig(max_vertices=4)
     assert check_nbc_dictionaries(k4(), orders)[0] == []

@@ -113,6 +113,18 @@ def test_nbc_and_chromatic(capsys):
     assert payload["result"]["routes_agree"]
 
 
+def test_nbc_command_builds_no_split_tree(monkeypatch, capsys):
+    """``eulerpart nbc`` orients by the root-path map alone, so no split
+    tree of the recursive map is built."""
+
+    def refuse(*args):
+        raise AssertionError("a split tree was built")
+
+    monkeypatch.setattr(bonds_module, "_split_tree", refuse)
+    status, out, _ = run_cli(["nbc", TRIANGLE, "--sink", "2", "--format", "json"], capsys)
+    assert status == 0 and json.loads(out)["result"]["count"] == 2
+
+
 def test_bijection_check(capsys):
     status, out, _ = run_cli(
         ["bijection-check", TRIANGLE, "--seed", "4", "--format", "json"], capsys

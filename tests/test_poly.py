@@ -82,6 +82,14 @@ def test_interpolation_rejects_fractional():
     assert interpolate_int_poly([(0, 0), (2, 4)]) == 2 * IntPoly.t()
 
 
+def test_interpolation_refuses_nodes_that_are_not_ints():
+    for node in (Fraction(1, 2), Fraction(1), 1.0):
+        with pytest.raises(ValueError, match="must be ints"):
+            interpolate_int_poly([(0, 0), (node, 1)])
+    with pytest.raises(ValueError, match="must be ints"):
+        interpolate_int_poly([(0, 0), (1, 0.5)])
+
+
 def test_horner_with_fractions():
     p = IntPoly((1, 2, 1))
     assert p(Fraction(1, 2)) == Fraction(9, 4)
