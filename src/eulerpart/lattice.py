@@ -1,11 +1,26 @@
-"""The join-semilattice of partitions of an Eulerian digraph's arc set into
-Eulerian parts, and the circuit-partition / Martin polynomial machinery
-built on it.
+"""The circuit-partition counts f_k and the Martin polynomials of an
+Eulerian digraph, by two routes, and the join-semilattice T(D) of partitions
+of its arc set into Eulerian parts.
 
-The element set is generated from the cycle partitions upward (each up-set
-is a copy of the bond lattice of the corresponding intersection graph),
-never by filtering all Bell(m) set partitions.  The circuit-partition counts,
-and so the Martin polynomials, read only that element set; the refinement
+Two routes give f_k, and they share only the cycle-partition listing:
+- ``circuit_partition_counts``, the default, reads the paper's chromatic
+  corollary r(t) = sum over the cycle partitions a of (-1)^|a| chi(G_a; -t)
+  from the cycle partitions' intersection graphs, with no element of T(D)
+  above them and no circuit count.  ``martin_polynomial``,
+  ``martin_divisibility``, ``verify_cancellation`` and the CLI's ``martin``
+  and ``cancellation`` read it.
+- ``semilattice_partition_counts`` sums the signed circuit products over
+  T(D).  The verify checks on T(D) read it by name (``cancellation``,
+  ``martin-evaluations``, ``counts-vs-direct-enumeration``,
+  ``orientation-circuit-partitions``, ``weight-via-cancellation``), passing
+  its f to the readers above, and so does ``martin_chromatic_identity``,
+  which the CLI's ``identity`` serves; ``martin-chromatic-identity`` also
+  holds the default route's f against it.
+
+The element set of T(D) is generated from the cycle partitions upward
+(each up-set is a copy of the bond lattice of the corresponding
+intersection graph), never by filtering all Bell(m) set partitions.  The
+semilattice's f_k reads only that element set; the refinement
 order, built only by ``build_eulerian_semilattice`` for the down-set sums
 and the Möbius inversion, is read from the covers that the generator's
 merges make.
@@ -40,11 +55,12 @@ the semilattice compare independent computations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
 from eulerpart.bonds import BondLattice
-from eulerpart.errors import NotEulerianError
+from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
@@ -58,6 +74,7 @@ from eulerpart.trails import (
 )
 
 SEMILATTICE_CAP = 1 << 15
+CHROMATIC_STEP_CAP = 1 << 19  # independent sets per call of the chromatic route
 
 
 def signed_circuit_product(d, b):
@@ -224,7 +241,7 @@ def build_eulerian_semilattice(d):
     return EulerianSemilattice(d, cycles, products, down)
 
 
-def circuit_partition_counts(d):
+def semilattice_partition_counts(d):
     """f_k for k = 1..max: partitions into k circuits assembling into an
     Eulerian circuit, (-1)^k times the signed circuit products of the
     partitions into k Eulerian parts, summed.  Builds no order and no
@@ -238,6 +255,96 @@ def circuit_partition_counts(d):
     return tuple(out)
 
 
+def _rising_factorial_rows(k):
+    """Rows 0..k of the unsigned Stirling numbers of the first kind: row j
+    holds the coefficients of t(t+1)...(t+j-1), ascending."""
+    rows = [[1]]
+    for j in range(k):
+        row = [0] * (j + 2)
+        for i, c in enumerate(rows[-1]):
+            row[i] += j * c
+            row[i + 1] += c
+        rows.append(row)
+    return rows
+
+
+def _independent_partition_counts(adj, budget):
+    """c_0..c_k for the graph on vertices 0..k-1 with neighbour masks
+    ``adj``: c_j counts the partitions of its vertices into j independent
+    sets, so its chromatic polynomial is sum_j c_j x(x-1)...(x-j+1).
+
+    The partitions of a vertex set s are counted by the independent set I
+    that holds s's lowest vertex, each followed by the partitions of s
+    minus I, which are memoised on their vertex mask.  Lists at most
+    ``budget`` independent sets, and returns the counts with the number it
+    listed; past the budget it refuses with CapExceededError.
+    """
+    memo = {0: [1]}
+    listed = 0
+
+    def parts(s):
+        nonlocal listed
+        low = s & -s
+        total = [0] * (s.bit_count() + 1)
+        # (s minus I, the vertices that may still join I), for each I
+        stack = [(s ^ low, (s ^ low) & ~adj[low.bit_length() - 1])]
+        while stack:
+            left, free = stack.pop()
+            listed += 1
+            if listed > budget:
+                raise CapExceededError(
+                    f"chromatic route capped at {CHROMATIC_STEP_CAP} independent sets"
+                )
+            below = memo.get(left)
+            if below is None:
+                below = memo[left] = parts(left)
+            for j, c in enumerate(below, start=1):
+                total[j] += c
+            while free:
+                b = free & -free
+                free ^= b
+                stack.append((left ^ b, free & ~adj[b.bit_length() - 1]))
+        return total
+
+    return parts((1 << len(adj)) - 1), listed
+
+
+def circuit_partition_counts(d):
+    """f_k for k = 1..max, by the paper's chromatic corollary
+    r(t) = sum over the cycle partitions a of (-1)^|a| chi(G_a; -t).
+
+    G_a has one vertex per cycle of a, two of them adjacent when the
+    cycles' vertex masks meet.  With chi(G; x) = sum_j c_j x(x-1)...(x-j+1)
+    (``_independent_partition_counts``), chi(G; -t) = sum_j (-1)^j c_j
+    t(t+1)...(t+j-1), expanded by the Stirling rows.  Each distinct
+    neighbour-mask tuple is weighed once per call, times the number of
+    cycle partitions that give it.  No element of T(D) above the cycle
+    partitions is built, and no circuit is counted.  Refuses as the
+    listing does, and past CHROMATIC_STEP_CAP independent sets in all.
+    """
+    graphs = Counter()
+    for a in _cycle_partitions_of_eulerian(d):
+        adj = [0] * len(a)
+        for i, (_, v) in enumerate(a):
+            for j in range(i):
+                if v & a[j][1]:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        graphs[tuple(adj)] += 1
+    top = max(map(len, graphs))
+    rising = _rising_factorial_rows(top)
+    r = [0] * (top + 1)
+    budget = CHROMATIC_STEP_CAP
+    for adj, count in graphs.items():
+        c, listed = _independent_partition_counts(adj, budget)
+        budget -= listed
+        for j, cj in enumerate(c):
+            weight = (-1) ** (len(adj) + j) * count * cj
+            for i, s in enumerate(rising[j]):
+                r[i] += weight * s
+    return tuple(r[1:])
+
+
 @dataclass(frozen=True)
 class MartinPolynomials:
     """r is the circuit-partition polynomial, s its Martin transform."""
@@ -247,14 +354,16 @@ class MartinPolynomials:
     s: IntPoly
 
 
-def martin_polynomial(d):
-    """Both generating polynomials of the circuit-partition counts.
+def martin_polynomial(d, f=None):
+    """Both generating polynomials of the circuit-partition counts f, by
+    default ``circuit_partition_counts(d)``.
 
     r(t) = sum f_k t^k;  s(t) = sum f_k (t-1)^(k-1), expanded in the
     monomial basis by the binomial theorem: the coefficient of t^j is
     sum over k > j of f_k C(k-1, j) (-1)^(k-1-j).
     """
-    f = circuit_partition_counts(d)
+    if f is None:
+        f = circuit_partition_counts(d)
     s = [0] * len(f)
     for k, fk in enumerate(f, start=1):
         for j in range(k):
@@ -270,10 +379,11 @@ class CancellationReport:
     holds: bool
 
 
-def verify_cancellation(d):
-    """Alternating sum of the f_k: zero unless the digraph is one directed
-    cycle, whose sum is -1."""
-    f = circuit_partition_counts(d)
+def verify_cancellation(d, f=None):
+    """Alternating sum of the f_k (by default ``circuit_partition_counts(d)``):
+    zero unless the digraph is one directed cycle, whose sum is -1."""
+    if f is None:
+        f = circuit_partition_counts(d)
     total = sum((-1) ** k * fk for k, fk in enumerate(f, start=1))
     single = len(f) == 1 and f[0] == 1 and _is_single_cycle(d)
     holds = (total == -1) if single else (total == 0)
@@ -288,6 +398,7 @@ def _is_single_cycle(d):
 
 @dataclass(frozen=True)
 class IdentityReport:
+    f: tuple  # from the semilattice
     s: IntPoly
     chi_by_partition: tuple  # (SetPartition, IntPoly) pairs
     lhs: IntPoly  # s(1 - t)
@@ -299,10 +410,13 @@ class IdentityReport:
 def martin_chromatic_identity(d):
     """Exact check that the Martin polynomial at 1-t equals minus the signed
     sum of characteristic polynomials of the cycle partitions' bond lattices,
-    plus the companion identity for r at -t via chromatic polynomials."""
+    plus the companion identity for r at -t via chromatic polynomials.
+    The Martin polynomials are read from the semilattice, so the identity
+    compares T(D) with the bond lattices and chromatic polynomials of the
+    cycle partitions' intersection graphs."""
     from eulerpart.bonds import chromatic_polynomial
 
-    polys = martin_polynomial(d)
+    polys = martin_polynomial(d, semilattice_partition_counts(d))
     t = IntPoly.t()
     lhs = polys.s.compose(1 - t)
     rhs = IntPoly.zero()
@@ -326,6 +440,7 @@ def martin_chromatic_identity(d):
         r_rhs = r_rhs + sign * chromatic
     r_lhs = polys.r.compose(-t)
     return IdentityReport(
+        f=polys.f,
         s=polys.s,
         chi_by_partition=tuple(chi_list),
         lhs=lhs,
@@ -343,8 +458,10 @@ class DivisibilityReport:
     divisible: bool
 
 
-def martin_divisibility(d):
-    """The Martin polynomial is divisible by prod_{i=2..max outdeg} (t + max - i)."""
+def martin_divisibility(d, f=None):
+    """The Martin polynomial of the counts f (by default
+    ``circuit_partition_counts(d)``) is divisible by
+    prod_{i=2..max outdeg} (t + max - i)."""
     delta = max(d.out_degree(v) for v in range(d.n))
     if delta < 2:
         raise ValueError("divisibility statement needs maximum out-degree >= 2")
@@ -352,7 +469,7 @@ def martin_divisibility(d):
     t = IntPoly.t()
     for i in range(2, delta + 1):
         divisor = divisor * (t + (delta - i))
-    polys = martin_polynomial(d)
+    polys = martin_polynomial(d, f)
     quotient, remainder = divmod(polys.s, divisor)
     ok = remainder.is_zero()
     return DivisibilityReport(polys.s, divisor, quotient if ok else None, ok)

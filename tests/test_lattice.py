@@ -29,6 +29,7 @@ from eulerpart.lattice import (
     martin_chromatic_identity,
     martin_divisibility,
     martin_polynomial,
+    semilattice_partition_counts,
     verify_cancellation,
 )
 from eulerpart.partition import SetPartition, all_set_partitions
@@ -177,20 +178,22 @@ def test_counts_build_no_order(example_digraph, monkeypatch):
         circuit_partition_counts(Digraph(2, [(0, 1)]))
 
 
-def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys):
+def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(lattice_module, "SEMILATTICE_CAP", 10)  # the example has 16
     message = "semilattice has more than 10 elements"
+    # six parallel 2-cycles: 720 cycle partitions, each coarsened 203 ways;
+    # the chromatic route refuses while it lists them
+    six = Digraph(2, [(0, 1), (1, 0)] * 6)
     with pytest.raises(CapExceededError, match=message):
-        martin_polynomial(example_digraph)
+        martin_polynomial(six)
     with pytest.raises(CapExceededError, match=message):
         build_eulerian_semilattice(example_digraph)
-    assert main(["martin", EXAMPLE]) == 2
+    assert main(["martin", _parallel_two_cycles_file(tmp_path, 6)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
-    # six parallel 2-cycles: 720 cycle partitions, each coarsened 203 ways;
-    # the listing refuses at the eleventh, before any coarsening
-    six = Digraph(2, [(0, 1), (1, 0)] * 6)
+    # the semilattice's listing refuses at the eleventh, before any
+    # coarsening
     calls = []
     real = lattice_module.add_coarsenings
     monkeypatch.setattr(
@@ -199,13 +202,13 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys):
         lambda seen, arcs, verts, cap: calls.append(arcs) or real(seen, arcs, verts, cap),
     )
     with pytest.raises(CapExceededError, match=message):
-        circuit_partition_counts(six)
+        semilattice_partition_counts(six)
     assert calls == []
     # with the listing uncapped, the generator refuses inside the first one
     real_cycles = lattice_module.cycle_partition_masks
     monkeypatch.setattr(lattice_module, "cycle_partition_masks", lambda d, cap: real_cycles(d))
     with pytest.raises(CapExceededError, match=message):
-        circuit_partition_counts(six)
+        semilattice_partition_counts(six)
     assert len(calls) == 1
 
 
@@ -226,28 +229,28 @@ def test_block_counts_kept_once_per_shape(monkeypatch):
     monkeypatch.setattr(lattice_module, "_best_from_arcs", counting)
     d = parse_graph_file(EXAMPLE)
     # 18 distinct blocks of 13 shapes; the four 2-cycles, for one, share a shape
-    assert circuit_partition_counts(d) == (6, 11, 6, 1)
+    assert semilattice_partition_counts(d) == (6, 11, 6, 1)
     assert len(calls) == len(store) == 13
-    assert circuit_partition_counts(d) == (6, 11, 6, 1)
+    assert semilattice_partition_counts(d) == (6, 11, 6, 1)
     lattice = build_eulerian_semilattice(d)
     relabelled = Digraph(d.n, [(3 - u, 3 - v) for u, v in d.arcs])
-    assert circuit_partition_counts(relabelled) == (6, 11, 6, 1)
+    assert semilattice_partition_counts(relabelled) == (6, 11, 6, 1)
     assert len(calls) == 13
     assert len(lattice) == 16
     assert all(lattice.products[b] == signed_circuit_product(d, b) for b in lattice.elements)
     calls.clear()
-    assert circuit_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 5))[0] == 2880
+    assert semilattice_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 5))[0] == 2880
     assert len(calls) == len(store) - 13 == 27
 
     faulty = []
     monkeypatch.setattr(
         lattice_module, "_best_from_arcs", lambda arcs: faulty.append(arcs) or real(arcs) + 1
     )
-    assert circuit_partition_counts(d) != (6, 11, 6, 1)
+    assert semilattice_partition_counts(d) != (6, 11, 6, 1)
     assert len(faulty) == len(store) == 13
     monkeypatch.setattr(lattice_module, "_best_from_arcs", counting)
     calls.clear()
-    assert circuit_partition_counts(d) == (6, 11, 6, 1)
+    assert semilattice_partition_counts(d) == (6, 11, 6, 1)
     assert len(calls) == len(store) == 13
 
 
@@ -592,3 +595,113 @@ def test_digraph_commands_refuse_many_cycle_partitions(tmp_path, capsys):
     assert time.monotonic() - start < 5.0
     message = f"error: semilattice has more than {lattice_module.SEMILATTICE_CAP} elements\n"
     assert capsys.readouterr().err == message
+
+
+def _write_digraph(tmp_path, name, n, arcs):
+    path = tmp_path / name
+    lines = "".join(f"a{i} {u + 1} {v + 1}\n" for i, (u, v) in enumerate(arcs))
+    path.write_text(f"digraph {n}\n{lines}")
+    return str(path)
+
+
+def _chain_arcs(n):
+    """Both arcs on each edge of the path on n vertices: n - 1 2-cycles in a
+    row, the only cycle partition, whose intersection graph is a path."""
+    return [arc for i in range(n - 1) for arc in ((i, i + 1), (i + 1, i))]
+
+
+def test_independent_partition_counts_of_small_graphs():
+    """c_j counts the partitions into j independent sets: the path 0-1-2
+    has {0,2}|{1} and the three singletons, K3 only the singletons, and the
+    edgeless graph on 3 vertices the Bell row; the independent sets listed
+    are counted, and a budget below that count refuses."""
+    path = (0b010, 0b101, 0b010)
+    counts = lattice_module._independent_partition_counts
+    assert counts(path, 100) == ([0, 0, 1, 1], 5)
+    assert counts((0b110, 0b101, 0b011), 100) == ([0, 0, 0, 1], 3)
+    assert counts((0, 0, 0), 100)[0] == [0, 1, 3, 1]
+    with pytest.raises(CapExceededError, match="chromatic route capped"):
+        counts(path, 4)
+
+
+def test_rising_factorial_rows():
+    t = IntPoly.t()
+    rising = IntPoly.one()
+    for j, row in enumerate(lattice_module._rising_factorial_rows(6)):
+        assert IntPoly(row) == rising
+        rising = rising * (t + j)
+
+
+def test_chromatic_route_equals_the_semilattice_on_relabelled_inputs():
+    """Seeded unions of closed walks with shuffled labels, and the corpus up
+    to 8 arcs: the chromatic route and the semilattice give the same f_k."""
+    rng = random.Random(20261020)
+    digraphs = list(eulerian_digraph_corpus(8))
+    digraphs += [_shuffled(_closed_walk_digraph(rng, 10), rng) for _ in range(100)]
+    for d in digraphs:
+        assert circuit_partition_counts(d) == semilattice_partition_counts(d)
+
+
+def test_chromatic_route_reads_only_the_cycle_partitions(example_digraph, monkeypatch):
+    """f_k and everything read from it come from the cycle partitions'
+    intersection graphs alone: no element of T(D) above them, no circuit
+    count, no intersection-graph multigraph and no bond-lattice routine."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chromatic route reached past the cycle partitions")
+
+    for name in (
+        "_element_masks", "add_coarsenings", "_shape_code", "_signed_mask_product",
+        "_best_from_arcs", "intersection_graph", "cycle_partitions", "BondLattice",
+    ):
+        monkeypatch.setattr(lattice_module, name, refuse)
+    for name in ("chromatic_polynomial", "chromatic_polynomial_whitney", "nbc_bases"):
+        monkeypatch.setattr(bonds_module, name, refuse)
+    t = IntPoly.t()
+    assert circuit_partition_counts(example_digraph) == (6, 11, 6, 1)
+    assert martin_polynomial(example_digraph).s == t * (t + 1) * (t + 2)
+    assert verify_cancellation(example_digraph).alternating_sum == 0
+    assert martin_divisibility(example_digraph).quotient == t + 2
+    assert martin_polynomial(parallel_two_cycles(6)).f[0] == count_circuits_best(
+        parallel_two_cycles(6)
+    )
+
+
+def test_martin_and_cancellation_answer_one_size_up(tmp_path, capsys):
+    """K5* (the complete symmetric digraph on 5 vertices) and seven parallel
+    2-cycles pass SEMILATTICE_CAP, yet have few enough cycle partitions for
+    the chromatic route: each command answers within 1 s, with the f_k
+    summing to the out-degree factorials and f_1 the BEST count."""
+    k5 = [(u, v) for u in range(5) for v in range(5) if u != v]
+    cases = [(5, k5), (2, [(0, 1), (1, 0)] * 7)]
+    for n, arcs in cases:
+        d = Digraph(n, arcs)
+        path = _write_digraph(tmp_path, f"digraph{n}.txt", n, arcs)
+        for command in ("martin", "cancellation"):
+            start = time.monotonic()
+            assert main([command, path, "--format", "json"]) == 0
+            assert time.monotonic() - start < 1.0
+            result = json.loads(capsys.readouterr().out)["result"]
+            assert sum(result["f"]) == out_degree_factorial_product(d)
+            assert result["f"][0] == count_circuits_best(d)
+        assert result["alternating_sum"] == 0 and result["holds"]
+
+
+def test_martin_refuses_a_long_chain_by_the_route_cap(tmp_path, capsys):
+    """A chain of 2-cycles has one cycle partition, but its intersection
+    graph is a path, whose independent sets grow exponentially: the route
+    refuses at CHROMATIC_STEP_CAP, before it hangs, with exit 2."""
+    path = _write_digraph(tmp_path, "chain30.txt", 30, _chain_arcs(30))
+    start = time.monotonic()
+    assert main(["martin", path]) == 2
+    assert time.monotonic() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    cap = lattice_module.CHROMATIC_STEP_CAP
+    assert captured.err == f"error: chromatic route capped at {cap} independent sets\n"
+    # a shorter chain is answered: chi(P_k; x) = x (x-1)^(k-1), so r(t) is
+    # t (t+1)^(n-2)
+    d = Digraph(12, _chain_arcs(12))
+    f = circuit_partition_counts(d)
+    assert f == semilattice_partition_counts(d) == tuple(math.comb(10, k) for k in range(11))
+    assert sum(f) == out_degree_factorial_product(d) and f[0] == count_circuits_best(d)
