@@ -170,17 +170,13 @@ class _RankTable:
             self.adj[v].append((1 << r, u))
 
 
-class _TableSlot:
-    """The one slot of ``_rank_table``: ``table`` is the rank table of the
-    last (graph, order) pair, or None; ``clear`` empties it."""
-
-    table = None
-
-    def clear(self):
-        self.table = None
+_last_table = None
 
 
-_last_table = _TableSlot()
+def clear_rank_table():
+    """Empty the one slot of ``_rank_table``."""
+    global _last_table
+    _last_table = None
 
 
 def _rank_table(g, order):
@@ -191,13 +187,14 @@ def _rank_table(g, order):
     ever kept.  The slot is reused for the table's own order object, or for
     an equal order of ints: an equal one holding ``True`` or ``1.0`` is
     validated afresh, and refused, as on a fresh graph."""
-    table = _last_table.table
+    global _last_table
+    table = _last_table
     if table is None or table.graph is not g or (
         table.order is not order
         and (table.order != order or any(type(e) is not int for e in order))
     ):
         require_simple(g)
-        table = _last_table.table = _RankTable(g, check_edge_order(g, order))
+        table = _last_table = _RankTable(g, check_edge_order(g, order))
     return table
 
 

@@ -74,7 +74,7 @@ from eulerpart.trails import (
 )
 
 SEMILATTICE_CAP = 1 << 15
-CHROMATIC_STEP_CAP = 1 << 19  # independent sets per call of the chromatic route
+CHROMATIC_TERM_CAP = 1 << 19  # counts written per call of the chromatic route
 
 
 def signed_circuit_product(d, b):
@@ -255,50 +255,85 @@ def semilattice_partition_counts(d):
     return tuple(out)
 
 
-def _rising_factorial_rows(k):
-    """Rows 0..k of the unsigned Stirling numbers of the first kind: row j
-    holds the coefficients of t(t+1)...(t+j-1), ascending."""
-    rows = [[1]]
-    for j in range(k):
-        row = [0] * (j + 2)
-        for i, c in enumerate(rows[-1]):
-            row[i] += j * c
-            row[i + 1] += c
-        rows.append(row)
-    return rows
-
-
 def _independent_partition_counts(adj, budget):
     """c_0..c_k for the graph on vertices 0..k-1 with neighbour masks
     ``adj``: c_j counts the partitions of its vertices into j independent
     sets, so its chromatic polynomial is sum_j c_j x(x-1)...(x-j+1).
 
-    The partitions of a vertex set s are counted by the independent set I
-    that holds s's lowest vertex, each followed by the partitions of s
-    minus I, which are memoised on their vertex mask.  Lists at most
-    ``budget`` independent sets, and returns the counts with the number it
-    listed; past the budget it refuses with CapExceededError.
+    The counts of a vertex set s come from a smaller set, and are memoised
+    on s's vertex mask.  A vertex whose d neighbours in s are pairwise
+    adjacent is taken out first, with no branching: chi(G[s]) =
+    chi(G[s - v]) (x - d), and x(x-1)...(x-j+1) (x - d) is
+    x(x-1)...(x-j) + (j - d) x(x-1)...(x-j+1), so c_j of s - v adds to
+    c_{j+1} and (j - d) c_j to c_j.  So a chordal graph (a path, a star, a
+    clique) is counted with no branching.  When no such vertex is left, the
+    partitions are counted by the independent set I that holds the lowest
+    vertex, each followed by the partitions of the rest minus I.
+
+    The work is capped by terms: a vertex taken out of s, or an
+    independent set listed with s left, costs the |s| + 1 counts of s, so
+    both the work and the counts the memo holds grow with the terms spent,
+    and a budget bounds time and memory alike.  Returns the counts with the
+    terms spent; past the budget it refuses with CapExceededError.
     """
     memo = {0: [1]}
-    listed = 0
+    terms = 0
 
-    def parts(s):
-        nonlocal listed
+    def refuse():
+        raise CapExceededError(f"chromatic route capped at {CHROMATIC_TERM_CAP} terms")
+
+    def simplicial(s):
+        """(bit, degree in s) of a vertex of s whose neighbours in s are
+        pairwise adjacent, or None."""
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            near = adj[b.bit_length() - 1] & s
+            others = near
+            while others:
+                u = others & -others
+                others ^= u
+                if near & ~adj[u.bit_length() - 1] != u:
+                    break
+            else:
+                return b, near.bit_count()
+        return None
+
+    def counts(s):
+        nonlocal terms
+        taken = []  # (a set, the degree in it of the vertex taken out)
+        while s not in memo:
+            found = simplicial(s)
+            if found is None:
+                memo[s] = branch(s)
+                break
+            terms += s.bit_count() + 1
+            if terms > budget:
+                refuse()
+            taken.append((s, found[1]))
+            s ^= found[0]
+        total = memo[s]
+        for s, d in reversed(taken):
+            lifted = [0] * (len(total) + 1)
+            for j, c in enumerate(total):
+                lifted[j] += (j - d) * c
+                lifted[j + 1] += c
+            total = memo[s] = lifted
+        return total
+
+    def branch(s):
+        nonlocal terms
         low = s & -s
         total = [0] * (s.bit_count() + 1)
         # (s minus I, the vertices that may still join I), for each I
         stack = [(s ^ low, (s ^ low) & ~adj[low.bit_length() - 1])]
         while stack:
             left, free = stack.pop()
-            listed += 1
-            if listed > budget:
-                raise CapExceededError(
-                    f"chromatic route capped at {CHROMATIC_STEP_CAP} independent sets"
-                )
-            below = memo.get(left)
-            if below is None:
-                below = memo[left] = parts(left)
-            for j, c in enumerate(below, start=1):
+            terms += left.bit_count() + 1
+            if terms > budget:
+                refuse()
+            for j, c in enumerate(counts(left), start=1):
                 total[j] += c
             while free:
                 b = free & -free
@@ -306,7 +341,7 @@ def _independent_partition_counts(adj, budget):
                 stack.append((left ^ b, free & ~adj[b.bit_length() - 1]))
         return total
 
-    return parts((1 << len(adj)) - 1), listed
+    return counts((1 << len(adj)) - 1), terms
 
 
 def circuit_partition_counts(d):
@@ -316,11 +351,12 @@ def circuit_partition_counts(d):
     G_a has one vertex per cycle of a, two of them adjacent when the
     cycles' vertex masks meet.  With chi(G; x) = sum_j c_j x(x-1)...(x-j+1)
     (``_independent_partition_counts``), chi(G; -t) = sum_j (-1)^j c_j
-    t(t+1)...(t+j-1), expanded by the Stirling rows.  Each distinct
-    neighbour-mask tuple is weighed once per call, times the number of
-    cycle partitions that give it.  No element of T(D) above the cycle
-    partitions is built, and no circuit is counted.  Refuses as the
-    listing does, and past CHROMATIC_STEP_CAP independent sets in all.
+    t(t+1)...(t+j-1), summed over the graphs in that basis and expanded
+    once, by Horner's rule.  Each distinct neighbour-mask tuple is weighed
+    once per call, times the number of cycle partitions that give it.  No
+    element of T(D) above the cycle partitions is built, and no circuit is
+    counted.  Refuses as the listing does, and past CHROMATIC_TERM_CAP
+    terms of the counts in all.
     """
     graphs = Counter()
     for a in _cycle_partitions_of_eulerian(d):
@@ -332,16 +368,17 @@ def circuit_partition_counts(d):
                     adj[j] |= 1 << i
         graphs[tuple(adj)] += 1
     top = max(map(len, graphs))
-    rising = _rising_factorial_rows(top)
-    r = [0] * (top + 1)
-    budget = CHROMATIC_STEP_CAP
+    w = [0] * (top + 1)  # r(t) = sum_j w_j t(t+1)...(t+j-1)
+    budget = CHROMATIC_TERM_CAP
     for adj, count in graphs.items():
-        c, listed = _independent_partition_counts(adj, budget)
-        budget -= listed
+        c, terms = _independent_partition_counts(adj, budget)
+        budget -= terms
         for j, cj in enumerate(c):
-            weight = (-1) ** (len(adj) + j) * count * cj
-            for i, s in enumerate(rising[j]):
-                r[i] += weight * s
+            w[j] += (-1) ** (len(adj) + j) * count * cj
+    # Horner's rule in that basis: r = w_0 + t (w_1 + (t+1) (w_2 + ...))
+    r = [w[top]]
+    for j in range(top - 1, -1, -1):
+        r = [j * r[0] + w[j]] + [j * r[i] + r[i - 1] for i in range(1, len(r))] + [r[-1]]
     return tuple(r[1:])
 
 

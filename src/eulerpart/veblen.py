@@ -649,10 +649,6 @@ class _ComponentClasses:
         self.shapes = {}
         self.signed = {}  # component key -> -weight of its class
 
-    def clear(self):
-        """Empty the store; the route binds it to ``weight`` on its next call."""
-        self.reset(None)
-
     def signed_weight(self, k, mults):
         """-weight of the component on vertices 0..k-1 with multiplicity map
         ``mults``, weighed on the first component of its class only."""

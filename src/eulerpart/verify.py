@@ -11,9 +11,8 @@ subcommand replays each one.  The CLI `verify` subcommand runs all of them
 and exits nonzero on any failure; the acceptance test suite calls the same
 functions criterion by criterion.
 
-Every check starts from empty process stores (``PROCESS_STORES``): a run of
-the suite empties them once, at its start, and a check run on its own at
-its start.  So a fault planted below a store after a warm run is called.
+Every check starts from empty process stores (``clear_process_stores``),
+so a fault planted below a store after a warm run is called.
 """
 
 from __future__ import annotations
@@ -62,35 +61,29 @@ class CheckResult:
     details: dict
 
 
-# The caches that outlive a call, as (module, attribute): each holds the
-# values of the routines below it and has ``clear()``.
-PROCESS_STORES = (
-    (lattice, "_SHAPE_COUNTS"),
-    (veblen, "_COMPONENT_CLASSES"),
-    (bonds, "_last_table"),
-)
-
-
 def clear_process_stores():
-    for module, attr in PROCESS_STORES:
-        getattr(module, attr).clear()
+    """Empty the caches that outlive a call, each of which holds the values
+    of the routines below it: the block counts by shape, the component
+    classes and the rank table."""
+    lattice._SHAPE_COUNTS.clear()
+    veblen._COMPONENT_CLASSES.reset(None)
+    bonds.clear_rank_table()
 
 
 def _check(name):
     """Turn a generator of cases into a check named ``name``.
 
-    The check empties the process stores unless ``clear_stores`` is false,
-    sums the case counts into ``checked``, passes when every case does, and
-    keeps the first distinct failing witnesses as ``details["failures"]``:
-    a graph is kept in the graph text format, a dict as it is.  The name
-    stays on the check for a capped run.
+    The check empties the process stores, sums the case counts into
+    ``checked``, passes when every case does, and keeps the first distinct
+    failing witnesses as ``details["failures"]``: a graph is kept in the
+    graph text format, a dict as it is.  The name stays on the check for a
+    capped run.
     """
 
     def wrap(cases):
         @functools.wraps(cases)
-        def run(config, clear_stores=True):
-            if clear_stores:
-                clear_process_stores()
+        def run(config):
+            clear_process_stores()
             ok, checked, failures = True, 0, []
             for witness, case_ok, *count in cases(config):
                 checked += count[0] if count else 1
@@ -568,17 +561,16 @@ ALL_CHECKS = [
 def run_verification_suite(config=None):
     """Run every corpus check; returns (exit_status, report dict).
 
-    The process stores are emptied once, at the start.  Size-cap violations
-    are reported per check, under the check's name, but do not fail the
-    run.  A check that raises anything else fails, with the exception's
-    type and text as ``details["error"]``, and the run goes on.
+    Size-cap violations are reported per check, under the check's name,
+    but do not fail the run.  A check that raises anything else fails, with
+    the exception's type and text as ``details["error"]``, and the run goes
+    on.
     """
     config = config or VerifyConfig()
-    clear_process_stores()
     results = []
     for check in ALL_CHECKS:
         try:
-            results.append(check(config, clear_stores=False))
+            results.append(check(config))
         except CapExceededError as err:
             results.append(CheckResult(check.name, True, 0, {"capped": str(err)}))
         except Exception as err:

@@ -612,24 +612,21 @@ def _chain_arcs(n):
 
 def test_independent_partition_counts_of_small_graphs():
     """c_j counts the partitions into j independent sets: the path 0-1-2
-    has {0,2}|{1} and the three singletons, K3 only the singletons, and the
-    edgeless graph on 3 vertices the Bell row; the independent sets listed
-    are counted, and a budget below that count refuses."""
-    path = (0b010, 0b101, 0b010)
+    has {0,2}|{1} and the three singletons, K3 only the singletons, the
+    edgeless graph on 3 vertices the Bell row, and the 4-cycle 0-1-2-3
+    {0,2}|{1,3}, two with one pair and the four singletons.  The chordal
+    three take out one vertex a step, at 4 + 3 + 2 terms.  The 4-cycle has
+    no vertex to take out: it lists {0} (4 terms) and takes out 1, 2, 3
+    (4 + 3 + 2), then lists {0, 2} (3) and takes out 1 (3), and a budget
+    below that refuses."""
     counts = lattice_module._independent_partition_counts
-    assert counts(path, 100) == ([0, 0, 1, 1], 5)
-    assert counts((0b110, 0b101, 0b011), 100) == ([0, 0, 0, 1], 3)
-    assert counts((0, 0, 0), 100)[0] == [0, 1, 3, 1]
+    assert counts((0b010, 0b101, 0b010), 100) == ([0, 0, 1, 1], 9)
+    assert counts((0b110, 0b101, 0b011), 100) == ([0, 0, 0, 1], 9)
+    assert counts((0, 0, 0), 100) == ([0, 1, 3, 1], 9)
+    square = (0b1010, 0b0101, 0b1010, 0b0101)
+    assert counts(square, 100) == ([0, 0, 1, 2, 1], 19)
     with pytest.raises(CapExceededError, match="chromatic route capped"):
-        counts(path, 4)
-
-
-def test_rising_factorial_rows():
-    t = IntPoly.t()
-    rising = IntPoly.one()
-    for j, row in enumerate(lattice_module._rising_factorial_rows(6)):
-        assert IntPoly(row) == rising
-        rising = rising * (t + j)
+        counts(square, 18)
 
 
 def test_chromatic_route_equals_the_semilattice_on_relabelled_inputs():
@@ -687,21 +684,37 @@ def test_martin_and_cancellation_answer_one_size_up(tmp_path, capsys):
         assert result["alternating_sum"] == 0 and result["holds"]
 
 
-def test_martin_refuses_a_long_chain_by_the_route_cap(tmp_path, capsys):
-    """A chain of 2-cycles has one cycle partition, but its intersection
-    graph is a path, whose independent sets grow exponentially: the route
-    refuses at CHROMATIC_STEP_CAP, before it hangs, with exit 2."""
-    path = _write_digraph(tmp_path, "chain30.txt", 30, _chain_arcs(30))
+def _ring_arcs(n):
+    """Both arcs on each edge of the cycle on n vertices: the n 2-cycles,
+    whose intersection graph is the n-cycle, and the two directed n-cycles."""
+    return [arc for i in range(n) for arc in ((i, (i + 1) % n), ((i + 1) % n, i))]
+
+
+def test_martin_answers_chains_and_stars_and_refuses_a_long_ring(tmp_path, capsys):
+    """A chain of 2-cycles, and a directed cycle with a pendant 2-cycle at
+    each vertex, have one cycle partition, whose intersection graph is a
+    path or a star: the route takes out one vertex a step, and answers
+    r(t) = t (t+1)^(k-1) for k cycles, as chi(G; x) = x (x-1)^(k-1) for a
+    tree.  A ring of 2-cycles gives the n-cycle, whose independent sets
+    grow exponentially: the route refuses at CHROMATIC_TERM_CAP, before it
+    hangs, with exit 2."""
+    hub = [arc for i in range(14) for arc in ((i, (i + 1) % 14), (i, 14 + i), (14 + i, i))]
+    for n, arcs, cycles in ((30, _chain_arcs(30), 29), (12, _chain_arcs(12), 11), (28, hub, 15)):
+        path = _write_digraph(tmp_path, f"tree{n}.txt", n, arcs)
+        start = time.monotonic()
+        assert main(["martin", path, "--format", "json"]) == 0
+        assert time.monotonic() - start < 1.0
+        f = tuple(json.loads(capsys.readouterr().out)["result"]["f"])
+        assert f == tuple(math.comb(cycles - 1, k) for k in range(cycles))
+        d = Digraph(n, arcs)
+        assert sum(f) == out_degree_factorial_product(d) and f[0] == count_circuits_best(d)
+    d = Digraph(12, _chain_arcs(12))
+    assert circuit_partition_counts(d) == semilattice_partition_counts(d)
+    path = _write_digraph(tmp_path, "ring40.txt", 40, _ring_arcs(40))
     start = time.monotonic()
     assert main(["martin", path]) == 2
     assert time.monotonic() - start < 2.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    cap = lattice_module.CHROMATIC_STEP_CAP
-    assert captured.err == f"error: chromatic route capped at {cap} independent sets\n"
-    # a shorter chain is answered: chi(P_k; x) = x (x-1)^(k-1), so r(t) is
-    # t (t+1)^(n-2)
-    d = Digraph(12, _chain_arcs(12))
-    f = circuit_partition_counts(d)
-    assert f == semilattice_partition_counts(d) == tuple(math.comb(10, k) for k in range(11))
-    assert sum(f) == out_degree_factorial_product(d) and f[0] == count_circuits_best(d)
+    cap = lattice_module.CHROMATIC_TERM_CAP
+    assert captured.err == f"error: chromatic route capped at {cap} terms\n"

@@ -1,5 +1,5 @@
-"""The verify runner: process stores emptied at the start of each check and
-run, a check that raises reported as that check's error, and the chromatic
+"""The verify runner: process stores emptied at the start of each check, a
+check that raises reported as that check's error, and the chromatic
 route's f_k held against the semilattice's."""
 
 import json
@@ -50,9 +50,9 @@ def test_a_fault_planted_after_a_warm_check_is_called(monkeypatch):
     assert not check_charpoly_three_routes(config).ok
 
 
-def test_a_run_empties_the_stores_once_at_its_start(monkeypatch):
+def test_a_run_empties_the_stores_at_each_check(monkeypatch):
     """A warm run, then faults below both stores: the next run fails both
-    checks, and it empties the stores once, not once per check."""
+    checks, and it empties the stores once per check."""
     checks = [check_martin_evaluations, check_charpoly_three_routes]
     monkeypatch.setattr(verify_module, "ALL_CHECKS", checks)
     config = VerifyConfig(max_edges=4)
@@ -66,7 +66,7 @@ def test_a_run_empties_the_stores_once_at_its_start(monkeypatch):
     status, report = run_verification_suite(config)
     assert status == 1
     assert [c["ok"] for c in report["checks"]] == [False, False]
-    assert cleared == [1]
+    assert cleared == [1, 1]
 
 
 def test_a_check_that_raises_is_reported_and_the_run_goes_on(monkeypatch, capsys):
