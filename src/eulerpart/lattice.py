@@ -40,26 +40,17 @@ payloads and vertex masks as touches.  Only ``eulerian_parts`` and
 ``build_eulerian_semilattice`` turn elements into ``SetPartition``s, each
 distinct element once.
 
-Most blocks recur across many elements, since every element above a cycle
-partition coarsens it, and most block shapes recur across digraphs; so the
-block counts are kept in two levels.  A dict local to each call maps block
-masks to counts.  On its miss, the block's shape code, one int for its arc
-list relabelled in first-seen vertex order (``_shape_code``), is looked up
-in ``_SHAPE_COUNTS``, which lives for the process; only a new shape runs
-the BEST kernel.  That store is bound to the ``_best_from_arcs`` that
-filled it and empties itself when the module's kernel is another, so a
-replaced kernel is always called.  ``signed_circuit_product`` and the
-counts of ``trails`` never read it, so the checks that compare them with
-the semilattice compare independent computations.
+Every element above a cycle partition coarsens it, so most blocks recur
+across elements; one dict per call maps each block mask to its circuit
+count, and the BEST kernel runs once per distinct block of the call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 
-from eulerpart.bonds import BondLattice
+from eulerpart.bonds import BondLattice, chromatic_polynomial
 from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
@@ -95,72 +86,18 @@ def signed_circuit_product(d, b):
     return value
 
 
-class _ShapeCounts(dict):
-    """Block circuit counts kept for the life of the process, keyed by the
-    block's shape code (``_shape_code``).
-
-    It holds the values of one kernel, the ``_best_from_arcs`` that filled
-    it; ``bind`` empties it when the module's kernel is another, so a
-    replaced kernel (a planted fault) is always called and its values never
-    outlive it.  Its size is the number of distinct block shapes met.
-    """
-
-    kernel = None
-
-    def bind(self):
-        """Empty the store if another kernel filled it, and bind it to the
-        module's kernel."""
-        if self.kernel is not _best_from_arcs:
-            self.clear()
-            self.kernel = _best_from_arcs
-
-
-_SHAPE_COUNTS = _ShapeCounts()
-
-
-def _shape_code(arcs, block):
-    """One int naming a block's arc list up to relabelling of its vertices.
-
-    The arcs are read in increasing arc order and their vertices indexed in
-    first-seen order; each relabelled arc (i, j) is appended as two fields
-    below a leading 1.  A connected balanced block touches at most as many
-    vertices as it has arcs, so a field as wide as the arc count holds any
-    index, and the code's length fixes the arc count and so the width: the
-    code is injective at any size.
-    """
-    width = block.bit_count().bit_length()
-    index = {}
-    code = 1
-    while block:
-        low = block & -block
-        block ^= low
-        u, v = arcs[low.bit_length() - 1]
-        i = index.setdefault(u, len(index))
-        j = index.setdefault(v, len(index))
-        code = (code << width | i) << width | j
-    return code
-
-
 def _signed_mask_product(arcs, element, counts):
     """Signed circuit product of an element given as block arc masks.
 
-    Block counts are looked up in two levels.  ``counts`` maps block masks
-    to counts already made for the digraph whose arc list is ``arcs``; a
-    caller that reads many products passes the same dict to each.  On a
-    miss the block's shape code is looked up in the process store
-    ``_SHAPE_COUNTS``, which the caller has bound to the kernel, and only a
-    new shape builds its arc list and runs the kernel.
+    ``counts`` maps block masks to counts already made for the digraph whose
+    arc list is ``arcs``; a caller that reads many products passes the same
+    dict to each.  Only a block it misses runs the kernel.
     """
-    shapes = _SHAPE_COUNTS
     value = 1
     for block in element:
         count = counts.get(block)
         if count is None:
-            code = _shape_code(arcs, block)
-            count = shapes.get(code)
-            if count is None:
-                count = shapes[code] = _best_from_arcs([arcs[e] for e in bits(block)])
-            counts[block] = count
+            count = counts[block] = _best_from_arcs([arcs[e] for e in bits(block)])
         value *= -count
     return value
 
@@ -232,7 +169,6 @@ def build_eulerian_semilattice(d):
     minimal = _cycle_partitions_of_eulerian(d)
     ends = [1 << u | 1 << v for u, v in d.arcs]
     elements, down = coarsening_order(_element_masks(minimal), ends)
-    _SHAPE_COUNTS.bind()
     counts = {}
     products = {
         SetPartition(map(bits, b)): _signed_mask_product(d.arcs, b, counts) for b in elements
@@ -248,7 +184,6 @@ def semilattice_partition_counts(d):
     ``SetPartition``."""
     elements = _element_masks(_cycle_partitions_of_eulerian(d))
     out = [0] * max(len(b) for b in elements)
-    _SHAPE_COUNTS.bind()
     counts = {}
     for b in elements:
         out[len(b) - 1] += (-1) ** len(b) * _signed_mask_product(d.arcs, b, counts)
@@ -396,15 +331,15 @@ def martin_polynomial(d, f=None):
     default ``circuit_partition_counts(d)``.
 
     r(t) = sum f_k t^k;  s(t) = sum f_k (t-1)^(k-1), expanded in the
-    monomial basis by the binomial theorem: the coefficient of t^j is
-    sum over k > j of f_k C(k-1, j) (-1)^(k-1-j).
+    monomial basis by a Taylor shift of sum f_k u^(k-1) to u = t - 1, in
+    subtractions only.
     """
     if f is None:
         f = circuit_partition_counts(d)
-    s = [0] * len(f)
-    for k, fk in enumerate(f, start=1):
-        for j in range(k):
-            s[j] += fk * comb(k - 1, j) * (-1) ** (k - 1 - j)
+    s = list(f)
+    for i in range(len(s) - 1):
+        for j in range(len(s) - 2, i - 1, -1):
+            s[j] -= s[j + 1]
     return MartinPolynomials(f, IntPoly([0, *f]), IntPoly(s))
 
 
@@ -451,8 +386,6 @@ def martin_chromatic_identity(d):
     The Martin polynomials are read from the semilattice, so the identity
     compares T(D) with the bond lattices and chromatic polynomials of the
     cycle partitions' intersection graphs."""
-    from eulerpart.bonds import chromatic_polynomial
-
     polys = martin_polynomial(d, semilattice_partition_counts(d))
     t = IntPoly.t()
     lhs = polys.s.compose(1 - t)

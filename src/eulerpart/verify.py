@@ -11,8 +11,10 @@ subcommand replays each one.  The CLI `verify` subcommand runs all of them
 and exits nonzero on any failure; the acceptance test suite calls the same
 functions criterion by criterion.
 
-Every check starts from empty process stores (``clear_process_stores``),
-so a fault planted below a store after a warm run is called.
+Every check starts from empty process stores (``clear_process_stores``:
+the Harary-Sachs component classes and the NBC rank table), so a fault
+planted below a store after a warm run is called.  The semilattice keeps
+its block counts for one call only.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ class CheckResult:
 
 
 def clear_process_stores():
-    """Empty the caches that outlive a call, each of which holds the values
-    of the routines below it: the block counts by shape, the component
-    classes and the rank table."""
-    lattice._SHAPE_COUNTS.clear()
+    """Empty the two caches that outlive a call, each of which holds the
+    values of the routines below it: the component classes and the rank
+    table."""
     veblen._COMPONENT_CLASSES.reset(None)
     bonds.clear_rank_table()
 

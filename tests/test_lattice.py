@@ -37,7 +37,6 @@ from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset, refinement_order
 from eulerpart.trails import (
     count_circuits_best,
-    cycle_partition_masks,
     cycle_partitions,
     intersection_graph,
 )
@@ -212,46 +211,36 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys, tmp
     assert len(calls) == 1
 
 
-def test_block_counts_kept_once_per_shape(monkeypatch):
-    """Each block shape's circuits are counted once per process: a second
-    call, the semilattice and a relabelled copy make no kernel call.  The
-    store holds the values of one kernel: a replaced kernel is called
-    although every shape is stored, and its values go when it does."""
+def test_block_counts_kept_once_per_call(monkeypatch):
+    """Each distinct block's circuits are counted once per call and kept for
+    that call only: on the example, a call makes one kernel call for each
+    of its 18 distinct blocks, and a second call makes 18 more.  So a
+    kernel fault planted after a warm call is called, with no store to
+    empty."""
     calls = []
     real = lattice_module._best_from_arcs
 
     def counting(arcs):
-        calls.append(arcs)
+        calls.append(tuple(arcs))
         return real(arcs)
 
-    store = lattice_module._ShapeCounts()
-    monkeypatch.setattr(lattice_module, "_SHAPE_COUNTS", store)
     monkeypatch.setattr(lattice_module, "_best_from_arcs", counting)
     d = parse_graph_file(EXAMPLE)
-    # 18 distinct blocks of 13 shapes; the four 2-cycles, for one, share a shape
     assert semilattice_partition_counts(d) == (6, 11, 6, 1)
-    assert len(calls) == len(store) == 13
+    assert len(calls) == len(set(calls)) == 18
     assert semilattice_partition_counts(d) == (6, 11, 6, 1)
+    assert len(calls) == 36 and set(calls[18:]) == set(calls[:18])
     lattice = build_eulerian_semilattice(d)
-    relabelled = Digraph(d.n, [(3 - u, 3 - v) for u, v in d.arcs])
-    assert semilattice_partition_counts(relabelled) == (6, 11, 6, 1)
-    assert len(calls) == 13
+    assert len(calls) == 54
     assert len(lattice) == 16
     assert all(lattice.products[b] == signed_circuit_product(d, b) for b in lattice.elements)
-    calls.clear()
-    assert semilattice_partition_counts(Digraph(2, [(0, 1), (1, 0)] * 5))[0] == 2880
-    assert len(calls) == len(store) - 13 == 27
 
     faulty = []
     monkeypatch.setattr(
         lattice_module, "_best_from_arcs", lambda arcs: faulty.append(arcs) or real(arcs) + 1
     )
     assert semilattice_partition_counts(d) != (6, 11, 6, 1)
-    assert len(faulty) == len(store) == 13
-    monkeypatch.setattr(lattice_module, "_best_from_arcs", counting)
-    calls.clear()
-    assert semilattice_partition_counts(d) == (6, 11, 6, 1)
-    assert len(calls) == len(store) == 13
+    assert len(faulty) == 18
 
 
 def _closed_walk_digraph(rng, max_arcs):
@@ -284,12 +273,12 @@ def _shuffled(d, rng):
     return Digraph(d.n, arcs)
 
 
-def test_shape_key_is_injective_on_seeded_closed_walks():
+def test_route_agrees_on_shuffled_closed_walks():
     """Seeded unions of closed walks, shuffled in vertex labels and arc
-    order, give the same f_k as their unshuffled copies with the store
-    warm, with f_1 the BEST count and the f_k summing to the out-degree
-    factorials.  Over every block met, including blocks on 33 and 40
-    vertices, equal shape codes mean equal relabelled arc lists."""
+    order, give the same f_k as their unshuffled copies, with f_1 the BEST
+    count and the f_k summing to the out-degree factorials; so do a
+    17-cycle and a 17-arc cycle through it, on 33 vertices, and a
+    40-cycle."""
     rng = random.Random(20261019)
     digraphs = [_closed_walk_digraph(rng, 9) for _ in range(200)]
     first = [(i, (i + 1) % 17) for i in range(17)]
@@ -297,27 +286,11 @@ def test_shape_key_is_injective_on_seeded_closed_walks():
     digraphs += [Digraph(33, first + second), Digraph(40, [(i, (i + 1) % 40) for i in range(40)])]
     assert max(d.m for d in digraphs[:-2]) <= 9
     assert any(max(Counter(d.arcs).values()) > 1 for d in digraphs)
-    lists = {}
     for d in digraphs:
         f = circuit_partition_counts(d)
         assert circuit_partition_counts(_shuffled(d, rng)) == f
         assert f[0] == count_circuits_best(d)
         assert sum(f) == out_degree_factorial_product(d)
-        for element in lattice_module._element_masks(cycle_partition_masks(d)):
-            for block in element:
-                index = {}
-                relabelled = tuple(
-                    (index.setdefault(u, len(index)), index.setdefault(v, len(index)))
-                    for u, v in (d.arcs[e] for e in poset_module.bits(block))
-                )
-                lists.setdefault(lattice_module._shape_code(d.arcs, block), set()).add(relabelled)
-    assert all(len(found) == 1 for found in lists.values())
-    assert {34, 40} <= {len(next(iter(found))) for found in lists.values()}
-    # fixed 4-bit fields would fold index 16 into the field before it, and
-    # give the 17-cycle the code of this 17-arc list on 16 vertices
-    folded = [(i, i + 1) for i in range(15)] + [(15, 1), (0, 0)]
-    full = (1 << 17) - 1
-    assert lattice_module._shape_code(first, full) != lattice_module._shape_code(folded, full)
 
 
 def test_five_parallel_two_cycles():
@@ -648,8 +621,8 @@ def test_chromatic_route_reads_only_the_cycle_partitions(example_digraph, monkey
         raise AssertionError("the chromatic route reached past the cycle partitions")
 
     for name in (
-        "_element_masks", "add_coarsenings", "_shape_code", "_signed_mask_product",
-        "_best_from_arcs", "intersection_graph", "cycle_partitions", "BondLattice",
+        "_element_masks", "add_coarsenings", "_signed_mask_product", "_best_from_arcs",
+        "intersection_graph", "cycle_partitions", "BondLattice", "chromatic_polynomial",
     ):
         monkeypatch.setattr(lattice_module, name, refuse)
     for name in ("chromatic_polynomial", "chromatic_polynomial_whitney", "nbc_bases"):
@@ -695,19 +668,30 @@ def test_martin_answers_chains_and_stars_and_refuses_a_long_ring(tmp_path, capsy
     each vertex, have one cycle partition, whose intersection graph is a
     path or a star: the route takes out one vertex a step, and answers
     r(t) = t (t+1)^(k-1) for k cycles, as chi(G; x) = x (x-1)^(k-1) for a
-    tree.  A ring of 2-cycles gives the n-cycle, whose independent sets
-    grow exponentially: the route refuses at CHROMATIC_TERM_CAP, before it
-    hangs, with exit 2."""
+    tree, so s(t) = ((t-1) + 1)^(k-1) = t^(k-1).  The 600-vertex chain
+    is answered too.  A ring of 2-cycles gives the n-cycle, whose
+    independent sets grow exponentially: the route refuses at
+    CHROMATIC_TERM_CAP, before it hangs, with exit 2."""
     hub = [arc for i in range(14) for arc in ((i, (i + 1) % 14), (i, 14 + i), (14 + i, i))]
-    for n, arcs, cycles in ((30, _chain_arcs(30), 29), (12, _chain_arcs(12), 11), (28, hub, 15)):
+    cases = [
+        (30, _chain_arcs(30), 29),
+        (12, _chain_arcs(12), 11),
+        (28, hub, 15),
+        (600, _chain_arcs(600), 599),
+    ]
+    for n, arcs, cycles in cases:
         path = _write_digraph(tmp_path, f"tree{n}.txt", n, arcs)
         start = time.monotonic()
         assert main(["martin", path, "--format", "json"]) == 0
         assert time.monotonic() - start < 1.0
-        f = tuple(json.loads(capsys.readouterr().out)["result"]["f"])
+        result = json.loads(capsys.readouterr().out)["result"]
+        f = tuple(result["f"])
         assert f == tuple(math.comb(cycles - 1, k) for k in range(cycles))
+        assert result["s"] == [0] * (cycles - 1) + [1]
         d = Digraph(n, arcs)
-        assert sum(f) == out_degree_factorial_product(d) and f[0] == count_circuits_best(d)
+        assert sum(f) == out_degree_factorial_product(d)
+        # the BEST count of the long chain is a 599 x 599 determinant, seconds of work
+        assert n == 600 or f[0] == count_circuits_best(d)
     d = Digraph(12, _chain_arcs(12))
     assert circuit_partition_counts(d) == semilattice_partition_counts(d)
     path = _write_digraph(tmp_path, "ring40.txt", 40, _ring_arcs(40))

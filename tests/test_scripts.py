@@ -1,12 +1,14 @@
-"""The walkthrough scripts run end to end."""
+"""The walkthrough scripts and the benchmark self-test run end to end."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.mark.parametrize(
@@ -22,3 +24,21 @@ def test_script_runs(script, line):
     )
     assert done.returncode == 0, done.stderr
     assert line in done.stdout
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's own self-test: the unchanged library fails no op, and
+    each planted fault fails some, the f_k fault on martin-sweep and
+    cli-requests alike.  It writes only under perfbench/out/, which is
+    ignored by git, and removes its own directory there."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    fault = "failed with _martin_fault on eulerpart.lattice.circuit_partition_counts: ok"
+    assert sum(fault in line for line in done.stdout.splitlines()) == 2

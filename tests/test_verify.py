@@ -34,9 +34,10 @@ def _circuits_doubled(monkeypatch):
 
 
 def test_a_fault_planted_after_a_warm_check_is_called(monkeypatch):
-    """The block-count store and the component store outlive a call and are
-    bound only to the kernel and ``weight``; a check empties them when it
-    starts, so a fault planted below them after a warm run still fails it."""
+    """The semilattice keeps its block counts for one call only, and the
+    component store, which outlives a call and is bound only to ``weight``,
+    is emptied when a check starts; so a fault planted below either after
+    a warm run still fails the check."""
     config = VerifyConfig(max_edges=4)
     checks = [check_martin_evaluations, check_cancellation, check_charpoly_three_routes]
     for check in checks:
@@ -51,8 +52,9 @@ def test_a_fault_planted_after_a_warm_check_is_called(monkeypatch):
 
 
 def test_a_run_empties_the_stores_at_each_check(monkeypatch):
-    """A warm run, then faults below both stores: the next run fails both
-    checks, and it empties the stores once per check."""
+    """A warm run, then faults below the BEST kernel and the component
+    store: the next run fails both checks, and it empties the stores once
+    per check."""
     checks = [check_martin_evaluations, check_charpoly_three_routes]
     monkeypatch.setattr(verify_module, "ALL_CHECKS", checks)
     config = VerifyConfig(max_edges=4)
