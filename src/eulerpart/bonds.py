@@ -1,10 +1,10 @@
 """Bond lattices, broken circuits, NBC bases, chromatic polynomials, and the
 two explicit dictionaries from NBC bases to acyclic unique-sink orientations.
 
-The chromatic polynomial has three independent routes: deletion-contraction
-on vertex and edge masks in production; the broken-circuit subset sum and
-the bond lattice's characteristic polynomial for verification.  So the
-downstream Martin-polynomial identity is a genuine cross-check.
+The chromatic polynomial has three independent routes: in production, and
+in ``lattice.circuit_partition_counts``, the count of the partitions of the
+vertices into independent sets; Whitney's broken-circuit subset sum and the
+bond lattice's characteristic polynomial to verify it.
 
 The NBC work runs on int masks in rank space.  Under an edge order, bit r of
 an edge mask stands for ``order[r]``, so the largest edge of a set is
@@ -80,6 +80,7 @@ from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
 
 CYCLE_ENUM_VERTEX_CAP = 8
 CYCLE_ENUM_EDGE_CAP = 16
+CHROMATIC_TERM_CAP = 1 << 19  # terms of the counts per call of either chromatic route
 
 
 def require_simple(g):
@@ -364,33 +365,111 @@ def rota_check(lattice, order):
 
 
 def chromatic_polynomial(g):
-    """Deletion-contraction of the least edge on masks, memoised on (vertex
-    mask, edge set), with each edge the mask of its two ends."""
+    """The partitions of the vertices into independent sets, counted on the
+    neighbour masks and expanded; refuses past CHROMATIC_TERM_CAP terms."""
     require_simple(g)
-    memo = {}
+    counts, _ = _independent_partition_counts(g._neighbor_masks, CHROMATIC_TERM_CAP)
+    return IntPoly(falling_factorial_expansion(counts))
 
-    def rec(vertices, edges):
-        key = (vertices, edges)
-        result = memo.get(key)
-        if result is None:
-            if not edges:
-                result = IntPoly.monomial(vertices.bit_count())
+
+def falling_factorial_expansion(c):
+    """The monomial coefficients of sum_j c_j x(x-1)...(x-j+1), by Horner's
+    rule in that basis: c_0 + x (c_1 + (x-1) (c_2 + ...))."""
+    p = [c[-1]]
+    for j in range(len(c) - 2, -1, -1):
+        p.insert(0, c[j])  # c_j + x p, then minus j p
+        for i in range(len(p) - 1):
+            p[i] -= j * p[i + 1]
+    return p
+
+
+def _independent_partition_counts(adj, budget):
+    """c_0..c_k for the graph on vertices 0..k-1 with neighbour masks
+    ``adj``: c_j counts the partitions of its vertices into j independent
+    sets, so its chromatic polynomial is sum_j c_j x(x-1)...(x-j+1).
+
+    The counts of a vertex set s come from a smaller set, and are memoised
+    on s's vertex mask.  A vertex whose d neighbours in s are pairwise
+    adjacent is taken out first, with no branching: chi(G[s]) =
+    chi(G[s - v]) (x - d), and x(x-1)...(x-j+1) (x - d) is
+    x(x-1)...(x-j) + (j - d) x(x-1)...(x-j+1), so c_j of s - v adds to
+    c_{j+1} and (j - d) c_j to c_j.  So a chordal graph (a path, a star, a
+    clique) is counted with no branching.  When no such vertex is left, the
+    partitions are counted by the independent set I that holds the lowest
+    vertex, each followed by the partitions of the rest minus I.
+
+    The work is capped by terms: a vertex taken out of s, or an
+    independent set listed with s left, costs the |s| + 1 counts of s, so
+    both the work and the counts the memo holds grow with the terms spent,
+    and a budget bounds time and memory alike.  Returns the counts with the
+    terms spent; past the budget it refuses with CapExceededError.
+    """
+    memo = {0: [1]}
+    terms = 0
+
+    def refuse():
+        raise CapExceededError(f"chromatic route capped at {CHROMATIC_TERM_CAP} terms")
+
+    def simplicial(s):
+        """(bit, degree in s) of a vertex of s whose neighbours in s are
+        pairwise adjacent, or None."""
+        rest = s
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            near = adj[b.bit_length() - 1] & s
+            others = near
+            while others:
+                u = others & -others
+                others ^= u
+                if near & ~adj[u.bit_length() - 1] != u:
+                    break
             else:
-                edge = min(edges)
-                high = 1 << edge.bit_length() - 1
-                deleted = edges - {edge}
-                contracted = _contract(deleted, high, edge ^ high)
-                result = rec(vertices, deleted) - rec(vertices ^ high, contracted)
-            memo[key] = result
-        return result
+                return b, near.bit_count()
+        return None
 
-    return rec((1 << g.n) - 1, frozenset(1 << u | 1 << v for u, v in g.pairs))
+    def counts(s):
+        nonlocal terms
+        taken = []  # (a set, the degree in it of the vertex taken out)
+        while s not in memo:
+            found = simplicial(s)
+            if found is None:
+                memo[s] = branch(s)
+                break
+            terms += s.bit_count() + 1
+            if terms > budget:
+                refuse()
+            taken.append((s, found[1]))
+            s ^= found[0]
+        total = memo[s]
+        for s, d in reversed(taken):
+            lifted = [0] * (len(total) + 1)
+            for j, c in enumerate(total):
+                lifted[j] += (j - d) * c
+                lifted[j + 1] += c
+            total = memo[s] = lifted
+        return total
 
+    def branch(s):
+        nonlocal terms
+        low = s & -s
+        total = [0] * (s.bit_count() + 1)
+        # (s minus I, the vertices that may still join I), for each I
+        stack = [(s ^ low, (s ^ low) & ~adj[low.bit_length() - 1])]
+        while stack:
+            left, free = stack.pop()
+            terms += left.bit_count() + 1
+            if terms > budget:
+                refuse()
+            for j, c in enumerate(counts(left), start=1):
+                total[j] += c
+            while free:
+                b = free & -free
+                free ^= b
+                stack.append((left ^ b, free & ~adj[b.bit_length() - 1]))
+        return total
 
-def _contract(edges, high, low):
-    """Rename vertex bit high to low in edges, which lack high | low;
-    parallel edges merge."""
-    return frozenset(e ^ high | low if e & high else e for e in edges)
+    return counts((1 << len(adj)) - 1), terms
 
 
 def chromatic_polynomial_whitney(g, order=None):

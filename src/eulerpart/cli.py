@@ -216,8 +216,8 @@ def cmd_bijection_check(args, g):
 
 def cmd_chromatic(args, g):
     _require_simple(g)
-    # the Whitney route meets the cycle-enumeration cap before any work;
-    # deletion-contraction has no cap of its own
+    # the Whitney route meets the cycle-enumeration cap before any work, so
+    # the independent-set count runs only on graphs that pass it
     whitney = bonds.chromatic_polynomial_whitney(g)
     p = bonds.chromatic_polynomial(g)
     return {

@@ -6,16 +6,17 @@ Two routes give f_k, and they share only the cycle-partition listing:
 - ``circuit_partition_counts``, the default, reads the paper's chromatic
   corollary r(t) = sum over the cycle partitions a of (-1)^|a| chi(G_a; -t)
   from the cycle partitions' intersection graphs, with no element of T(D)
-  above them and no circuit count.  ``martin_polynomial``,
-  ``martin_divisibility``, ``verify_cancellation`` and the CLI's ``martin``
-  and ``cancellation`` read it.
+  above them and no circuit count, by the DP ``bonds.chromatic_polynomial``
+  reads.  ``martin_polynomial``, ``martin_divisibility``,
+  ``verify_cancellation`` and the CLI's ``martin`` and ``cancellation`` read
+  it.
 - ``semilattice_partition_counts`` sums the signed circuit products over
   T(D).  The verify checks on T(D) read it by name (``cancellation``,
   ``martin-evaluations``, ``counts-vs-direct-enumeration``,
   ``orientation-circuit-partitions``, ``weight-via-cancellation``), passing
   its f to the readers above, and so does ``martin_chromatic_identity``,
-  which the CLI's ``identity`` serves; ``martin-chromatic-identity`` also
-  holds the default route's f against it.
+  which the CLI's ``identity`` serves and which holds the default route's
+  f against it as its r side.
 
 The element set of T(D) is generated from the cycle partitions upward
 (each up-set is a copy of the bond lattice of the corresponding
@@ -50,8 +51,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from eulerpart.bonds import BondLattice, chromatic_polynomial
-from eulerpart.errors import CapExceededError, NotEulerianError
+from eulerpart import bonds
+from eulerpart.bonds import BondLattice
+from eulerpart.errors import NotEulerianError
 from eulerpart.graphs import is_eulerian
 from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
@@ -60,12 +62,10 @@ from eulerpart.trails import (
     _best_from_arcs,
     count_eulerian_circuits,
     cycle_partition_masks,
-    cycle_partitions,
     intersection_graph,
 )
 
 SEMILATTICE_CAP = 1 << 15
-CHROMATIC_TERM_CAP = 1 << 19  # counts written per call of the chromatic route
 
 
 def signed_circuit_product(d, b):
@@ -190,93 +190,20 @@ def semilattice_partition_counts(d):
     return tuple(out)
 
 
-def _independent_partition_counts(adj, budget):
-    """c_0..c_k for the graph on vertices 0..k-1 with neighbour masks
-    ``adj``: c_j counts the partitions of its vertices into j independent
-    sets, so its chromatic polynomial is sum_j c_j x(x-1)...(x-j+1).
-
-    The counts of a vertex set s come from a smaller set, and are memoised
-    on s's vertex mask.  A vertex whose d neighbours in s are pairwise
-    adjacent is taken out first, with no branching: chi(G[s]) =
-    chi(G[s - v]) (x - d), and x(x-1)...(x-j+1) (x - d) is
-    x(x-1)...(x-j) + (j - d) x(x-1)...(x-j+1), so c_j of s - v adds to
-    c_{j+1} and (j - d) c_j to c_j.  So a chordal graph (a path, a star, a
-    clique) is counted with no branching.  When no such vertex is left, the
-    partitions are counted by the independent set I that holds the lowest
-    vertex, each followed by the partitions of the rest minus I.
-
-    The work is capped by terms: a vertex taken out of s, or an
-    independent set listed with s left, costs the |s| + 1 counts of s, so
-    both the work and the counts the memo holds grow with the terms spent,
-    and a budget bounds time and memory alike.  Returns the counts with the
-    terms spent; past the budget it refuses with CapExceededError.
-    """
-    memo = {0: [1]}
-    terms = 0
-
-    def refuse():
-        raise CapExceededError(f"chromatic route capped at {CHROMATIC_TERM_CAP} terms")
-
-    def simplicial(s):
-        """(bit, degree in s) of a vertex of s whose neighbours in s are
-        pairwise adjacent, or None."""
-        rest = s
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            near = adj[b.bit_length() - 1] & s
-            others = near
-            while others:
-                u = others & -others
-                others ^= u
-                if near & ~adj[u.bit_length() - 1] != u:
-                    break
-            else:
-                return b, near.bit_count()
-        return None
-
-    def counts(s):
-        nonlocal terms
-        taken = []  # (a set, the degree in it of the vertex taken out)
-        while s not in memo:
-            found = simplicial(s)
-            if found is None:
-                memo[s] = branch(s)
-                break
-            terms += s.bit_count() + 1
-            if terms > budget:
-                refuse()
-            taken.append((s, found[1]))
-            s ^= found[0]
-        total = memo[s]
-        for s, d in reversed(taken):
-            lifted = [0] * (len(total) + 1)
-            for j, c in enumerate(total):
-                lifted[j] += (j - d) * c
-                lifted[j + 1] += c
-            total = memo[s] = lifted
-        return total
-
-    def branch(s):
-        nonlocal terms
-        low = s & -s
-        total = [0] * (s.bit_count() + 1)
-        # (s minus I, the vertices that may still join I), for each I
-        stack = [(s ^ low, (s ^ low) & ~adj[low.bit_length() - 1])]
-        while stack:
-            left, free = stack.pop()
-            terms += left.bit_count() + 1
-            if terms > budget:
-                refuse()
-            for j, c in enumerate(counts(left), start=1):
-                total[j] += c
-            while free:
-                b = free & -free
-                free ^= b
-                stack.append((left ^ b, free & ~adj[b.bit_length() - 1]))
-        return total
-
-    return counts((1 << len(adj)) - 1), terms
+def _intersection_masks(minimal):
+    """The neighbour masks of G_a for each cycle partition a in ``minimal``,
+    as ``cycle_partition_masks`` lists them: one tuple per partition, bit j of
+    entry i set when cycles i and j share a vertex."""
+    out = []
+    for a in minimal:
+        adj = [0] * len(a)
+        for i, (_, v) in enumerate(a):
+            for j in range(i):
+                if v & a[j][1]:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        out.append(tuple(adj))
+    return out
 
 
 def circuit_partition_counts(d):
@@ -284,36 +211,24 @@ def circuit_partition_counts(d):
     r(t) = sum over the cycle partitions a of (-1)^|a| chi(G_a; -t).
 
     G_a has one vertex per cycle of a, two of them adjacent when the
-    cycles' vertex masks meet.  With chi(G; x) = sum_j c_j x(x-1)...(x-j+1)
-    (``_independent_partition_counts``), chi(G; -t) = sum_j (-1)^j c_j
-    t(t+1)...(t+j-1), summed over the graphs in that basis and expanded
-    once, by Horner's rule.  Each distinct neighbour-mask tuple is weighed
-    once per call, times the number of cycle partitions that give it.  No
-    element of T(D) above the cycle partitions is built, and no circuit is
-    counted.  Refuses as the listing does, and past CHROMATIC_TERM_CAP
+    cycles' vertex masks meet.  The signed sum W(x) of the chi(G_a; x) is
+    summed in the falling-factorial basis of ``bonds.chromatic_polynomial``'s
+    counts and expanded once, and r(t) = W(-t).  Each distinct neighbour-mask
+    tuple is weighed once per call, times the number of cycle partitions
+    that give it.  Refuses as the listing does, and past CHROMATIC_TERM_CAP
     terms of the counts in all.
     """
-    graphs = Counter()
-    for a in _cycle_partitions_of_eulerian(d):
-        adj = [0] * len(a)
-        for i, (_, v) in enumerate(a):
-            for j in range(i):
-                if v & a[j][1]:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-        graphs[tuple(adj)] += 1
-    top = max(map(len, graphs))
-    w = [0] * (top + 1)  # r(t) = sum_j w_j t(t+1)...(t+j-1)
-    budget = CHROMATIC_TERM_CAP
+    graphs = Counter(_intersection_masks(_cycle_partitions_of_eulerian(d)))
+    w = [0] * (max(map(len, graphs)) + 1)
+    budget = bonds.CHROMATIC_TERM_CAP
     for adj, count in graphs.items():
-        c, terms = _independent_partition_counts(adj, budget)
+        c, terms = bonds._independent_partition_counts(adj, budget)
         budget -= terms
+        sign = (-1) ** len(adj) * count
         for j, cj in enumerate(c):
-            w[j] += (-1) ** (len(adj) + j) * count * cj
-    # Horner's rule in that basis: r = w_0 + t (w_1 + (t+1) (w_2 + ...))
-    r = [w[top]]
-    for j in range(top - 1, -1, -1):
-        r = [j * r[0] + w[j]] + [j * r[i] + r[i - 1] for i in range(1, len(r))] + [r[-1]]
+            w[j] += sign * cj
+    r = bonds.falling_factorial_expansion(w)
+    r[1::2] = [-x for x in r[1::2]]  # r(t) = W(-t)
     return tuple(r[1:])
 
 
@@ -370,53 +285,41 @@ def _is_single_cycle(d):
 
 @dataclass(frozen=True)
 class IdentityReport:
-    f: tuple  # from the semilattice
-    s: IntPoly
+    s: IntPoly  # from the semilattice
     chi_by_partition: tuple  # (SetPartition, IntPoly) pairs
     lhs: IntPoly  # s(1 - t)
     rhs: IntPoly  # minus the signed sum of bond-lattice characteristic polys
     holds: bool
-    r_identity_holds: bool
+    r_identity_holds: bool  # the chromatic route's f equals the semilattice's
 
 
 def martin_chromatic_identity(d):
-    """Exact check that the Martin polynomial at 1-t equals minus the signed
-    sum of characteristic polynomials of the cycle partitions' bond lattices,
-    plus the companion identity for r at -t via chromatic polynomials.
-    The Martin polynomials are read from the semilattice, so the identity
-    compares T(D) with the bond lattices and chromatic polynomials of the
-    cycle partitions' intersection graphs."""
+    """The semilattice's s(1 - t) against minus the signed sum of the
+    characteristic polynomials of the cycle partitions' bond lattices, with
+    one ``BondLattice`` per distinct intersection graph G_a (all of them are
+    K_k on k parallel 2-cycles); and its r(-t) against
+    sum_a (-1)^|a| chi(G_a; t), which is ``circuit_partition_counts``."""
     polys = martin_polynomial(d, semilattice_partition_counts(d))
-    t = IntPoly.t()
-    lhs = polys.s.compose(1 - t)
+    minimal = _cycle_partitions_of_eulerian(d)
     rhs = IntPoly.zero()
-    r_rhs = IntPoly.zero()
     chi_list = []
-    # many cycle partitions share one intersection graph (all of them are K_k
-    # on k parallel 2-cycles), so each distinct graph is weighed once
     weighed = {}
-    for a in cycle_partitions(d):
-        graph = intersection_graph(d, a)
-        key = (graph.n, frozenset(graph.pairs))
-        if key not in weighed:
-            weighed[key] = (
-                BondLattice(graph).characteristic_polynomial(),
-                chromatic_polynomial(graph),
-            )
-        chi, chromatic = weighed[key]
-        chi_list.append((a, chi))
-        sign = (-1) ** len(a)
-        rhs = rhs - sign * chi
-        r_rhs = r_rhs + sign * chromatic
-    r_lhs = polys.r.compose(-t)
+    for a, adj in zip(minimal, _intersection_masks(minimal)):
+        cycles = SetPartition([bits(arcs) for arcs, _ in a])
+        if adj not in weighed:
+            graph = intersection_graph(d, cycles)
+            weighed[adj] = BondLattice(graph).characteristic_polynomial()
+        chi = weighed[adj]
+        chi_list.append((cycles, chi))
+        rhs = rhs - (-1) ** len(a) * chi
+    lhs = polys.s.compose(1 - IntPoly.t())
     return IdentityReport(
-        f=polys.f,
         s=polys.s,
         chi_by_partition=tuple(chi_list),
         lhs=lhs,
         rhs=rhs,
         holds=lhs == rhs,
-        r_identity_holds=r_lhs == r_rhs,
+        r_identity_holds=circuit_partition_counts(d) == polys.f,
     )
 
 

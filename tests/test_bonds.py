@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -535,8 +536,10 @@ def _relabelled(n, pairs, rng):
 
 
 def test_chromatic_polynomial_closed_forms():
-    """The mask recursion against the closed forms of paths, cycles and
-    complete graphs on up to 10 vertices, each also under a relabelling."""
+    """The independent-set count against the closed forms of paths, cycles
+    and complete graphs on up to 10 vertices, the 20-cycle and the Petersen
+    graph, each also under a relabelling; the 40-cycle is refused at the
+    term cap within 1 s."""
     t = IntPoly.t()
     rng = random.Random(27)
     for n in range(1, 11):
@@ -554,6 +557,21 @@ def test_chromatic_polynomial_closed_forms():
         for pairs, expected in families:
             assert chromatic_polynomial(Multigraph(n, pairs)) == expected
             assert chromatic_polynomial(_relabelled(n, pairs, rng)) == expected
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    inner = t**7 - 12 * t**6 + 67 * t**5 - 230 * t**4 + 529 * t**3 - 814 * t**2 + 775 * t - 352
+    cases = [
+        (20, [(i, (i + 1) % 20) for i in range(20)], (t - 1) ** 20 + (t - 1)),
+        (10, petersen, t * (t - 1) * (t - 2) * inner),
+    ]
+    for n, pairs, expected in cases:
+        assert chromatic_polynomial(Multigraph(n, pairs)) == expected
+        assert chromatic_polynomial(_relabelled(n, pairs, rng)) == expected
+    # the 40-cycle's independent sets pass the term cap: refused, not hung
+    start = time.monotonic()
+    with pytest.raises(CapExceededError, match=f"capped at {bonds_module.CHROMATIC_TERM_CAP} terms"):
+        chromatic_polynomial(Multigraph(40, [(i, (i + 1) % 40) for i in range(40)]))
+    assert time.monotonic() - start < 1.0
 
 
 def test_chromatic_whitney_agreement():

@@ -242,7 +242,7 @@ def test_circuits_refuses_large_digraphs_before_the_determinant(tmp_path, monkey
 
 def test_uncapped_routes_wait_for_the_cycle_cap(tmp_path, monkeypatch, capsys):
     """`chromatic` and `bijection-check` refuse at the cycle-enumeration cap
-    before deletion-contraction or the 2^m orientation sweep runs."""
+    before the independent-set count or the 2^m orientation sweep runs."""
 
     def complete(n):
         path = tmp_path / f"k{n}.txt"
@@ -786,6 +786,14 @@ def test_every_check_has_a_planted_fault():
     assert set(PLANTED_FAULTS) | {"nbc-bijection-suite"} == {c.name for c in ALL_CHECKS}
 
 
+def _one_more_two_set_partition(real):
+    def counts(adj, budget):
+        c, terms = real(adj, budget)
+        return [x + (j == 2) for j, x in enumerate(c)], terms
+
+    return counts
+
+
 # a fault in one routine that several checks share -> (owner, attribute,
 # fault made from the real one, the checks that must each fail under it)
 SHARED_FAULTS = {
@@ -799,10 +807,10 @@ SHARED_FAULTS = {
             (check_g_vanishing_and_mobius, VerifyConfig(max_edges=4)),
         ],
     ),
-    # the contraction renames the lower end to the higher one, whose bit the
-    # vertex mask then drops
-    "contraction-keeps-higher": (
-        bonds_module, "_contract", lambda real: lambda edges, high, low: real(edges, low, high), [
+    # the independent-set DP, read by ``chromatic_polynomial`` and the f_k
+    # route alike, counts one partition into two independent sets too many
+    "one-more-two-set-partition": (
+        bonds_module, "_independent_partition_counts", _one_more_two_set_partition, [
             (check_chromatic_routes, VerifyConfig(max_vertices=4)),
             (check_orientation_count_pattern, VerifyConfig(max_vertices=4)),
             (check_martin_chromatic_identity, VerifyConfig(max_edges=6)),

@@ -507,16 +507,22 @@ def test_counts_digest_pinned():
 
 def test_identity_builds_one_bond_lattice_per_intersection_graph(example_digraph, monkeypatch):
     built = []
+    graphs = []
     real = lattice_module.BondLattice
+    real_graph = lattice_module.intersection_graph
     monkeypatch.setattr(lattice_module, "BondLattice", lambda g: built.append(g) or real(g))
+    monkeypatch.setattr(
+        lattice_module, "intersection_graph", lambda d, a: graphs.append(a) or real_graph(d, a)
+    )
     report = martin_chromatic_identity(parallel_two_cycles(6))
     assert report.holds and report.r_identity_holds
     assert len(report.chi_by_partition) == 720
-    assert len(built) == 1
+    assert len(built) == len(graphs) == 1
     built.clear()
+    graphs.clear()
     report = martin_chromatic_identity(example_digraph)
     assert report.holds and report.r_identity_holds
-    assert len(built) == 2
+    assert len(built) == len(graphs) == 2
 
 
 def _parallel_two_cycles_file(tmp_path, k):
@@ -592,7 +598,7 @@ def test_independent_partition_counts_of_small_graphs():
     no vertex to take out: it lists {0} (4 terms) and takes out 1, 2, 3
     (4 + 3 + 2), then lists {0, 2} (3) and takes out 1 (3), and a budget
     below that refuses."""
-    counts = lattice_module._independent_partition_counts
+    counts = bonds_module._independent_partition_counts
     assert counts((0b010, 0b101, 0b010), 100) == ([0, 0, 1, 1], 9)
     assert counts((0b110, 0b101, 0b011), 100) == ([0, 0, 0, 1], 9)
     assert counts((0, 0, 0), 100) == ([0, 1, 3, 1], 9)
@@ -622,7 +628,7 @@ def test_chromatic_route_reads_only_the_cycle_partitions(example_digraph, monkey
 
     for name in (
         "_element_masks", "add_coarsenings", "_signed_mask_product", "_best_from_arcs",
-        "intersection_graph", "cycle_partitions", "BondLattice", "chromatic_polynomial",
+        "intersection_graph", "BondLattice",
     ):
         monkeypatch.setattr(lattice_module, name, refuse)
     for name in ("chromatic_polynomial", "chromatic_polynomial_whitney", "nbc_bases"):
@@ -700,5 +706,5 @@ def test_martin_answers_chains_and_stars_and_refuses_a_long_ring(tmp_path, capsy
     assert time.monotonic() - start < 2.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    cap = lattice_module.CHROMATIC_TERM_CAP
+    cap = bonds_module.CHROMATIC_TERM_CAP
     assert captured.err == f"error: chromatic route capped at {cap} terms\n"

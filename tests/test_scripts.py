@@ -1,11 +1,17 @@
-"""The walkthrough scripts and the benchmark self-test run end to end."""
+"""The walkthrough scripts, the docstring examples and the benchmark
+self-test run end to end."""
 
+import doctest
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import eulerpart
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -24,6 +30,17 @@ def test_script_runs(script, line):
     )
     assert done.returncode == 0, done.stderr
     assert line in done.stdout
+
+
+def test_docstring_examples_pass():
+    """Every ``>>>`` example in the package's modules runs and passes."""
+    attempted = 0
+    for info in pkgutil.iter_modules(eulerpart.__path__):
+        if info.name != "__main__":  # importing it runs the command line
+            result = doctest.testmod(importlib.import_module(f"eulerpart.{info.name}"))
+            assert result.failed == 0, info.name
+            attempted += result.attempted
+    assert attempted >= 13
 
 
 def test_benchmark_selftest_passes():

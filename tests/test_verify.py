@@ -4,7 +4,7 @@ route's f_k held against the semilattice's."""
 
 import json
 
-import eulerpart.lattice as lattice_module
+import eulerpart.bonds as bonds_module
 import eulerpart.trails as trails_module
 import eulerpart.veblen as veblen_module
 import eulerpart.verify as verify_module
@@ -96,12 +96,12 @@ def test_identity_check_catches_the_route_without_its_sign(monkeypatch):
     ``martin-chromatic-identity`` fails."""
     config = VerifyConfig(max_edges=4)
     assert check_martin_chromatic_identity(config).ok
-    real = lattice_module._independent_partition_counts
+    real = bonds_module._independent_partition_counts
 
     def unsigned(adj, budget):
         counts, listed = real(adj, budget)
         return [(-1) ** j * c for j, c in enumerate(counts)], listed
 
-    monkeypatch.setattr(lattice_module, "_independent_partition_counts", unsigned)
+    monkeypatch.setattr(bonds_module, "_independent_partition_counts", unsigned)
     result = check_martin_chromatic_identity(config)
     assert not result.ok and result.details["failures"]
