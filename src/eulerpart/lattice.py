@@ -23,8 +23,8 @@ The element set of T(D) is generated from the cycle partitions upward
 intersection graph), never by filtering all Bell(m) set partitions.  The
 semilattice's f_k reads only that element set; the refinement
 order, built only by ``build_eulerian_semilattice`` for the down-set sums
-and the Möbius inversion, is read from the covers that the generator's
-merges make.
+and the Möbius inversion, is read from the elements alone
+(``poset.coarsening_order``).
 
 The generator works on int masks from the first cycle on.  Bit e of an arc
 mask is arc e.  ``trails.cycle_partition_masks`` lists each cycle partition
@@ -38,12 +38,13 @@ is then a union of cycles whose intersection graph is connected, so it is
 balanced and connected by construction, and its circuits are counted by the
 BEST kernel with no test.  The generator is ``poset.add_coarsenings``, with arc masks as
 payloads and vertex masks as touches.  Only ``eulerian_parts`` and
-``build_eulerian_semilattice`` turn elements into ``SetPartition``s, each
+``poset.coarsening_order`` turn elements into ``SetPartition``s, each
 distinct element once.
 
 Every element above a cycle partition coarsens it, so most blocks recur
 across elements; one dict per call maps each block mask to its circuit
-count, and the BEST kernel runs once per distinct block of the call.
+count, from 1 for each cycle (a directed cycle has one Eulerian circuit),
+so the BEST kernel runs once per distinct merged block of the call.
 """
 
 from __future__ import annotations
@@ -104,20 +105,19 @@ def _signed_mask_product(arcs, element, counts):
 
 class EulerianSemilattice(FinitePoset):
     """All partitions of an arc set into connected Eulerian parts, under
-    refinement, with each element's signed circuit product and the running
-    down-set sums of those products."""
+    refinement, with each element's signed circuit product, listed by
+    index, and the running down-set sums of those products."""
 
-    def __init__(self, digraph, minimal, products, down):
-        super().__init__(products, down)
+    def __init__(self, digraph, minimal, elements, products, down):
+        super().__init__(elements, down)
         self.digraph = digraph
         self.minimal = minimal  # the cycle partitions, canonical order
-        self.products = products
-        assert all(products.values())
-        self._values = list(products.values())  # indexed like self.elements
+        assert all(products)
+        self._values = products  # indexed like self.elements
         self._sums = {}
 
     def signed_product(self, b):
-        return self.products[b]
+        return self._values[self.index[b]]
 
     def downset_sum(self, b):
         """Sum of signed circuit products over the down-set of b, read by
@@ -161,20 +161,15 @@ def _cycle_partitions_of_eulerian(d):
 
 
 def build_eulerian_semilattice(d):
-    """The semilattice of an Eulerian digraph, refinement order included.
-
-    Each cover merges two blocks that share a vertex, so the order is read
-    from those merges, with no comparison.
-    """
+    """The semilattice of an Eulerian digraph, its elements, their
+    ``SetPartition``s and order from ``poset.coarsening_order``."""
     minimal = _cycle_partitions_of_eulerian(d)
-    ends = [1 << u | 1 << v for u, v in d.arcs]
-    elements, down = coarsening_order(_element_masks(minimal), ends)
-    counts = {}
-    products = {
-        SetPartition(map(bits, b)): _signed_mask_product(d.arcs, b, counts) for b in elements
-    }
-    cycles = [SetPartition([bits(arcs) for arcs, _ in a]) for a in minimal]
-    return EulerianSemilattice(d, cycles, products, down)
+    masks, elements, down = coarsening_order(_element_masks(minimal))
+    counts = {arcs: 1 for a in minimal for arcs, _ in a}  # a cycle has one circuit
+    products = [_signed_mask_product(d.arcs, b, counts) for b in masks]
+    index = {b: i for i, b in enumerate(masks)}
+    cycles = [elements[index[frozenset(arcs for arcs, _ in a)]] for a in minimal]
+    return EulerianSemilattice(d, cycles, elements, products, down)
 
 
 def semilattice_partition_counts(d):
@@ -182,9 +177,10 @@ def semilattice_partition_counts(d):
     Eulerian circuit, (-1)^k times the signed circuit products of the
     partitions into k Eulerian parts, summed.  Builds no order and no
     ``SetPartition``."""
-    elements = _element_masks(_cycle_partitions_of_eulerian(d))
+    minimal = _cycle_partitions_of_eulerian(d)
+    elements = _element_masks(minimal)
     out = [0] * max(len(b) for b in elements)
-    counts = {}
+    counts = {arcs: 1 for a in minimal for arcs, _ in a}  # a cycle has one circuit
     for b in elements:
         out[len(b) - 1] += (-1) ** len(b) * _signed_mask_product(d.arcs, b, counts)
     return tuple(out)

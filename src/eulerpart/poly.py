@@ -49,10 +49,6 @@ class IntPoly:
     def t():
         return IntPoly((0, 1))
 
-    @staticmethod
-    def monomial(degree, coeff=1):
-        return IntPoly((0,) * degree + (coeff,))
-
     @property
     def degree(self):
         """Degree, with the zero polynomial at -1."""

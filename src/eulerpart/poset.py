@@ -11,12 +11,14 @@ blocks, so its ranks are read from block counts.
 
 Both lattices of the package, the Eulerian-part semilattice and the bond
 lattice, are the closure of their minimal elements under one step: merge two
-blocks that touch.  The pairs that step makes are the covers, so
-``add_coarsenings`` generates the elements with it and ``coarsening_order``
-reads the order from it.
+blocks that touch.  ``add_coarsenings`` generates the elements with it, the
+one place that reads which blocks touch; the covers are the merges of two
+blocks that are elements, so ``coarsening_order`` needs the elements alone.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from eulerpart.errors import CapExceededError
 from eulerpart.partition import SetPartition, all_set_partitions
@@ -188,9 +190,9 @@ def refinement_order(partitions):
 def add_coarsenings(seen, payloads, touches, cap):
     """Add to ``seen`` the element ``frozenset(payloads)`` and every element
     above it, each a frozenset of payload masks: one step merges two blocks
-    whose touch masks meet, ORing their payloads and their touches.  An
-    element already in ``seen`` had its merges made when it was added, so a
-    start found there adds nothing.  Refuses as soon as ``seen`` passes cap.
+    whose touch masks meet (no other routine reads them), ORing payloads and
+    touches.  An element already in ``seen`` had its merges made when it was
+    added, so a start found there adds nothing.  Refuses past cap elements.
     """
     start = frozenset(payloads)
     if start in seen:
@@ -218,23 +220,38 @@ def _touching_pairs(touch):
                 yield i, j
 
 
-def coarsening_order(elements, touches):
-    """Elements of payload masks, sorted as ``refinement_order`` sorts, and
-    their down masks; a payload touches the OR of ``touches`` over its bits.
-    A cover merges two blocks that touch, and the sort puts everything below
-    an element before it, so each down mask is complete when its element is
-    reached and is pushed into the elements that its merges reach; no two
-    elements are compared and no up-set is generated."""
-    elements = sorted(elements, key=lambda x: (-len(x), sorted(tuple(bits(b)) for b in x)))
+def coarsening_order(elements):
+    """Elements of payload masks, sorted as ``refinement_order`` sorts, their
+    ``SetPartition``s, made from the sort key's one read of each block's bits,
+    and their down masks, read from the elements alone.
+
+    Blocks are connected (in T(D) Eulerian too) and two that touch merge into
+    a block, so a cover merges exactly two blocks (three with a connected
+    union contain two that touch), and a merge of two blocks is a cover
+    exactly when it is an element.  The sort puts everything below an element
+    before it, so each down mask is complete when reached and is pushed into
+    the elements its merges reach; no two elements are compared.
+
+    >>> path = [{0b111}, {0b011, 0b100}, {0b001, 0b110}, {0b001, 0b010, 0b100}]
+    >>> elements, partitions, down = coarsening_order(map(frozenset, path))
+    >>> for p, mask in zip(partitions, down):  # the path 0 - 1 - 2
+    ...     print(p, bin(mask))
+    SetPartition({0} | {1} | {2}) 0b1
+    SetPartition({0} | {1,2}) 0b11
+    SetPartition({0,1} | {2}) 0b101
+    SetPartition({0,1,2}) 0b1111
+    """
+    keys = {x: (-len(x), sorted(tuple(bits(b)) for b in x)) for x in elements}
+    elements = sorted(keys, key=keys.__getitem__)
     index = {x: i for i, x in enumerate(elements)}
     down = [0] * len(elements)
     for i, x in enumerate(elements):
         down[i] |= 1 << i
-        blocks = tuple(x)
-        for a, b in _touching_pairs([mask_union(touches, block) for block in blocks]):
-            merged = x - {blocks[a], blocks[b]} | {blocks[a] | blocks[b]}
-            down[index[merged]] |= down[i]
-    return elements, down
+        for p, q in combinations(x, 2):
+            above = index.get(x - {p, q} | {p | q})
+            if above is not None:
+                down[above] |= down[i]
+    return elements, [SetPartition(keys[x][1]) for x in elements], down
 
 
 def mask_sum(values, mask):
@@ -249,14 +266,6 @@ def mask_sum(values, mask):
         total += values[last - at]
         at = digits.find("1", at + 1)
     return total
-
-
-def mask_union(masks, mask):
-    """The OR of masks[i] over the set bits i of mask."""
-    out = 0
-    for i in bits(mask):
-        out |= masks[i]
-    return out
 
 
 def partition_lattice(ground):

@@ -686,12 +686,12 @@ def _without_last_edge(real):
 
 
 def _covers_only(real):
-    def order(elements, touches):
-        elements, down = real(elements, touches)
+    def order(elements):
+        elements, partitions, down = real(elements)
         covers = [1 << k for k in range(len(down))]
         for i, k in poset_module.cover_pairs(down, range(len(down))):
             covers[k] |= 1 << i
-        return elements, covers
+        return elements, partitions, covers
 
     return order
 

@@ -40,6 +40,7 @@ from eulerpart.trails import (
     cycle_partitions,
     intersection_graph,
 )
+from eulerpart.verify import VerifyConfig, check_g_vanishing_and_mobius, check_rota
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "graphs" / "example_digraph.txt")
 
@@ -212,11 +213,11 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys, tmp
 
 
 def test_block_counts_kept_once_per_call(monkeypatch):
-    """Each distinct block's circuits are counted once per call and kept for
-    that call only: on the example, a call makes one kernel call for each
-    of its 18 distinct blocks, and a second call makes 18 more.  So a
-    kernel fault planted after a warm call is called, with no store to
-    empty."""
+    """Each distinct merged block's circuits are counted once per call and
+    kept for that call only: on the example, a call makes one kernel call
+    for each of its 12 distinct blocks that are not cycles (a cycle counts
+    1 by construction), and a second call makes 12 more.  So a kernel fault
+    planted after a warm call is called, with no store to empty."""
     calls = []
     real = lattice_module._best_from_arcs
 
@@ -227,20 +228,20 @@ def test_block_counts_kept_once_per_call(monkeypatch):
     monkeypatch.setattr(lattice_module, "_best_from_arcs", counting)
     d = parse_graph_file(EXAMPLE)
     assert semilattice_partition_counts(d) == (6, 11, 6, 1)
-    assert len(calls) == len(set(calls)) == 18
+    assert len(calls) == len(set(calls)) == 12
     assert semilattice_partition_counts(d) == (6, 11, 6, 1)
-    assert len(calls) == 36 and set(calls[18:]) == set(calls[:18])
+    assert len(calls) == 24 and set(calls[12:]) == set(calls[:12])
     lattice = build_eulerian_semilattice(d)
-    assert len(calls) == 54
+    assert len(calls) == 36
     assert len(lattice) == 16
-    assert all(lattice.products[b] == signed_circuit_product(d, b) for b in lattice.elements)
+    assert all(lattice.signed_product(b) == signed_circuit_product(d, b) for b in lattice.elements)
 
     faulty = []
     monkeypatch.setattr(
         lattice_module, "_best_from_arcs", lambda arcs: faulty.append(arcs) or real(arcs) + 1
     )
     assert semilattice_partition_counts(d) != (6, 11, 6, 1)
-    assert len(faulty) == 18
+    assert len(faulty) == 12
 
 
 def _closed_walk_digraph(rng, max_arcs):
@@ -346,7 +347,7 @@ def _expanded_by_powers(f):
     s = IntPoly.zero()
     shifted = t - 1
     for k, fk in enumerate(f, start=1):
-        r = r + IntPoly.monomial(k, fk)
+        r = r + fk * t ** k
         s = s + fk * shifted ** (k - 1)
     return r, s
 
@@ -461,26 +462,75 @@ def test_orders_equal_the_pairwise_refinement_order(monkeypatch):
 
 
 def test_order_is_read_from_merges_alone(monkeypatch):
-    """Given the elements, ``coarsening_order`` pushes each down mask along
-    its merges and regenerates no up-set: with the generator patched to
-    raise, both lattices' orders still equal ``refinement_order``'s."""
+    """Given the elements alone, ``coarsening_order`` pushes each down mask
+    along its merges that are elements and regenerates no up-set: with the
+    generator patched to raise, both lattices' orders and partitions still
+    equal ``refinement_order``'s."""
     inputs = []
     for d in list(eulerian_digraph_corpus(8)) + [parallel_two_cycles(4)]:
-        ends = [1 << u | 1 << v for u, v in d.arcs]
-        inputs.append((lattice_module._element_masks(lattice_module.cycle_partition_masks(d)), ends))
+        inputs.append(lattice_module._element_masks(lattice_module.cycle_partition_masks(d)))
     for g in list(connected_simple_graphs(5)) + [complete_graph(6)]:
-        elements, incident = bonds_module._connected_masks(g)
-        inputs.append((list(elements), incident))
+        inputs.append(list(bonds_module._connected_masks(g)))
 
     def refuse(*args):
         raise AssertionError("an up-set was regenerated")
 
     monkeypatch.setattr(poset_module, "add_coarsenings", refuse)
-    for elements, touches in inputs:
-        ordered, down = poset_module.coarsening_order(elements, touches)
+    for elements in inputs:
+        ordered, partitions, down = poset_module.coarsening_order(elements)
         oracle = refinement_order([SetPartition(map(poset_module.bits, x)) for x in elements])
         assert [SetPartition(map(poset_module.bits, x)) for x in ordered] == list(oracle.elements)
+        assert partitions == list(oracle.elements)
         assert down == oracle.down
+
+
+def _without_one_middle_element(real, starts):
+    """The generator's elements less the first one that is neither a start
+    (a minimal element) nor the one-block top."""
+
+    def generate(*args):
+        elements = list(real(*args))
+        kept = {frozenset(x) for x in starts(*args)}
+        drop = next((x for x in elements if x not in kept and len(x) > 1), None)
+        return [x for x in elements if x != drop]
+
+    return generate
+
+
+def test_an_element_missing_from_the_generator_fails_the_order_checks(monkeypatch):
+    """The order is built from the elements it is given: one element left
+    out loses the relations through it, and the down-set sums of T(D) and
+    Rota's theorem on the bond lattice both catch that.  T(D) takes up to 6
+    arcs: up to 4, every element is a cycle partition or the top."""
+    checks = [
+        (check_g_vanishing_and_mobius, VerifyConfig(max_edges=6), lattice_module,
+         "_element_masks", lambda minimal: [[arcs for arcs, _ in a] for a in minimal]),
+        (check_rota, VerifyConfig(max_vertices=4), bonds_module, "_connected_masks",
+         lambda g: [[1 << v for v in range(g.n)]]),
+    ]
+    for check, config, owner, attr, starts in checks:
+        assert check(config).ok
+        monkeypatch.setattr(owner, attr, _without_one_middle_element(getattr(owner, attr), starts))
+        assert not check(config).ok
+
+
+def test_a_lone_long_cycle_counts_no_circuits(tmp_path, capsys):
+    """A directed cycle has one Eulerian circuit, so its semilattice's one
+    element needs no kernel call: on 600 arcs, ``identity`` and
+    ``lattice-dump`` each answer within 1 s."""
+    n = 600
+    path = _write_digraph(tmp_path, "cycle.txt", n, [(i, (i + 1) % n) for i in range(n)])
+    start = time.monotonic()
+    assert main(["identity", path, "--format", "json"]) == 0
+    assert time.monotonic() - start < 1.0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["holds"] and result["r_identity_holds"]
+    start = time.monotonic()
+    assert main(["lattice-dump", path, "--format", "json"]) == 0
+    assert time.monotonic() - start < 1.0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["size"] == len(result["elements"]) == 1
+    assert result["elements"][0]["signed_circuits"] == result["elements"][0]["downset_sum"] == -1
 
 
 def test_coarsening_from_a_seen_start_adds_nothing():
