@@ -32,8 +32,9 @@ order; edge r, the largest so far, joins two components A and B, and the new
 set holds a broken circuit exactly when some edge ranked above r also joins
 A to B, so the branch stops there.  The search carries the component masks,
 which are the bond-lattice elements Rota's theorem groups the sets by.
-``simple_cycles``, ``broken_circuits`` and ``spanning_trees`` stay as the
-tests' oracle for it.
+``simple_cycles`` and ``broken_circuits`` are the cycle side of the tests'
+oracle for it; the spanning-tree filter and the search's sorted and grouped
+views are in ``tests/oracles.py``.
 
 One search from vertex 0 over an NBC base gives ``path[v]``, the rank mask
 of the tree edges from v to vertex 0; the tree path from i to any vertex x
@@ -71,10 +72,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from eulerpart.errors import CapExceededError
-from eulerpart.partition import SetPartition, components
+from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order
 
@@ -230,33 +230,15 @@ def simple_cycles(g):
 
 
 def broken_circuits(g, order):
-    """Each cycle minus its largest edge in the given linear order; with
-    ``spanning_trees`` and ``_is_forest``, the tests' oracle for the NBC
-    search."""
+    """Each cycle minus its largest edge in the given linear order; with the
+    spanning-tree filter of ``tests/oracles.py``, the tests' oracle for the
+    NBC search."""
     order = check_edge_order(g, order)
     rank = {e: i for i, e in enumerate(order)}
     out = set()
     for cycle in simple_cycles(g):
         top = max(cycle, key=rank.__getitem__)
         out.add(cycle - {top})
-    return out
-
-
-def _is_forest(g, edge_subset):
-    """Acyclic exactly when each edge joins two classes: edges + classes
-    == touched vertices."""
-    classes = components(g.pairs[e] for e in edge_subset)
-    return len(edge_subset) + len(classes) == sum(map(len, classes))
-
-
-def spanning_trees(g):
-    """Edge sets of spanning trees of a connected simple graph."""
-    require_simple(g)
-    n, edges = g.n, list(g.edges())
-    out = []
-    for combo in combinations(edges, n - 1):
-        if _is_forest(g, combo):
-            out.append(frozenset(combo))
     return out
 
 
@@ -296,41 +278,12 @@ def _nbc_forests(g, order):
     return out
 
 
-def _by_size(edge_set):
-    return len(edge_set), sorted(edge_set)
-
-
-def nbc_sets(g, order):
-    """All subsets of edges containing no broken circuit, by size and then
-    by sorted edge ids.  These are exactly the forests avoiding the broken
-    circuits; every other subset contains a full cycle, hence a broken
-    circuit."""
-    return sorted(_nbc_forests(g, order), key=_by_size)
-
-
 def nbc_bases(g, order):
     """NBC spanning trees of a connected simple graph, by sorted edge ids."""
     _rank_table(g, order)  # the graph and the order are checked first
     if not g.induces_connected(g.vertices()):
         raise ValueError("NBC bases are defined here for connected graphs")
     return sorted((s for s in _nbc_forests(g, order) if len(s) == g.n - 1), key=sorted)
-
-
-def edge_set_join(g, edge_subset):
-    """The bond-lattice element spanned by an edge subset: components of the
-    spanning subgraph, as a vertex partition."""
-    singletons = [{v} for v in g.vertices()]
-    return SetPartition(components(singletons + [g.pairs[e] for e in edge_subset]))
-
-
-def nbc_sets_by_element(g, order):
-    """Group all NBC sets, in ``nbc_sets`` order, by the lattice element
-    they span: the components the search hands over with each set."""
-    forests = _nbc_forests(g, order)
-    grouped = {}
-    for s in sorted(forests, key=_by_size):
-        grouped.setdefault(frozenset(forests[s]), []).append(s)
-    return {SetPartition(map(bits, blocks)): sets for blocks, sets in grouped.items()}
 
 
 @dataclass(frozen=True)
@@ -534,14 +487,6 @@ def _unique_sink_groups(g):
     return groups, len(acyclic)
 
 
-def unique_sink_orientations(g, x):
-    """Acyclic orientations whose only sink is x, in deterministic order."""
-    require_simple(g)
-    if not (0 <= x < g.n):
-        raise ValueError(f"unknown vertex {x}")
-    return _unique_sink_groups(g)[0][x]
-
-
 # ---------------------------------------------------------------------------
 # the explicit dictionary and its recursive twin
 # ---------------------------------------------------------------------------
@@ -584,14 +529,6 @@ def _has_broken_circuit(table, tree, path):
         if not tree >> r & 1 and (path[u] ^ path[v]) >> r == 0:
             return True
     return False
-
-
-def _tree_contains_broken_circuit(g, t, order):
-    """Whether the spanning tree t contains a broken circuit, in O(m n)
-    without enumerating cycles."""
-    table = _rank_table(g, order)
-    tree = _base_mask(table, t)
-    return _has_broken_circuit(table, tree, _root_paths(table, tree, 0))
 
 
 def _check_nbc_base(g, table, t, x):
@@ -892,7 +829,6 @@ def check_nbc_dictionaries(g, orders):
 class OrientationCountReport:
     total_acyclic: int
     unique_sink_counts: tuple  # per vertex
-    chromatic: IntPoly
     abs_value_at_minus_one: int
     abs_linear_coefficient: int
 
@@ -915,7 +851,6 @@ def orientation_counts_vs_chromatic(g):
     return OrientationCountReport(
         total_acyclic=total,
         unique_sink_counts=tuple(map(len, by_sink)),
-        chromatic=chrom,
         abs_value_at_minus_one=abs(chrom(-1)),
         abs_linear_coefficient=abs(chrom.coeff(1)),
     )

@@ -37,8 +37,6 @@ CHARPOLY_DET_VERTEX_CAP = 50
 CHARPOLY_ELEMENTARY_VERTEX_CAP = 9
 # `weight` sums over decomposition classes: ten parallel edges 0.26 s, twelve 10.6 s
 WEIGHT_EDGE_CAP = 10
-# `pyramids` lists (k-1)! pyramids on K_k: K8 0.57 s, K9 4.6 s and 36 MB of JSON
-PYRAMIDS_PIECE_CAP = 8
 
 
 def _poly(p):
@@ -229,8 +227,8 @@ def cmd_chromatic(args, g):
 
 def cmd_pyramids(args, g):
     _require_simple(g)
-    if g.n > PYRAMIDS_PIECE_CAP:
-        raise CapExceededError(f"pyramids are listed up to {PYRAMIDS_PIECE_CAP} pieces")
+    if g.n > heaps.PYRAMID_PIECE_CAP:
+        raise CapExceededError(f"pyramids are listed up to {heaps.PYRAMID_PIECE_CAP} pieces")
     ps = heaps.PieceSystem(g)
     piece = _resolve_vertex(g, args.piece) if args.piece else 0
     pyramids = heaps.full_pyramids(ps, piece)

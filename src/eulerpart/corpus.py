@@ -349,8 +349,3 @@ def veblen_corpus(max_edges=8, max_host_vertices=5):
         for _, vector in connected
         if store.add((n, {pairs[i]: m for i, m in vector}))
     )
-
-
-def relabeled_copy(g, perm):
-    """Apply a vertex permutation; handy for isomorphism self-tests."""
-    return (Digraph if g.directed else Multigraph)(g.n, [(perm[u], perm[v]) for u, v in g.ends])

@@ -25,9 +25,11 @@ from eulerpart.trails import (
 
 # The split-compose recursion tries up to 2^(k-2) splits per level, and K_k
 # has (k-1)! pyramids: K9 takes 1.1 s and 82 MB, K10 about ten times that,
-# and a path of 20 pieces 2.7 s.  Verify's piece systems have at most half
-# as many pieces as the corpus digraphs have arcs.
-PYRAMID_PIECE_CAP = 9
+# and a path of 20 pieces 2.7 s.  The `pyramids` command, which renders each
+# pyramid, took 0.57 s on K8 and 4.6 s on K9, with 36 MB of JSON.  Verify's
+# piece systems have at most half as many pieces as the corpus digraphs
+# have arcs.
+PYRAMID_PIECE_CAP = 8
 
 
 class PieceSystem:
@@ -35,7 +37,9 @@ class PieceSystem:
 
     Stored as a simple graph: vertices are pieces 0..k-1, edges are the
     distinct concurrent pairs.  ``concurrence[a]`` is the mask of the pieces
-    concurrent with a, a included.
+    concurrent with a, a included.  The pieces of a cycle partition a of an
+    Eulerian digraph d are ``PieceSystem(intersection_graph(d, a))``: two
+    cycles are concurrent when they share a vertex.
     """
 
     def __init__(self, graph):
@@ -44,12 +48,6 @@ class PieceSystem:
         self.graph = graph
         self.k = graph.n
         self.concurrence = [m | 1 << a for a, m in enumerate(graph._neighbor_masks)]
-
-    @classmethod
-    def from_cycle_partition(cls, d, a):
-        """Pieces are the cycles of a partition of an Eulerian digraph's arcs;
-        two cycles are concurrent when they share a vertex."""
-        return cls(intersection_graph(d, a))
 
     def pieces(self):
         return range(self.k)
@@ -256,20 +254,6 @@ def compose(ps, h1, h2):
     return Heap._closed(down, labels)
 
 
-def push_down(heap, w):
-    """Split off the down-set of a maximal element: (pyramid, remainder).
-
-    Composing the two parts back gives the original heap, and the remainder
-    loses exactly w from the maximal set.
-    """
-    if w not in heap.maximal():
-        raise ValueError(f"{w} is not a maximal element")
-    down = heap.down_set(w)
-    pyramid = heap.restrict(down)
-    rest = heap.restrict(set(heap.elements) - down)
-    return pyramid, rest
-
-
 def full_pyramids(ps, beta, subset=None):
     """All full pyramids over the piece system with maximal piece beta.
 
@@ -403,7 +387,7 @@ def decomposition_pyramids(d, e):
         raise ValueError(f"unknown edge {e}")
     out = []
     for a in cycle_partitions(d):
-        ps = PieceSystem.from_cycle_partition(d, a)
+        ps = PieceSystem(intersection_graph(d, a))
         beta = next(i for i, block in enumerate(a.blocks) if e in block)
         out.append((a, ps, beta, full_pyramids(ps, beta)))
     return out
@@ -413,7 +397,7 @@ def trail_to_pyramid(d, w):
     """Compose singleton heaps of the trail's cycle sequence, in order."""
     cs = cycle_sequence(w)
     a = edge_partition(cs)
-    ps = PieceSystem.from_cycle_partition(d, a)
+    ps = PieceSystem(intersection_graph(d, a))
     index = {block: i for i, block in enumerate(a.blocks)}
     heap = Heap.empty()
     for cyc in cs:

@@ -54,9 +54,9 @@ from dataclasses import dataclass
 
 from eulerpart import bonds
 from eulerpart.bonds import BondLattice
-from eulerpart.errors import NotEulerianError
+from eulerpart.errors import CapExceededError, NotEulerianError
 from eulerpart.graphs import is_eulerian
-from eulerpart.partition import SetPartition
+from eulerpart.partition import SetPartition, components
 from eulerpart.poly import IntPoly
 from eulerpart.poset import FinitePoset, add_coarsenings, bits, coarsening_order, mask_sum
 from eulerpart.trails import (
@@ -108,9 +108,8 @@ class EulerianSemilattice(FinitePoset):
     refinement, with each element's signed circuit product, listed by
     index, and the running down-set sums of those products."""
 
-    def __init__(self, digraph, minimal, elements, products, down):
+    def __init__(self, minimal, elements, products, down):
         super().__init__(elements, down)
-        self.digraph = digraph
         self.minimal = minimal  # the cycle partitions, canonical order
         assert all(products)
         self._values = products  # indexed like self.elements
@@ -139,10 +138,22 @@ def _element_masks(minimal):
     merging blocks that share a vertex.  One ``seen`` serves every cycle
     partition, so each element's merges are made once.  Refuses as soon as
     the set passes SEMILATTICE_CAP.
+
+    That bond lattice has at least 2^(k - c) elements, where G_a has k
+    vertices and c components: each subset of a spanning forest's edges
+    spans a different connected partition.  So a cycle partition with
+    2^(k - c) > SEMILATTICE_CAP is refused before it is coarsened, and a
+    long chain of cycles costs no pass over its pairs of blocks.
     """
     seen = {}
     for a in minimal:
-        add_coarsenings(seen, [arcs for arcs, _ in a], [verts for _, verts in a], SEMILATTICE_CAP)
+        # c >= 1, so a partition of few cycles needs no count; G_a's
+        # components are the classes of the cycles' vertex sets
+        if 1 << (len(a) - 1) > SEMILATTICE_CAP and (
+            1 << (len(a) - len(components(bits(v) for _, v in a))) > SEMILATTICE_CAP
+        ):
+            raise CapExceededError(f"semilattice has more than {SEMILATTICE_CAP} elements")
+        add_coarsenings(seen, [arcs for arcs, _ in a], [v for _, v in a], SEMILATTICE_CAP)
     return list(seen)
 
 
@@ -169,7 +180,7 @@ def build_eulerian_semilattice(d):
     products = [_signed_mask_product(d.arcs, b, counts) for b in masks]
     index = {b: i for i, b in enumerate(masks)}
     cycles = [elements[index[frozenset(arcs for arcs, _ in a)]] for a in minimal]
-    return EulerianSemilattice(d, cycles, elements, products, down)
+    return EulerianSemilattice(cycles, elements, products, down)
 
 
 def semilattice_partition_counts(d):

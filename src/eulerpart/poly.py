@@ -207,14 +207,6 @@ class IntPoly:
         return f"IntPoly({self.coeffs!r})"
 
 
-def poly_from_roots(roots):
-    """Monic polynomial prod (t - r) over integer roots."""
-    p = IntPoly.one()
-    for r in roots:
-        p = p * IntPoly((-r, 1))
-    return p
-
-
 def interpolate_int_poly(points):
     """Exact polynomial through ``points`` [(x0, y0), ...], integer coefficients.
 

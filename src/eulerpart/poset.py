@@ -14,6 +14,8 @@ lattice, are the closure of their minimal elements under one step: merge two
 blocks that touch.  ``add_coarsenings`` generates the elements with it, the
 one place that reads which blocks touch; the covers are the merges of two
 blocks that are elements, so ``coarsening_order`` needs the elements alone.
+The tests hold the order that compares every two partitions
+(``tests/oracles.py``) as its reference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from eulerpart.errors import CapExceededError
-from eulerpart.partition import SetPartition, all_set_partitions
+from eulerpart.partition import SetPartition
 from eulerpart.poly import IntPoly
 
 
@@ -178,15 +180,6 @@ def cover_pairs(down, keys):
     return out
 
 
-def refinement_order(partitions):
-    """Set partitions under refinement, finest first: more blocks, then the
-    sorted blocks, so that the element order does not depend on the input's."""
-    elements = sorted(
-        partitions, key=lambda p: (-len(p), tuple(tuple(sorted(b)) for b in p.blocks))
-    )
-    return FinitePoset.from_leq(elements, SetPartition.refines)
-
-
 def add_coarsenings(seen, payloads, touches, cap):
     """Add to ``seen`` the element ``frozenset(payloads)`` and every element
     above it, each a frozenset of payload masks: one step merges two blocks
@@ -221,7 +214,8 @@ def _touching_pairs(touch):
 
 
 def coarsening_order(elements):
-    """Elements of payload masks, sorted as ``refinement_order`` sorts, their
+    """Elements of payload masks, sorted finest first (more blocks, then the
+    sorted blocks, as the tests' pairwise refinement order sorts), their
     ``SetPartition``s, made from the sort key's one read of each block's bits,
     and their down masks, read from the elements alone.
 
@@ -266,22 +260,3 @@ def mask_sum(values, mask):
         total += values[last - at]
         at = digits.find("1", at + 1)
     return total
-
-
-def partition_lattice(ground):
-    """The full partition lattice Pi(ground) as a FinitePoset (refinement order)."""
-    return refinement_order(all_set_partitions(ground))
-
-
-def subposet(poset, elements):
-    """Induced sub-poset on a subset of elements (inherits the order)."""
-    elements = tuple(elements)
-    idx = [poset.index[x] for x in elements]
-    down = []
-    for j in idx:
-        mask = 0
-        for pos, i in enumerate(idx):
-            if poset.down[j] >> i & 1:
-                mask |= 1 << pos
-        down.append(mask)
-    return FinitePoset(elements, down)

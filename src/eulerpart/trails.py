@@ -473,51 +473,23 @@ def _is_cycle_block(d, block):
 # ---------------------------------------------------------------------------
 
 
-def directed_cycles_through(d, e0, allowed):
-    """Simple directed cycles inside ``allowed`` that use arc e0.
-
-    Each cycle is a frozenset of arc ids; a cycle visits no vertex twice.
-    """
-    allowed = set(allowed)
-    if e0 not in allowed:
-        return []
-    u0, v0 = d.arcs[e0]
-    cycles = []
-    path = [e0]
-    visited = {u0, v0}
-
-    def extend(u):
-        if u == u0:
-            cycles.append(frozenset(path))
-            return
-        for e, w in d.out_arcs(u):
-            if e not in allowed or e in path:
-                continue
-            if w != u0 and w in visited:
-                continue
-            path.append(e)
-            if w != u0:
-                visited.add(w)
-            extend(w)
-            if w != u0:
-                visited.discard(w)
-            path.pop()
-
-    extend(v0)
-    return cycles
-
-
 def cycle_partition_masks(d, cap=math.inf):
     """All partitions of the arc set into directed cycles, canonically ordered,
     each as a list of (arc mask, vertex mask) pairs, one pair per cycle.
 
     Backtracking on the least uncovered arc, whose cycles inside the
     uncovered arcs are found by a walk from its head that takes out-arcs in
-    id order and visits no vertex twice; ``directed_cycles_through`` lists
-    the same cycles in the same order.  So each partition's cycles come in
-    the order of their least arcs.  Each partition is an element of the
-    Eulerian-part semilattice, so the semilattice's cap refuses as soon as
-    there are more than cap of them.
+    id order and visits no vertex twice; the tests' arc-set walk lists the
+    same cycles in the same order.  So each partition's cycles come in the
+    order of their least arcs.  On a balanced digraph the uncovered arcs are
+    always a union of cycles, so every vertex the walk reaches has an
+    out-arc among them (on any other digraph a vertex with none ends its
+    branch); the walk steps over, in a loop, each vertex with
+    exactly one such out-arc, only a vertex with several recurses, and an
+    arc back to the start closes its cycle where it is found, so a long
+    cycle costs no Python frame per arc.  Each partition is an element
+    of the Eulerian-part semilattice, so the semilattice's cap refuses as
+    soon as there are more than cap of them.
     """
     heads = [v for _, v in d.arcs]
     out_masks = [0] * d.n
@@ -531,15 +503,24 @@ def cycle_partition_masks(d, cap=math.inf):
         found = []
 
         def extend(u, arcs, seen):
-            if u == u0:
-                found.append((arcs, seen))
-                return
             free = out_masks[u] & allowed
+            while free and not free & free - 1:  # exactly one out-arc
+                u = heads[free.bit_length() - 1]
+                arcs |= free
+                if u == u0:
+                    found.append((arcs, seen))
+                    return
+                if seen >> u & 1:
+                    return
+                seen |= 1 << u
+                free = out_masks[u] & allowed
             while free:
                 low = free & -free
                 free ^= low
                 w = heads[low.bit_length() - 1]
-                if w == u0 or not seen >> w & 1:
+                if w == u0:
+                    found.append((arcs | low, seen))
+                elif not seen >> w & 1:
                     extend(w, arcs | low, seen | 1 << w)
 
         extend(v0, 1 << e0, 1 << u0 | 1 << v0)

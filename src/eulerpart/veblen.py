@@ -26,7 +26,8 @@ read from a memo by shape (the call's own, or the one passed as
 sweep over the shape's own pairs; no sub-multigraph is built.  The
 decompositions come as block-mask tuples, grouped by their sorted shapes,
 and no ``Decomposition`` is built.  ``decompositions`` wraps the same
-masks in ``Decomposition`` objects for the full-sum oracle and the tests.
+masks in ``Decomposition`` objects for ``circuit_partitions_of_orientation``
+and for the tests, whose full-sum oracle is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -491,19 +492,6 @@ def weight(x, n=0, _cache=None):
         total += Fraction((-1) ** len(shapes), _symmetry_factor(shapes)) * math.prod(
             coeffs[shape] for shape in shapes
         )
-    return Fraction((-1) ** len(components(x.pairs))) * total
-
-
-def weight_via_all_decompositions(x):
-    """Same value from the unquotiented sum: per decomposition, the block
-    factorial product over the full factorial product replaces 1/alpha.
-    ``decompositions`` refuses an input with an odd degree."""
-    cache = {}
-    m_x = parallel_factorial_product(x)
-    total = Fraction(0)
-    for dec in decompositions(x):
-        coeff = math.prod(_shape_coefficient(shape, cache) for shape in dec.shapes)
-        total += Fraction((-1) ** dec.block_count * dec.factorial_product, m_x) * coeff
     return Fraction((-1) ** len(components(x.pairs))) * total
 
 

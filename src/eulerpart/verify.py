@@ -345,7 +345,7 @@ def _piece_systems(config):
     out = []
     for d in _digraphs(config):
         for a in trails.cycle_partitions(d):
-            out.append((d, a, PieceSystem.from_cycle_partition(d, a)))
+            out.append((d, a, PieceSystem(trails.intersection_graph(d, a))))
     return out
 
 

@@ -172,11 +172,15 @@ def test_error_paths(tmp_path, capsys):
     empty.write_text("")
     status, _, err = run_cli(["circuits", str(empty)], capsys)
     assert status == 2 and "empty" in err
-    # a 1500-arc directed cycle is deeper than the recursion limit
+    # a 1500-arc directed cycle is deeper than the recursion limit of the
+    # circuit listing, and a chain of 1199 directed 2-cycles deeper than that
+    # of the cycle-partition listing, which recurses once per cycle
     deep = tmp_path / "deep.txt"
     deep.write_text("digraph 1500\n" + "".join(f"a{i} {i} {(i + 1) % 1500}\n" for i in range(1500)))
-    for command in ("circuits", "martin", "cancellation"):
-        status, out, err = run_cli([command, str(deep)], capsys)
+    chain = tmp_path / "chain.txt"
+    chain.write_text("digraph 1200\n" + "".join(f"f{i} {i} {i + 1}\nb{i} {i + 1} {i}\n" for i in range(1199)))
+    for command, path in (("circuits", deep), ("martin", chain), ("cancellation", chain)):
+        status, out, err = run_cli([command, str(path)], capsys)
         assert status == 2 and out == "" and "recursion limit" in err
     # the complete digraph on 5 vertices has 972000 circuits: counted, refused
     k5 = tmp_path / "k5.txt"

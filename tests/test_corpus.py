@@ -18,7 +18,6 @@ from eulerpart.corpus import (
     eulerian_digraph_corpus,
     multigraphs_isomorphic,
     path_graph,
-    relabeled_copy,
     simple_graph_classes,
     spot_hosts,
     star_graph,
@@ -27,6 +26,7 @@ from eulerpart.corpus import (
 )
 from eulerpart.graphs import Digraph, Multigraph, format_graph, is_eulerian
 from eulerpart.veblen import is_veblen
+from oracles import relabeled_copy
 
 
 def _candidate(g):

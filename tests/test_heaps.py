@@ -17,7 +17,6 @@ from eulerpart.heaps import (
     is_full,
     is_heap,
     orientation_to_pyramid,
-    push_down,
     pyramid_split_identity,
     pyramid_to_orientation,
     pyramid_to_trail,
@@ -25,7 +24,8 @@ from eulerpart.heaps import (
     trail_to_pyramid,
 )
 from eulerpart.partition import SetPartition
-from eulerpart.trails import eulerian_trails_ending_at, trails_with_cycle_partition
+from eulerpart.trails import eulerian_trails_ending_at, intersection_graph, trails_with_cycle_partition
+from oracles import push_down
 
 
 def path_system(k):
@@ -203,11 +203,11 @@ def test_full_pyramids_refuse_over_the_piece_cap():
 
 def test_full_pyramids_counts_on_example_partitions(example_digraph):
     a2 = SetPartition([{0, 2, 4}, {1, 3, 5}, {6, 7}])
-    ps = PieceSystem.from_cycle_partition(example_digraph, a2)
+    ps = PieceSystem(intersection_graph(example_digraph, a2))
     counts = [count_full_pyramids(ps, beta) for beta in ps.pieces()]
     assert counts == [2, 2, 2]
     a1 = SetPartition([{0, 1}, {2, 3}, {4, 5}, {6, 7}])
-    ps1 = PieceSystem.from_cycle_partition(example_digraph, a1)
+    ps1 = PieceSystem(intersection_graph(example_digraph, a1))
     counts1 = [count_full_pyramids(ps1, beta) for beta in ps1.pieces()]
     assert len(set(counts1)) == 1 and counts1[0] == 4
 
@@ -244,7 +244,7 @@ def test_pyramid_split_identity():
 
 def test_pyramid_split_identity_example(example_digraph):
     a1 = SetPartition([{0, 1}, {2, 3}, {4, 5}, {6, 7}])
-    ps = PieceSystem.from_cycle_partition(example_digraph, a1)
+    ps = PieceSystem(intersection_graph(example_digraph, a1))
     for b1 in ps.pieces():
         for b2 in ps.neighbors(b1):
             lhs, rhs, _ = pyramid_split_identity(ps, b1, b2)

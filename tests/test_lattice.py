@@ -34,13 +34,14 @@ from eulerpart.lattice import (
 )
 from eulerpart.partition import SetPartition, all_set_partitions
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset, refinement_order
+from eulerpart.poset import FinitePoset
 from eulerpart.trails import (
     count_circuits_best,
     cycle_partitions,
     intersection_graph,
 )
 from eulerpart.verify import VerifyConfig, check_g_vanishing_and_mobius, check_rota
+from oracles import refinement_order
 
 EXAMPLE = str(Path(__file__).resolve().parent.parent / "graphs" / "example_digraph.txt")
 
@@ -142,7 +143,7 @@ def test_mobius_inversion(example_digraph):
 
 
 def test_mobius_restricts_to_up_sets(example_digraph):
-    from eulerpart.poset import subposet
+    from oracles import subposet
 
     lattice = build_eulerian_semilattice(example_digraph)
     top = lattice.top()
@@ -204,12 +205,14 @@ def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys, tmp
     with pytest.raises(CapExceededError, match=message):
         semilattice_partition_counts(six)
     assert calls == []
-    # with the listing uncapped, the generator refuses inside the first one
+    # with the listing uncapped, the first one is refused before it is
+    # coarsened: its G_a is K6, whose bond lattice has at least 2^5 > 10
+    # elements
     real_cycles = lattice_module.cycle_partition_masks
     monkeypatch.setattr(lattice_module, "cycle_partition_masks", lambda d, cap: real_cycles(d))
     with pytest.raises(CapExceededError, match=message):
         semilattice_partition_counts(six)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_block_counts_kept_once_per_call(monkeypatch):
@@ -531,6 +534,39 @@ def test_a_lone_long_cycle_counts_no_circuits(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)["result"]
     assert result["size"] == len(result["elements"]) == 1
     assert result["elements"][0]["signed_circuits"] == result["elements"][0]["downset_sum"] == -1
+
+
+def test_a_lone_3000_arc_cycle_is_walked_without_recursion(tmp_path, capsys):
+    """The cycle walk steps over each vertex with one out-arc left, so a
+    3000-arc directed cycle, past the recursion limit one frame per arc,
+    answers all four commands within 1 s each, with f = [1]."""
+    n = 3000
+    path = _write_digraph(tmp_path, "cycle.txt", n, [(i, (i + 1) % n) for i in range(n)])
+    results = {}
+    for command in ("martin", "cancellation", "identity", "lattice-dump"):
+        start = time.monotonic()
+        assert main([command, path, "--format", "json"]) == 0
+        assert time.monotonic() - start < 1.0
+        results[command] = json.loads(capsys.readouterr().out)["result"]
+    assert results["martin"]["f"] == results["cancellation"]["f"] == [1]
+    assert results["cancellation"]["holds"] and results["cancellation"]["is_single_cycle"]
+    assert results["identity"]["holds"] and results["identity"]["r_identity_holds"]
+    assert results["identity"]["s"] == [1]
+    assert results["lattice-dump"]["size"] == 1
+
+
+def test_a_long_chain_of_two_cycles_is_refused_before_coarsening(tmp_path, capsys):
+    """On 399 directed 2-cycles in a row, the one cycle partition's G_a is a
+    path, whose bond lattice has 2^398 elements, so T(D) is refused before
+    any pair of blocks is scanned: within 1 s, with the cap's message."""
+    path = _write_digraph(tmp_path, "chain.txt", 400, _chain_arcs(400))
+    message = f"error: semilattice has more than {lattice_module.SEMILATTICE_CAP} elements\n"
+    for command in ("identity", "lattice-dump"):
+        start = time.monotonic()
+        assert main([command, path, "--format", "json"]) == 2
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
 
 
 def test_coarsening_from_a_seen_start_adds_nothing():

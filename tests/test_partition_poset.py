@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerpart.bonds import BondLattice, _is_forest
+from eulerpart.bonds import BondLattice
 from eulerpart.corpus import connected_simple_graphs
 from eulerpart.graphs import Digraph, Multigraph
 from eulerpart.partition import SetPartition, all_set_partitions, components
-from eulerpart.poset import FinitePoset, partition_lattice, subposet
+from eulerpart.poset import FinitePoset
+from oracles import _is_forest, partition_lattice, subposet
 
 
 partitions_of_6 = st.builds(

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eulerpart.poly import IntPoly, interpolate_int_poly, poly_from_roots
+from eulerpart.poly import IntPoly, interpolate_int_poly
+from oracles import poly_from_roots
 
 coeff_lists = st.lists(st.integers(min_value=-30, max_value=30), max_size=6)
 

@@ -9,7 +9,6 @@ from eulerpart import trails as trails_module
 from eulerpart import veblen
 from eulerpart.corpus import (
     complete_graph,
-    relabeled_copy,
     spot_hosts,
     veblen_corpus,
     wheel_graph,
@@ -43,8 +42,8 @@ from eulerpart.veblen import (
     is_veblen,
     rooting_class_sizes,
     weight,
-    weight_via_all_decompositions,
 )
+from oracles import relabeled_copy, weight_via_all_decompositions
 
 
 def k2():
