@@ -341,15 +341,16 @@ def _independent_partition_counts(adj, budget):
     ``adj``: c_j counts the partitions of its vertices into j independent
     sets, so its chromatic polynomial is sum_j c_j x(x-1)...(x-j+1).
 
-    The counts of a vertex set s come from a smaller set, and are memoised
-    on s's vertex mask.  A vertex whose d neighbours in s are pairwise
-    adjacent is taken out first, with no branching: chi(G[s]) =
+    The counts of a vertex set s come from a smaller set.  A vertex whose
+    d neighbours in s are pairwise adjacent is taken out first, with no
+    branching: chi(G[s]) =
     chi(G[s - v]) (x - d), and x(x-1)...(x-j+1) (x - d) is
     x(x-1)...(x-j) + (j - d) x(x-1)...(x-j+1), so c_j of s - v adds to
     c_{j+1} and (j - d) c_j to c_j.  So a chordal graph (a path, a star, a
-    clique) is counted with no branching.  When no such vertex is left, the
-    partitions are counted by the independent set I that holds the lowest
-    vertex, each followed by the partitions of the rest minus I.
+    clique) is counted with no branching, and in one loop, with no memo.
+    When no such vertex is left, ``_branch_counts`` counts the partitions
+    by the independent set I that holds the lowest vertex, each followed by
+    the partitions of the rest minus I, memoised on their vertex masks.
 
     The work is capped by terms: a vertex taken out of s, or an
     independent set listed with s left, costs the |s| + 1 counts of s, so
@@ -357,50 +358,81 @@ def _independent_partition_counts(adj, budget):
     and a budget bounds time and memory alike.  Returns the counts with the
     terms spent; past the budget it refuses with CapExceededError.
     """
-    memo = {0: [1]}
+    # the top call takes its simplicial vertices out in a loop, with no memo
+    # entry, since no later set is a superset; the memo serves only the rest
+    s = (1 << len(adj)) - 1
     terms = 0
+    degrees = []
+    while s:
+        found = _simplicial(adj, s)
+        if found is None:
+            break
+        terms += s.bit_count() + 1
+        if terms > budget:
+            _refuse_terms()
+        degrees.append(found[1])
+        s ^= found[0]
+    total, terms = _branch_counts(adj, s, budget, terms) if s else ([1], terms)
+    for d in degrees:
+        total = _lift(total, d)
+    return total, terms
 
-    def refuse():
-        raise CapExceededError(f"chromatic route capped at {CHROMATIC_TERM_CAP} terms")
 
-    def simplicial(s):
-        """(bit, degree in s) of a vertex of s whose neighbours in s are
-        pairwise adjacent, or None."""
-        rest = s
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            near = adj[b.bit_length() - 1] & s
-            others = near
-            while others:
-                u = others & -others
-                others ^= u
-                if near & ~adj[u.bit_length() - 1] != u:
-                    break
-            else:
-                return b, near.bit_count()
-        return None
+def _refuse_terms():
+    raise CapExceededError(f"chromatic route capped at {CHROMATIC_TERM_CAP} terms")
+
+
+def _simplicial(adj, s):
+    """(bit, degree in s) of a vertex of s whose neighbours in s are
+    pairwise adjacent, or None."""
+    rest = s
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        near = adj[b.bit_length() - 1] & s
+        others = near
+        while others:
+            u = others & -others
+            others ^= u
+            if near & ~adj[u.bit_length() - 1] != u:
+                break
+        else:
+            return b, near.bit_count()
+    return None
+
+
+def _lift(total, d):
+    """The counts of a set from those of the set less a vertex of degree d
+    in it, taken out."""
+    lifted = [0] * (len(total) + 1)
+    for j, c in enumerate(total):
+        lifted[j] += (j - d) * c
+        lifted[j + 1] += c
+    return lifted
+
+
+def _branch_counts(adj, s, budget, terms):
+    """The counts of a vertex set s with no simplicial vertex, and the terms
+    spent, from ``terms`` on: by the independent sets that hold its lowest
+    vertex, each set's rest counted through a memo on its vertex mask."""
+    memo = {0: [1]}
 
     def counts(s):
         nonlocal terms
         taken = []  # (a set, the degree in it of the vertex taken out)
         while s not in memo:
-            found = simplicial(s)
+            found = _simplicial(adj, s)
             if found is None:
                 memo[s] = branch(s)
                 break
             terms += s.bit_count() + 1
             if terms > budget:
-                refuse()
+                _refuse_terms()
             taken.append((s, found[1]))
             s ^= found[0]
         total = memo[s]
         for s, d in reversed(taken):
-            lifted = [0] * (len(total) + 1)
-            for j, c in enumerate(total):
-                lifted[j] += (j - d) * c
-                lifted[j + 1] += c
-            total = memo[s] = lifted
+            total = memo[s] = _lift(total, d)
         return total
 
     def branch(s):
@@ -413,7 +445,7 @@ def _independent_partition_counts(adj, budget):
             left, free = stack.pop()
             terms += left.bit_count() + 1
             if terms > budget:
-                refuse()
+                _refuse_terms()
             for j, c in enumerate(counts(left), start=1):
                 total[j] += c
             while free:
@@ -422,7 +454,8 @@ def _independent_partition_counts(adj, budget):
                 stack.append((left ^ b, free & ~adj[b.bit_length() - 1]))
         return total
 
-    return counts((1 << len(adj)) - 1), terms
+    total = branch(s)
+    return total, terms
 
 
 def chromatic_polynomial_whitney(g, order=None):

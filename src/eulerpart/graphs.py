@@ -19,7 +19,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from eulerpart.errors import GraphParseError
-from eulerpart.partition import components
+
+
+def _spans(neighbors, inside):
+    """Whether a search from the lowest vertex of the int vertex mask
+    ``inside``, along the neighbour masks ``neighbors`` and within
+    ``inside``, reaches all of it; the empty mask is not reached."""
+    reached = frontier = inside & -inside
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = neighbors[low.bit_length() - 1] & inside & ~reached
+        reached |= new
+        frontier |= new
+    return inside != 0 and reached == inside
 
 
 class _Graph:
@@ -67,9 +80,17 @@ class _Graph:
     def edge_support_connected(self, edge_subset=None):
         """Connectivity of the sub(di)graph on the given edges, arcs read
         as undirected, ignoring isolated vertices; the empty edge set is not
-        connected."""
-        edges = self.edges() if edge_subset is None else edge_subset
-        return len(components(self.ends[e] for e in edges)) == 1
+        connected.  A search over the neighbour masks of those edges."""
+        ends = self.ends if edge_subset is None else [self.ends[e] for e in edge_subset]
+        neighbors = [0] * self.n
+        for u, v in ends:
+            neighbors[u] |= 1 << v
+            neighbors[v] |= 1 << u
+        touched = 0
+        for v, near in enumerate(neighbors):
+            if near:
+                touched |= 1 << v
+        return _spans(neighbors, touched)
 
     def restrict(self, edge_subset):
         """The sub(di)graph on an edge subset, as a plain Multigraph or
@@ -168,15 +189,7 @@ class Multigraph(_Graph):
         for v in vertex_set:
             self._check_vertex(v)
             inside |= 1 << v
-        neighbors = self._neighbor_masks
-        reached = frontier = inside & -inside
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = neighbors[low.bit_length() - 1] & inside & ~reached
-            reached |= new
-            frontier |= new
-        return inside != 0 and reached == inside
+        return _spans(self._neighbor_masks, inside)
 
     def __repr__(self):
         inner = ", ".join("{%d,%d}" % p for p in self.pairs)
@@ -238,11 +251,11 @@ class Digraph(_Graph):
     def is_balanced(self):
         """In-degree equals out-degree at every vertex; read from the arc
         list."""
-        net = {}
+        net = [0] * self.n
         for u, v in self.arcs:
-            net[u] = net.get(u, 0) + 1
-            net[v] = net.get(v, 0) - 1
-        return all(x == 0 for x in net.values())
+            net[u] += 1
+            net[v] -= 1
+        return not any(net)
 
     def __repr__(self):
         inner = ", ".join("(%d,%d)" % a for a in self.arcs)

@@ -2,14 +2,16 @@
 Eulerian digraph, by two routes, and the join-semilattice T(D) of partitions
 of its arc set into Eulerian parts.
 
-Two routes give f_k, and they share only the cycle-partition listing:
+Two routes give f_k, and they share only the cycle walk of the listings:
 - ``circuit_partition_counts``, the default, reads the paper's chromatic
   corollary r(t) = sum over the cycle partitions a of (-1)^|a| chi(G_a; -t)
   from the cycle partitions' intersection graphs, with no element of T(D)
   above them and no circuit count, by the DP ``bonds.chromatic_polynomial``
-  reads.  ``martin_polynomial``, ``martin_divisibility``,
-  ``verify_cancellation`` and the CLI's ``martin`` and ``cancellation`` read
-  it.
+  reads.  G_a does not change when parallel arcs are swapped, so it lists
+  one cycle partition per orbit of those swaps, weighed by the orbit's size
+  (``trails.cycle_partition_orbits``).  ``martin_polynomial``,
+  ``martin_divisibility``, ``verify_cancellation`` and the CLI's ``martin``
+  and ``cancellation`` read it.
 - ``semilattice_partition_counts`` sums the signed circuit products over
   T(D).  The verify checks on T(D) read it by name (``cancellation``,
   ``martin-evaluations``, ``counts-vs-direct-enumeration``,
@@ -63,6 +65,7 @@ from eulerpart.trails import (
     _best_from_arcs,
     count_eulerian_circuits,
     cycle_partition_masks,
+    cycle_partition_orbits,
     intersection_graph,
 )
 
@@ -164,17 +167,19 @@ def eulerian_parts(d):
     return [SetPartition(map(bits, b)) for b in _element_masks(cycle_partition_masks(d))]
 
 
-def _cycle_partitions_of_eulerian(d):
+def _cycle_partitions_of_eulerian(d, listing):
+    """``listing(d, SEMILATTICE_CAP)``, once d is known to be Eulerian: each
+    cycle partition is an element of T(D), so the element cap bounds them
+    too, and the f_k route keeps the same bound on its orbits."""
     if not is_eulerian(d):
         raise NotEulerianError("the Eulerian-part semilattice needs an Eulerian digraph")
-    # each cycle partition is an element, so the element cap bounds them too
-    return cycle_partition_masks(d, SEMILATTICE_CAP)
+    return listing(d, SEMILATTICE_CAP)
 
 
 def build_eulerian_semilattice(d):
     """The semilattice of an Eulerian digraph, its elements, their
     ``SetPartition``s and order from ``poset.coarsening_order``."""
-    minimal = _cycle_partitions_of_eulerian(d)
+    minimal = _cycle_partitions_of_eulerian(d, cycle_partition_masks)
     masks, elements, down = coarsening_order(_element_masks(minimal))
     counts = {arcs: 1 for a in minimal for arcs, _ in a}  # a cycle has one circuit
     products = [_signed_mask_product(d.arcs, b, counts) for b in masks]
@@ -188,7 +193,7 @@ def semilattice_partition_counts(d):
     Eulerian circuit, (-1)^k times the signed circuit products of the
     partitions into k Eulerian parts, summed.  Builds no order and no
     ``SetPartition``."""
-    minimal = _cycle_partitions_of_eulerian(d)
+    minimal = _cycle_partitions_of_eulerian(d, cycle_partition_masks)
     elements = _element_masks(minimal)
     out = [0] * max(len(b) for b in elements)
     counts = {arcs: 1 for a in minimal for arcs, _ in a}  # a cycle has one circuit
@@ -220,12 +225,18 @@ def circuit_partition_counts(d):
     G_a has one vertex per cycle of a, two of them adjacent when the
     cycles' vertex masks meet.  The signed sum W(x) of the chi(G_a; x) is
     summed in the falling-factorial basis of ``bonds.chromatic_polynomial``'s
-    counts and expanded once, and r(t) = W(-t).  Each distinct neighbour-mask
+    counts and expanded once, and r(t) = W(-t).  The cycle partitions are
+    listed up to swaps of parallel arcs, which keep G_a, each orbit once
+    with its size (``cycle_partition_orbits``); each distinct neighbour-mask
     tuple is weighed once per call, times the number of cycle partitions
-    that give it.  Refuses as the listing does, and past CHROMATIC_TERM_CAP
-    terms of the counts in all.
+    that give it.  Refuses past SEMILATTICE_CAP listed orbits, naming the
+    cycle partitions, and past CHROMATIC_TERM_CAP terms of the counts in
+    all.
     """
-    graphs = Counter(_intersection_masks(_cycle_partitions_of_eulerian(d)))
+    minimal, weights = _cycle_partitions_of_eulerian(d, cycle_partition_orbits)
+    graphs = Counter()
+    for adj, weight in zip(_intersection_masks(minimal), weights):
+        graphs[adj] += weight
     w = [0] * (max(map(len, graphs)) + 1)
     budget = bonds.CHROMATIC_TERM_CAP
     for adj, count in graphs.items():
@@ -307,7 +318,7 @@ def martin_chromatic_identity(d):
     K_k on k parallel 2-cycles); and its r(-t) against
     sum_a (-1)^|a| chi(G_a; t), which is ``circuit_partition_counts``."""
     polys = martin_polynomial(d, semilattice_partition_counts(d))
-    minimal = _cycle_partitions_of_eulerian(d)
+    minimal = _cycle_partitions_of_eulerian(d, cycle_partition_masks)
     rhs = IntPoly.zero()
     chi_list = []
     weighed = {}

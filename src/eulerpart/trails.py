@@ -473,33 +473,27 @@ def _is_cycle_block(d, block):
 # ---------------------------------------------------------------------------
 
 
-def cycle_partition_masks(d, cap=math.inf):
-    """All partitions of the arc set into directed cycles, canonically ordered,
-    each as a list of (arc mask, vertex mask) pairs, one pair per cycle.
+def _cycle_walk(arcs, n):
+    """``cycles_through(e0, allowed)`` for the arc list ``arcs`` on n
+    vertices: the directed cycles through arc e0 inside the arc mask
+    ``allowed``, each as an (arc mask, vertex mask) pair.
 
-    Backtracking on the least uncovered arc, whose cycles inside the
-    uncovered arcs are found by a walk from its head that takes out-arcs in
-    id order and visits no vertex twice; the tests' arc-set walk lists the
-    same cycles in the same order.  So each partition's cycles come in the
-    order of their least arcs.  On a balanced digraph the uncovered arcs are
-    always a union of cycles, so every vertex the walk reaches has an
-    out-arc among them (on any other digraph a vertex with none ends its
-    branch); the walk steps over, in a loop, each vertex with
-    exactly one such out-arc, only a vertex with several recurses, and an
-    arc back to the start closes its cycle where it is found, so a long
-    cycle costs no Python frame per arc.  Each partition is an element
-    of the Eulerian-part semilattice, so the semilattice's cap refuses as
-    soon as there are more than cap of them.
+    A walk from e0's head takes out-arcs in id order and visits no vertex
+    twice; the tests' arc-set walk lists the same cycles in the same order.
+    On a balanced digraph the allowed arcs the listings pass are a union of
+    cycles, so every vertex the walk reaches has an out-arc among them (on
+    any other digraph a vertex with none ends its branch); the walk steps
+    over, in a loop, each vertex with exactly one such out-arc, only a
+    vertex with several recurses, and an arc back to the start closes its
+    cycle where it is found, so a long cycle costs no Python frame per arc.
     """
-    heads = [v for _, v in d.arcs]
-    out_masks = [0] * d.n
-    for e, (u, _) in enumerate(d.arcs):
+    heads = [v for _, v in arcs]
+    out_masks = [0] * n
+    for e, (u, _) in enumerate(arcs):
         out_masks[u] |= 1 << e
-    out = []
-    blocks = []
 
     def cycles_through(e0, allowed):
-        u0, v0 = d.arcs[e0]
+        u0, v0 = arcs[e0]
         found = []
 
         def extend(u, arcs, seen):
@@ -526,11 +520,22 @@ def cycle_partition_masks(d, cap=math.inf):
         extend(v0, 1 << e0, 1 << u0 | 1 << v0)
         return found
 
+    return cycles_through
+
+
+def _labelled_listing(arcs, n, cap, refusal):
+    """Every partition of the arc list into directed cycles, backtracking
+    on the least uncovered arc; refuses with the message ``refusal``, its
+    field filled with cap, as soon as there are more than cap."""
+    cycles_through = _cycle_walk(arcs, n)
+    out = []
+    blocks = []
+
     def rec(remaining):
         if not remaining:
             out.append(list(blocks))
             if len(out) > cap:
-                raise CapExceededError(f"semilattice has more than {cap} elements")
+                raise CapExceededError(refusal.format(cap))
             return
         e0 = (remaining & -remaining).bit_length() - 1
         for cycle in cycles_through(e0, remaining):
@@ -538,8 +543,107 @@ def cycle_partition_masks(d, cap=math.inf):
             rec(remaining & ~cycle[0])
             blocks.pop()
 
-    rec((1 << d.m) - 1)
+    rec((1 << len(arcs)) - 1)
     return out
+
+
+def cycle_partition_masks(d, cap=math.inf):
+    """All partitions of the arc set into directed cycles, canonically ordered,
+    each as a list of (arc mask, vertex mask) pairs, one pair per cycle.
+
+    Backtracking on the least uncovered arc, whose cycles inside the
+    uncovered arcs are found by ``_cycle_walk``.  So each partition's
+    cycles come in the order of their least arcs.  Each partition is an
+    element of the Eulerian-part semilattice, so the semilattice's cap
+    refuses as soon as there are more than cap of them.
+    """
+    return _labelled_listing(d.arcs, d.n, cap, "semilattice has more than {} elements")
+
+
+def cycle_partition_orbits(d, cap=math.inf):
+    """The cycle partitions up to permutations of parallel arcs: a list of
+    partitions, one from each orbit, as ``cycle_partition_masks`` gives them,
+    and the list of the orbits' sizes, which sum to the number of cycle
+    partitions.  When d has parallel arcs, the arc masks are over
+    ``sorted(d.arcs)``.
+
+    The arcs are sorted, so each parallel class u -> v is a contiguous id
+    range.  The walk takes only the lowest remaining arc of each class, so
+    the arcs left of a class are always the last ones of its range.  A
+    vertex-simple cycle uses at most one arc of a class, so it is named up
+    to swaps by its class mask (bit j for the class whose first arc is j),
+    and a partition by the multiset of its cycles' class masks.  The cycles
+    through one least class are picked one after another, and are listed in
+    non-decreasing order of their class masks; a class mask is read only
+    for such consecutive picks.  The swaps that fix a partition are those
+    that permute its identical cycles, so the orbit has
+    prod p_uv! / prod k_S! partitions, where p_uv is the size of a class and
+    k_S the number of cycles with class mask S.
+
+    With no parallel arcs each orbit is one partition, and this is the
+    labelled listing, with no sort and no class mask.  Refuses as soon as
+    more than cap partitions are listed.
+    """
+    refusal = "more than {} cycle partitions up to parallel arcs"
+    if len(set(d.arcs)) == d.m:
+        out = _labelled_listing(d.arcs, d.n, cap, refusal)
+        return out, [1] * len(out)
+    arcs = sorted(d.arcs)
+    cycles_through = _cycle_walk(arcs, d.n)
+    inner = 0  # bit e: arc e is not the first of its class
+    class_bit = [1] * len(arcs)
+    numerator = size = 1  # prod p_uv!, and the size of the class so far
+    for e in range(1, len(arcs)):
+        if arcs[e] == arcs[e - 1]:
+            inner |= 1 << e
+            class_bit[e] = class_bit[e - 1]
+            size += 1
+            numerator *= size
+        else:
+            class_bit[e] = 1 << e
+            size = 1
+    out = []
+    weights = []
+    blocks = []
+
+    def class_mask(cycle_arcs):
+        mask = 0
+        for e in bits(cycle_arcs):
+            mask |= class_bit[e]
+        return mask
+
+    def rec(remaining, start, last, run, div):
+        """``start`` is the least arc of the last pick, ``last`` its class
+        mask if read, ``run`` the number of picks before with that class
+        mask, ``div`` the product of the k_S! so far."""
+        if not remaining:
+            out.append(list(blocks))
+            weights.append(numerator // div)
+            if len(out) > cap:
+                raise CapExceededError(refusal.format(cap))
+            return
+        low = remaining & -remaining
+        e0 = low.bit_length() - 1
+        cycles = cycles_through(e0, remaining & ~(remaining << 1 & inner))
+        if start != e0 - 1 or not inner & low:  # the first pick through its class
+            for cycle in cycles:
+                blocks.append(cycle)
+                rec(remaining & ~cycle[0], e0, 0, 1, div)
+                blocks.pop()
+            return
+        if not last:
+            last = class_mask(blocks[-1][0])
+        for cycle in cycles:
+            shape = class_mask(cycle[0])
+            if shape < last:
+                continue
+            k = run + 1 if shape == last else 1
+            blocks.append(cycle)
+            rec(remaining & ~cycle[0], e0, shape, k, div * k)
+            blocks.pop()
+
+    rec((1 << len(arcs)) - 1, -2, 0, 1, 1)
+    return out, weights
 
 
 def cycle_partitions(d, cap=math.inf):

@@ -1,6 +1,8 @@
+import inspect
 import json
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -831,6 +833,36 @@ def test_shared_fault_fails_each_check_that_reads_it(monkeypatch, name):
     monkeypatch.setattr(owner, attr, make_fault(getattr(owner, attr)))
     for check, config in checks:
         assert not check(config).ok, check.name
+
+
+def _orbit_listing_with(old, new):
+    """``trails.cycle_partition_orbits`` compiled from its source with the
+    one occurrence of ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(trails_module.cycle_partition_orbits))
+    assert source.count(old) == 1
+    namespace = dict(vars(trails_module))
+    exec(compile(source.replace(old, new), trails_module.__file__, "exec"), namespace)
+    return namespace["cycle_partition_orbits"]
+
+
+# a rule of the f_k route's orbit listing dropped -> (the source text, its
+# replacement); the chromatic identity's r side reads that route
+ORBIT_FAULTS = {
+    # each orbit weighs prod p_uv!, with no divisor for its identical cycles
+    "no-identical-cycle-divisor": ("numerator // div", "numerator"),
+    # the cycles through one least class come in any order, so an orbit with
+    # two shapes there is listed once per order
+    "no-non-decreasing-rule": ("if shape < last:", "if False:"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_FAULTS))
+def test_orbit_listing_fault_fails_the_chromatic_identity(monkeypatch, name):
+    config = VerifyConfig(max_edges=6)
+    assert check_martin_chromatic_identity(config).ok
+    faulty = _orbit_listing_with(*ORBIT_FAULTS[name])
+    monkeypatch.setattr(lattice_module, "cycle_partition_orbits", faulty)
+    assert not check_martin_chromatic_identity(config).ok
 
 
 @pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))

@@ -34,9 +34,11 @@ from eulerpart.lattice import (
 )
 from eulerpart.partition import SetPartition, all_set_partitions
 from eulerpart.poly import IntPoly
-from eulerpart.poset import FinitePoset
+from eulerpart.poset import FinitePoset, bits
 from eulerpart.trails import (
     count_circuits_best,
+    cycle_partition_masks,
+    cycle_partition_orbits,
     cycle_partitions,
     intersection_graph,
 )
@@ -182,17 +184,24 @@ def test_counts_build_no_order(example_digraph, monkeypatch):
 def test_cap_refuses_during_generation(example_digraph, monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(lattice_module, "SEMILATTICE_CAP", 10)  # the example has 16
     message = "semilattice has more than 10 elements"
-    # six parallel 2-cycles: 720 cycle partitions, each coarsened 203 ways;
-    # the chromatic route refuses while it lists them
+    orbits = "more than 10 cycle partitions up to parallel arcs"
+    # six parallel 2-cycles: 720 cycle partitions, each coarsened 203 ways,
+    # but one orbit under swaps of parallel arcs, which the chromatic route
+    # lists alone; K4* with one 2-cycle doubled has 88 cycle partitions in
+    # 25 orbits, and the chromatic route refuses while it lists them
     six = Digraph(2, [(0, 1), (1, 0)] * 6)
-    with pytest.raises(CapExceededError, match=message):
-        martin_polynomial(six)
+    assert sum(martin_polynomial(six).f) == out_degree_factorial_product(six)
+    arcs = [(u, v) for u in range(4) for v in range(4) if u != v] + [(0, 1), (1, 0)]
+    with pytest.raises(CapExceededError, match=orbits):
+        martin_polynomial(Digraph(4, arcs))
     with pytest.raises(CapExceededError, match=message):
         build_eulerian_semilattice(example_digraph)
-    assert main(["martin", _parallel_two_cycles_file(tmp_path, 6)]) == 2
+    assert main(["martin", _write_digraph(tmp_path, "k4plus.txt", 4, arcs)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {orbits}\n"
+    assert main(["martin", _parallel_two_cycles_file(tmp_path, 6)]) == 0
+    capsys.readouterr()
     # the semilattice's listing refuses at the eleventh, before any
     # coarsening
     calls = []
@@ -651,14 +660,16 @@ def test_lattice_dump_refuses_before_the_order(tmp_path, monkeypatch, capsys):
 
 def test_digraph_commands_refuse_many_cycle_partitions(tmp_path, capsys):
     """The complete digraph on 6 vertices has more cycle partitions than
-    SEMILATTICE_CAP; the digraph subcommands refuse while listing them."""
+    SEMILATTICE_CAP, and no parallel arcs; ``martin`` refuses while listing
+    them, naming the cycle partitions."""
     path = tmp_path / "complete6.txt"
     arcs = [(u, v) for u in range(1, 7) for v in range(1, 7) if u != v]
     path.write_text("digraph 6\n" + "".join(f"a{i} {u} {v}\n" for i, (u, v) in enumerate(arcs)))
     start = time.monotonic()
     assert main(["martin", str(path)]) == 2
     assert time.monotonic() - start < 5.0
-    message = f"error: semilattice has more than {lattice_module.SEMILATTICE_CAP} elements\n"
+    cap = lattice_module.SEMILATTICE_CAP
+    message = f"error: more than {cap} cycle partitions up to parallel arcs\n"
     assert capsys.readouterr().err == message
 
 
@@ -794,3 +805,69 @@ def test_martin_answers_chains_and_stars_and_refuses_a_long_ring(tmp_path, capsy
     assert captured.out == ""
     cap = bonds_module.CHROMATIC_TERM_CAP
     assert captured.err == f"error: chromatic route capped at {cap} terms\n"
+
+
+def _class_multiset(arcs, partition):
+    """A cycle partition up to swaps of parallel arcs: the multiset of its
+    cycles, each as the set of its arcs' (tail, head) pairs."""
+    return frozenset(Counter(frozenset(arcs[e] for e in bits(c)) for c, _ in partition).items())
+
+
+def _signed_chromatic_sum(partitions, weights):
+    """sum over the partitions of weight (-1)^|a| chi(G_a), in the
+    falling-factorial basis of the independent-set counts."""
+    total = Counter()
+    for adj, weight in zip(lattice_module._intersection_masks(partitions), weights):
+        counts, _ = bonds_module._independent_partition_counts(adj, math.inf)
+        for j, c in enumerate(counts):
+            total[j] += (-1) ** len(adj) * weight * c
+    return {j: c for j, c in total.items() if c}
+
+
+def test_orbit_listing_lists_each_orbit_once_weighed_by_its_size():
+    """On the corpus up to 10 arcs and on seeded relabelled unions of closed
+    walks: the orbit listing names each labelled cycle partition's orbit
+    under swaps of parallel arcs once, with the number of labelled
+    partitions in it, so the weights sum to the labelled count and the
+    signed chromatic sums agree."""
+    rng = random.Random(20261021)
+    digraphs = list(eulerian_digraph_corpus(10))
+    digraphs += [_shuffled(_closed_walk_digraph(rng, 11), rng) for _ in range(150)]
+    for d in digraphs:
+        labelled = cycle_partition_masks(d)
+        orbits, weights = cycle_partition_orbits(d)
+        assert sum(weights) == len(labelled)
+        expected = Counter(_class_multiset(d.arcs, a) for a in labelled)
+        arcs = sorted(d.arcs) if len(set(d.arcs)) < d.m else d.arcs  # the listing's ids
+        listed = [_class_multiset(arcs, a) for a in orbits]
+        assert dict(zip(listed, weights)) == expected and len(listed) == len(expected)
+        assert _signed_chromatic_sum(orbits, weights) == _signed_chromatic_sum(
+            labelled, [1] * len(labelled)
+        )
+
+
+def test_parallel_two_cycles_are_one_orbit():
+    """k parallel 2-cycles have k! cycle partitions, the matchings of the
+    arcs one way to the arcs back, and all of them are one orbit."""
+    for k in range(1, 9):
+        orbits, weights = cycle_partition_orbits(parallel_two_cycles(k))
+        assert len(orbits) == 1 and weights == [math.factorial(k)]
+
+
+def test_martin_answers_parallel_classes_within_a_second(tmp_path, capsys):
+    """8, 10 and 16 parallel 2-cycles (up to 16! cycle partitions) and K4*
+    with every arc doubled (292 orbits) pass SEMILATTICE_CAP labelled, but
+    not up to swaps of parallel arcs: ``martin`` answers each within 1 s,
+    with the f_k summing to the out-degree factorials and f_1 the BEST
+    count."""
+    doubled = [(u, v) for u in range(4) for v in range(4) if u != v] * 2
+    cases = [(2, [(0, 1), (1, 0)] * k) for k in (8, 10, 16)] + [(4, doubled)]
+    for n, arcs in cases:
+        d = Digraph(n, arcs)
+        path = _write_digraph(tmp_path, f"parallel{len(arcs)}.txt", n, arcs)
+        start = time.monotonic()
+        assert main(["martin", path, "--format", "json"]) == 0
+        assert time.monotonic() - start < 1.0
+        f = json.loads(capsys.readouterr().out)["result"]["f"]
+        assert sum(f) == out_degree_factorial_product(d)
+        assert f[0] == count_circuits_best(d)
