@@ -37,6 +37,10 @@ CHARPOLY_DET_VERTEX_CAP = 50
 CHARPOLY_ELEMENTARY_VERTEX_CAP = 9
 # `weight` sums over decomposition classes: ten parallel edges 0.26 s, twelve 10.6 s
 WEIGHT_EDGE_CAP = 10
+# `verify` grows about tenfold per arc: --max-edges 9 took 7.5 s and 10 took
+# 87 s, --max-vertices 7 took 56 s (CPython 3.11, 2 shared cores)
+VERIFY_EDGE_CAP = 9
+VERIFY_VERTEX_CAP = 6
 
 
 def _poly(p):
@@ -294,6 +298,11 @@ def cmd_weight(args, g):
 def cmd_verify(args, _g=None):
     if args.max_edges <= 0 or args.max_vertices <= 0:
         raise ValueError("size caps must be positive")
+    if args.max_edges > VERIFY_EDGE_CAP or args.max_vertices > VERIFY_VERTEX_CAP:
+        raise ValueError(
+            f"verify takes at most --max-edges {VERIFY_EDGE_CAP}"
+            f" and --max-vertices {VERIFY_VERTEX_CAP}"
+        )
     config = VerifyConfig(
         max_edges=args.max_edges,
         max_vertices=args.max_vertices,

@@ -2,7 +2,8 @@
 Eulerian digraph, by two routes, and the join-semilattice T(D) of partitions
 of its arc set into Eulerian parts.
 
-Two routes give f_k, and they share only the cycle walk of the listings:
+Two routes give f_k, both from the cycle partitions, the minimal elements
+of T(D), as one routine lists them (``trails._cycle_partition_listing``):
 - ``circuit_partition_counts``, the default, reads the paper's chromatic
   corollary r(t) = sum over the cycle partitions a of (-1)^|a| chi(G_a; -t)
   from the cycle partitions' intersection graphs, with no element of T(D)
@@ -167,19 +168,19 @@ def eulerian_parts(d):
     return [SetPartition(map(bits, b)) for b in _element_masks(cycle_partition_masks(d))]
 
 
-def _cycle_partitions_of_eulerian(d, listing):
-    """``listing(d, SEMILATTICE_CAP)``, once d is known to be Eulerian: each
-    cycle partition is an element of T(D), so the element cap bounds them
-    too, and the f_k route keeps the same bound on its orbits."""
+def _eulerian(d):
+    """d, once it is known to be Eulerian.  Each cycle partition of d is an
+    element of T(D), so its listings refuse past SEMILATTICE_CAP, and the
+    f_k route keeps the same bound on its orbits."""
     if not is_eulerian(d):
         raise NotEulerianError("the Eulerian-part semilattice needs an Eulerian digraph")
-    return listing(d, SEMILATTICE_CAP)
+    return d
 
 
 def build_eulerian_semilattice(d):
     """The semilattice of an Eulerian digraph, its elements, their
     ``SetPartition``s and order from ``poset.coarsening_order``."""
-    minimal = _cycle_partitions_of_eulerian(d, cycle_partition_masks)
+    minimal = cycle_partition_masks(_eulerian(d), SEMILATTICE_CAP)
     masks, elements, down = coarsening_order(_element_masks(minimal))
     counts = {arcs: 1 for a in minimal for arcs, _ in a}  # a cycle has one circuit
     products = [_signed_mask_product(d.arcs, b, counts) for b in masks]
@@ -193,7 +194,7 @@ def semilattice_partition_counts(d):
     Eulerian circuit, (-1)^k times the signed circuit products of the
     partitions into k Eulerian parts, summed.  Builds no order and no
     ``SetPartition``."""
-    minimal = _cycle_partitions_of_eulerian(d, cycle_partition_masks)
+    minimal = cycle_partition_masks(_eulerian(d), SEMILATTICE_CAP)
     elements = _element_masks(minimal)
     out = [0] * max(len(b) for b in elements)
     counts = {arcs: 1 for a in minimal for arcs, _ in a}  # a cycle has one circuit
@@ -233,7 +234,7 @@ def circuit_partition_counts(d):
     cycle partitions, and past CHROMATIC_TERM_CAP terms of the counts in
     all.
     """
-    minimal, weights = _cycle_partitions_of_eulerian(d, cycle_partition_orbits)
+    minimal, weights = cycle_partition_orbits(_eulerian(d), SEMILATTICE_CAP)
     graphs = Counter()
     for adj, weight in zip(_intersection_masks(minimal), weights):
         graphs[adj] += weight
@@ -318,7 +319,7 @@ def martin_chromatic_identity(d):
     K_k on k parallel 2-cycles); and its r(-t) against
     sum_a (-1)^|a| chi(G_a; t), which is ``circuit_partition_counts``."""
     polys = martin_polynomial(d, semilattice_partition_counts(d))
-    minimal = _cycle_partitions_of_eulerian(d, cycle_partition_masks)
+    minimal = cycle_partition_masks(_eulerian(d), SEMILATTICE_CAP)
     rhs = IntPoly.zero()
     chi_list = []
     weighed = {}

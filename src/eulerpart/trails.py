@@ -437,35 +437,11 @@ def reassemble(cycles):
 
 
 def trails_with_cycle_partition(d, e, a):
-    """The fiber of trails ending at e whose cycle sequence induces partition a."""
-    if not isinstance(a, SetPartition):
-        raise ValueError("expected a SetPartition of the edge set")
-    if a.ground != frozenset(d.edges()):
-        raise ValueError("partition must cover exactly the edge set")
-    for block in a.blocks:
-        if not _is_cycle_block(d, block):
-            raise ValueError(f"block {sorted(block)} is not a directed cycle")
+    """The fiber of trails ending at e whose cycle sequence induces the
+    cycle partition a; refuses any a that is not in ``cycle_partitions(d)``."""
+    if a not in cycle_partitions(d):
+        raise ValueError("expected a partition of the arc set into directed cycles")
     return [w for w in eulerian_trails_ending_at(d, e) if edge_partition(cycle_sequence(w)) == a]
-
-
-def _is_cycle_block(d, block):
-    sub = sorted(block)
-    heads = {}
-    for e in sub:
-        u, v = d.arcs[e]
-        if u in heads:
-            return False
-        heads[u] = v
-    verts = set(heads)
-    if set(heads.values()) != verts:
-        return False
-    # one orbit through all vertices
-    start = next(iter(verts))
-    cur, steps = heads[start], 1
-    while cur != start:
-        cur = heads[cur]
-        steps += 1
-    return steps == len(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +456,14 @@ def _cycle_walk(arcs, n):
 
     A walk from e0's head takes out-arcs in id order and visits no vertex
     twice; the tests' arc-set walk lists the same cycles in the same order.
-    On a balanced digraph the allowed arcs the listings pass are a union of
-    cycles, so every vertex the walk reaches has an out-arc among them (on
-    any other digraph a vertex with none ends its branch); the walk steps
-    over, in a loop, each vertex with exactly one such out-arc, only a
-    vertex with several recurses, and an arc back to the start closes its
-    cycle where it is found, so a long cycle costs no Python frame per arc.
+    On a balanced digraph the allowed arcs ``_cycle_partition_listing``
+    passes are a union of cycles, so every vertex the walk reaches has an
+    out-arc among them (on any other digraph a vertex with none ends its
+    branch); the walk steps over, in a loop, each vertex with exactly one
+    such out-arc, only a vertex with several recurses, and an arc back to
+    the start closes its cycle where it is found, so a long cycle costs no
+    Python frame per arc.  A path of vertices with several out-arcs each,
+    as on a chain of 2-cycles, still costs one frame per vertex.
     """
     heads = [v for _, v in arcs]
     out_masks = [0] * n
@@ -523,99 +501,37 @@ def _cycle_walk(arcs, n):
     return cycles_through
 
 
-def _labelled_listing(arcs, n, cap, refusal):
-    """Every partition of the arc list into directed cycles, backtracking
-    on the least uncovered arc; refuses with the message ``refusal``, its
-    field filled with cap, as soon as there are more than cap."""
+def _cycle_partition_listing(arcs, n, inner, numerator, cap, refusal):
+    """The partitions of the arc list ``arcs`` on n vertices into directed
+    cycles, one from each orbit under swaps of parallel arcs, and the
+    orbits' sizes; refuses with ``refusal``, its field filled with cap, as
+    soon as there are more than cap.
+
+    Each parallel class is a contiguous id range; bit e of ``inner`` marks
+    an arc that is not the first of its class, and ``numerator`` is
+    prod p_uv! over the classes' sizes.  With ``inner`` 0 each orbit is one
+    partition, of size 1.
+
+    Backtracking on the least uncovered arc, whose cycles among the allowed
+    arcs ``_cycle_walk`` finds, so a partition's cycles come in the order
+    of their least arcs.  Of each class only the lowest uncovered arc is
+    allowed.  A vertex-simple cycle uses at most one arc of a class, so it
+    is named up to swaps by its class mask.  Consecutive picks through one
+    least class come in non-decreasing order of their class masks, which
+    are read only there.  The swaps that fix a partition permute its
+    identical cycles, so its orbit has numerator / prod k_S! partitions,
+    where k_S is the number of its cycles with class mask S.
+    """
     cycles_through = _cycle_walk(arcs, n)
-    out = []
-    blocks = []
-
-    def rec(remaining):
-        if not remaining:
-            out.append(list(blocks))
-            if len(out) > cap:
-                raise CapExceededError(refusal.format(cap))
-            return
-        e0 = (remaining & -remaining).bit_length() - 1
-        for cycle in cycles_through(e0, remaining):
-            blocks.append(cycle)
-            rec(remaining & ~cycle[0])
-            blocks.pop()
-
-    rec((1 << len(arcs)) - 1)
-    return out
-
-
-def cycle_partition_masks(d, cap=math.inf):
-    """All partitions of the arc set into directed cycles, canonically ordered,
-    each as a list of (arc mask, vertex mask) pairs, one pair per cycle.
-
-    Backtracking on the least uncovered arc, whose cycles inside the
-    uncovered arcs are found by ``_cycle_walk``.  So each partition's
-    cycles come in the order of their least arcs.  Each partition is an
-    element of the Eulerian-part semilattice, so the semilattice's cap
-    refuses as soon as there are more than cap of them.
-    """
-    return _labelled_listing(d.arcs, d.n, cap, "semilattice has more than {} elements")
-
-
-def cycle_partition_orbits(d, cap=math.inf):
-    """The cycle partitions up to permutations of parallel arcs: a list of
-    partitions, one from each orbit, as ``cycle_partition_masks`` gives them,
-    and the list of the orbits' sizes, which sum to the number of cycle
-    partitions.  When d has parallel arcs, the arc masks are over
-    ``sorted(d.arcs)``.
-
-    The arcs are sorted, so each parallel class u -> v is a contiguous id
-    range.  The walk takes only the lowest remaining arc of each class, so
-    the arcs left of a class are always the last ones of its range.  A
-    vertex-simple cycle uses at most one arc of a class, so it is named up
-    to swaps by its class mask (bit j for the class whose first arc is j),
-    and a partition by the multiset of its cycles' class masks.  The cycles
-    through one least class are picked one after another, and are listed in
-    non-decreasing order of their class masks; a class mask is read only
-    for such consecutive picks.  The swaps that fix a partition are those
-    that permute its identical cycles, so the orbit has
-    prod p_uv! / prod k_S! partitions, where p_uv is the size of a class and
-    k_S the number of cycles with class mask S.
-
-    With no parallel arcs each orbit is one partition, and this is the
-    labelled listing, with no sort and no class mask.  Refuses as soon as
-    more than cap partitions are listed.
-    """
-    refusal = "more than {} cycle partitions up to parallel arcs"
-    if len(set(d.arcs)) == d.m:
-        out = _labelled_listing(d.arcs, d.n, cap, refusal)
-        return out, [1] * len(out)
-    arcs = sorted(d.arcs)
-    cycles_through = _cycle_walk(arcs, d.n)
-    inner = 0  # bit e: arc e is not the first of its class
-    class_bit = [1] * len(arcs)
-    numerator = size = 1  # prod p_uv!, and the size of the class so far
-    for e in range(1, len(arcs)):
-        if arcs[e] == arcs[e - 1]:
-            inner |= 1 << e
-            class_bit[e] = class_bit[e - 1]
-            size += 1
-            numerator *= size
-        else:
-            class_bit[e] = 1 << e
-            size = 1
     out = []
     weights = []
     blocks = []
+    div = 1  # prod k_S! over the picks so far
 
-    def class_mask(cycle_arcs):
-        mask = 0
-        for e in bits(cycle_arcs):
-            mask |= class_bit[e]
-        return mask
-
-    def rec(remaining, start, last, run, div):
-        """``start`` is the least arc of the last pick, ``last`` its class
-        mask if read, ``run`` the number of picks before with that class
-        mask, ``div`` the product of the k_S! so far."""
+    def rec(remaining, last=0, run=1):
+        """``last`` is the last pick's class mask, if read, and ``run`` the
+        number of picks before with that class mask."""
+        nonlocal div
         if not remaining:
             out.append(list(blocks))
             weights.append(numerator // div)
@@ -624,26 +540,71 @@ def cycle_partition_orbits(d, cap=math.inf):
             return
         low = remaining & -remaining
         e0 = low.bit_length() - 1
-        cycles = cycles_through(e0, remaining & ~(remaining << 1 & inner))
-        if start != e0 - 1 or not inner & low:  # the first pick through its class
-            for cycle in cycles:
+        allowed = remaining & ~(remaining << 1 & inner) if inner else remaining
+        if inner & low and blocks[-1][0] & -blocks[-1][0] == low >> 1:
+            # the last pick's least arc is e0 - 1, of e0's class
+            if not last:
+                last = _class_mask(blocks[-1][0], inner)
+            for cycle in cycles_through(e0, allowed):
+                shape = _class_mask(cycle[0], inner)
+                if shape < last:
+                    continue
+                k = run + 1 if shape == last else 1
                 blocks.append(cycle)
-                rec(remaining & ~cycle[0], e0, 0, 1, div)
+                div *= k
+                rec(remaining & ~cycle[0], shape, k)
+                div //= k
                 blocks.pop()
             return
-        if not last:
-            last = class_mask(blocks[-1][0])
-        for cycle in cycles:
-            shape = class_mask(cycle[0])
-            if shape < last:
-                continue
-            k = run + 1 if shape == last else 1
+        for cycle in cycles_through(e0, allowed):
             blocks.append(cycle)
-            rec(remaining & ~cycle[0], e0, shape, k, div * k)
+            rec(remaining & ~cycle[0])
             blocks.pop()
 
-    rec((1 << len(arcs)) - 1, -2, 0, 1, 1)
+    rec((1 << len(arcs)) - 1)
     return out, weights
+
+
+def _class_mask(cycle_arcs, inner):
+    """Bit j for each parallel class met by ``cycle_arcs``, j its first arc."""
+    mask = 0
+    for e in bits(cycle_arcs):
+        while inner >> e & 1:
+            e -= 1
+        mask |= 1 << e
+    return mask
+
+
+def cycle_partition_masks(d, cap=math.inf):
+    """All partitions of the arc set into directed cycles, canonically ordered,
+    each as a list of (arc mask, vertex mask) pairs, one per cycle, in the
+    order of their least arcs: ``_cycle_partition_listing`` with no parallel
+    class.  Each is an element of the Eulerian-part semilattice, so the
+    semilattice's cap refuses as soon as there are more than cap of them.
+    """
+    refusal = "semilattice has more than {} elements"
+    return _cycle_partition_listing(d.arcs, d.n, 0, 1, cap, refusal)[0]
+
+
+def cycle_partition_orbits(d, cap=math.inf):
+    """The cycle partitions up to swaps of parallel arcs: one from each
+    orbit, with arc masks over ``sorted(d.arcs)``, and the orbits' sizes,
+    which sum to the number of cycle partitions.  The sort makes each
+    parallel class a contiguous id range for ``_cycle_partition_listing``.
+    Refuses as soon as more than cap partitions are listed.
+    """
+    arcs = sorted(d.arcs)
+    inner = 0  # bit e: arc e is not the first of its class
+    numerator = size = 1  # prod p_uv!, and the size of the class so far
+    for e in range(1, len(arcs)):
+        if arcs[e] == arcs[e - 1]:
+            inner |= 1 << e
+            size += 1
+            numerator *= size
+        else:
+            size = 1
+    refusal = "more than {} cycle partitions up to parallel arcs"
+    return _cycle_partition_listing(arcs, d.n, inner, numerator, cap, refusal)
 
 
 def cycle_partitions(d, cap=math.inf):

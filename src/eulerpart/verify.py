@@ -224,15 +224,18 @@ def check_lattice_vs_bell_filter(config):
 
 @_check("martin-evaluations")
 def check_martin_evaluations(config):
+    """r(0), s(2) and s(1), and s divisible by prod_{i=2..delta}
+    (t + delta - i) of degree delta - 1: fewer factors would divide s too."""
     for d in _digraphs(config):
         f = lattice.semilattice_partition_counts(d)
         polys = lattice.martin_polynomial(d, f)
         delta = max(d.out_degree(v) for v in range(d.n))
+        report = lattice.martin_divisibility(d, f) if delta >= 2 else None
         yield d, (
             polys.r(0) == 0
             and polys.s(2) == out_degree_factorial_product(d)
             and polys.s(1) == polys.f[0]
-            and (delta < 2 or lattice.martin_divisibility(d, f).divisible)
+            and (report is None or report.divisible and report.divisor.degree == delta - 1)
         )
 
 

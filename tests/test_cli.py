@@ -18,6 +18,7 @@ import eulerpart.trails as trails_module
 import eulerpart.veblen as veblen_module
 import eulerpart.verify as verify_module
 from eulerpart.cli import main
+from eulerpart.corpus import eulerian_digraph_corpus
 from eulerpart.errors import GraphParseError
 from eulerpart.verify import (
     VerifyConfig,
@@ -835,14 +836,20 @@ def test_shared_fault_fails_each_check_that_reads_it(monkeypatch, name):
         assert not check(config).ok, check.name
 
 
-def _orbit_listing_with(old, new):
-    """``trails.cycle_partition_orbits`` compiled from its source with the
-    one occurrence of ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(trails_module.cycle_partition_orbits))
+def _recompiled(module, name, old, new):
+    """``module.name`` compiled from its source with the one occurrence of
+    ``old`` replaced by ``new``, over a copy of the module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1
-    namespace = dict(vars(trails_module))
-    exec(compile(source.replace(old, new), trails_module.__file__, "exec"), namespace)
-    return namespace["cycle_partition_orbits"]
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+def _orbit_listing_with(old, new):
+    """``trails._cycle_partition_listing``, the one listing of cycle
+    partitions, with ``old`` replaced by ``new``."""
+    return _recompiled(trails_module, "_cycle_partition_listing", old, new)
 
 
 # a rule of the f_k route's orbit listing dropped -> (the source text, its
@@ -861,8 +868,89 @@ def test_orbit_listing_fault_fails_the_chromatic_identity(monkeypatch, name):
     config = VerifyConfig(max_edges=6)
     assert check_martin_chromatic_identity(config).ok
     faulty = _orbit_listing_with(*ORBIT_FAULTS[name])
-    monkeypatch.setattr(lattice_module, "cycle_partition_orbits", faulty)
+    monkeypatch.setattr(trails_module, "_cycle_partition_listing", faulty)
     assert not check_martin_chromatic_identity(config).ok
+
+
+def test_listing_that_drops_its_last_partition_fails_the_bell_filter_check(monkeypatch):
+    """Both routes read one listing of cycle partitions, so a fault there
+    shows against an oracle that does not: the Bell-number filter of T(D)."""
+    config = VerifyConfig(max_edges=4)
+    assert check_lattice_vs_bell_filter(config).ok
+    faulty = _orbit_listing_with("return out, weights", "return out[:-1], weights[:-1]")
+    monkeypatch.setattr(trails_module, "_cycle_partition_listing", faulty)
+    assert not check_lattice_vs_bell_filter(config).ok
+
+
+# the checks on T(D), which read the semilattice's f_k by name and pass it
+# to the readers of f
+SEMILATTICE_F_CHECKS = [
+    check_cancellation,
+    check_martin_evaluations,
+    check_counts_vs_direct_enumeration,
+    check_orientation_circuit_partitions,
+    check_weight_via_cancellation,
+]
+
+
+def _default_route(d):
+    raise AssertionError("the default f_k route was read")
+
+
+def test_semilattice_checks_never_read_the_default_route(monkeypatch):
+    """The checks on T(D) pass with ``circuit_partition_counts`` raising, so
+    none of them compares the default route with itself."""
+    monkeypatch.setattr(lattice_module, "circuit_partition_counts", _default_route)
+    for check in SEMILATTICE_F_CHECKS:
+        assert check(VerifyConfig(max_edges=5)).ok, check.name
+
+
+# a reader of f that reads the default route although it is given f ->
+# (its source text, the replacement); ``martin_divisibility`` reads f only
+# through ``martin_polynomial``
+DEFAULT_ROUTE_MUTANTS = {
+    "martin_polynomial": ("f is None", "f is not None"),
+    "verify_cancellation": ("f is None", "f is not None"),
+    "martin_divisibility": ("martin_polynomial(d, f)", "martin_polynomial(d)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_ROUTE_MUTANTS))
+def test_default_route_mutant_fails_a_semilattice_check(monkeypatch, name):
+    monkeypatch.setattr(lattice_module, "circuit_partition_counts", _default_route)
+    mutant = _recompiled(lattice_module, name, *DEFAULT_ROUTE_MUTANTS[name])
+    monkeypatch.setattr(lattice_module, name, mutant)
+    with pytest.raises(AssertionError, match="the default f_k route was read"):
+        for check in SEMILATTICE_F_CHECKS:
+            check(VerifyConfig(max_edges=5))
+
+
+def test_martin_evaluations_pins_the_divisor_degree(monkeypatch):
+    """A product of fewer factors also divides s, so ``martin_divisibility``
+    with the last two factors dropped fails the check only by its degree."""
+    config = VerifyConfig(max_edges=4)
+    assert check_martin_evaluations(config).ok
+    mutant = _recompiled(
+        lattice_module, "martin_divisibility", "range(2, delta + 1)", "range(2, delta - 1)"
+    )
+    monkeypatch.setattr(lattice_module, "martin_divisibility", mutant)
+    digraphs = [d for d in eulerian_digraph_corpus(4) if max(map(d.out_degree, range(d.n))) >= 2]
+    assert all(mutant(d).divisible for d in digraphs)
+    assert not check_martin_evaluations(config).ok
+
+
+def test_verify_refuses_sizes_over_its_caps(monkeypatch, capsys):
+    """``verify`` refuses --max-edges above 9 and --max-vertices above 6
+    with exit 2 before any check runs, and runs at the caps."""
+    monkeypatch.setattr(cli_module, "run_verification_suite", _refuse)
+    for flag, value in (("--max-edges", "10"), ("--max-vertices", "7")):
+        start = time.monotonic()
+        assert main(["verify", flag, value]) == 2
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == "error: verify takes at most --max-edges 9 and --max-vertices 6\n"
+    monkeypatch.setattr(cli_module, "run_verification_suite", lambda config: (0, {"ok": True}))
+    assert main(["verify", "--max-edges", "9", "--max-vertices", "6", "--format", "json"]) == 0
 
 
 @pytest.mark.parametrize("name", sorted(PLANTED_FAULTS))
